@@ -59,9 +59,16 @@ def parse_coeff_table(text: str):
     if text.startswith("@"):
         text = Path(text[1:]).read_text()
     data = json.loads(text)
-    return hodgecalc.HodgePolynomial.create(
-        {(int(i), int(j)): int(c) for i, j, c in data["coeffs"]}
-    )
+    rows = data.get("coeffs") if isinstance(data, dict) else None
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == 3 for row in rows
+    ):
+        raise ValueError('a coefficient table is {"coeffs": [[i, j, c], ...]}')
+    try:
+        cells = {(int(i), int(j)): int(c) for i, j, c in rows}
+    except TypeError as e:
+        raise ValueError(f"non-integer coefficient table entry: {e}") from e
+    return hodgecalc.HodgePolynomial.create(cells)
 
 
 def coeff_list(table) -> list:
@@ -298,10 +305,32 @@ def regenerate(stored: dict) -> dict:
     return pipeline.serialize_certificate(cert)
 
 
+def _check_certificate_inputs(stored) -> None:
+    """Raise ValueError unless the JSON holds the input echo regenerate reads."""
+    inp = stored.get("inputs") if isinstance(stored, dict) else None
+    if not isinstance(inp, dict) or not all(k in inp for k in ("p", "i", "j")):
+        raise ValueError('certificate has no "inputs" object with p, i and j')
+    ints = [inp[k] for k in ("p", "i", "j", "max_layers", "bound") if k in inp]
+    if inp.get("l") is not None:
+        ints.append(inp["l"])
+    embellish = inp.get("embellish", [])
+    if (
+        not all(type(x) is int for x in ints)
+        or not isinstance(inp.get("selector", ""), str)
+        or not isinstance(embellish, list)
+        or not all(isinstance(e, str) for e in embellish)
+    ):
+        raise ValueError(
+            "certificate inputs: p, i, j, l, max_layers and bound must be integers, "
+            "selector a string and embellish a list of strings"
+        )
+
+
 def cmd_certify(args) -> int:
     t0 = time.monotonic()
     stored_text = Path(args.certificate).read_text()
     stored = json.loads(stored_text)
+    _check_certificate_inputs(stored)
     fresh = regenerate(stored)
     match = dumps(fresh) == stored_text or fresh == stored
     checks = [dict(c) for c in fresh["checks"]]

@@ -15,12 +15,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .cyclochar import (
     CharRep,
     PrimeContext,
     dual,
     exterior_power,
+    exterior_table,
     frobenius_twist,
     invariants_rank,
     is_prime,
@@ -276,16 +278,17 @@ def equivariant_diamond(z: CMData) -> HodgePolynomial:
 
     Computed as the constant-exponent coefficient of the product of the two
     subset generating functions, i.e. sum_e P_i[e] * Q_j[-e] where P and Q
-    are the exterior-power multiplicity tables of the two modules.
+    are the exterior_table rows of the two modules, one packed-field DP pass
+    per module.  The Q rows are stored with exponents negated, so each cell
+    is a plain dot product; every cell is computed, none is inferred from
+    duality, so the duality check stays an independent test.
     """
-    l = z.ctx.l
-    dim = z.dim
-    p_tab = [exterior_power(z.W_omega, i).mult for i in range(dim + 1)]
-    q_tab = [exterior_power(z.W_o, j).mult for j in range(dim + 1)]
+    p_tab = exterior_table(z.W_omega)
+    q_neg = [row[:1] + row[:0:-1] for row in exterior_table(z.W_o)]
     coeffs = {}
-    for i in range(dim + 1):
-        for j in range(dim + 1):
-            c = sum(p_tab[i][e] * q_tab[j][(-e) % l] for e in range(l))
+    for i, p_row in enumerate(p_tab):
+        for j, q_row in enumerate(q_neg):
+            c = sum(map(mul, p_row, q_row))
             if c:
                 coeffs[(i, j)] = c
     return HodgePolynomial.create(coeffs)

@@ -199,30 +199,39 @@ def tensor(v: CharRep, w: CharRep) -> CharRep:
     return CharRep(l, tuple(vec))
 
 
-def exterior_power(v: CharRep, k: int) -> CharRep:
-    """k-th exterior power via the generating function over exponents.
+def exterior_table(v: CharRep, top: int | None = None) -> list[tuple[int, ...]]:
+    """Multiplicity vectors of Lambda^0 v, ..., Lambda^top v from one DP pass.
 
     Expands the product of (1 + t*x^a) over the rank(v) exponent instances
-    in Z[x]/(x^l - 1) and reads off the coefficient of t^k.  Equivalent to
-    enumerating k-element index subsets (the test oracle), but quasi-linear
-    in rank*l per step instead of binomial.
+    in Z[x]/(x^l - 1); row k is the coefficient of t^k.  Equivalent to
+    enumerating k-element index subsets (the test oracle), but each step is
+    one big-integer add per row: a row is packed into one integer with one
+    field per exponent, one bit wider than C(rank, min(top, rank // 2)), the
+    largest multiplicity rows 0..top can hold, so that multiplying by x^a is
+    a rotation of the fields.  top defaults to rank; rows above it are zero.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    l = v.l
-    if k > v.rank:
-        return CharRep(l, (0,) * l)
-    # dp[j][e]: number of j-subsets of processed exponents summing to e mod l
-    dp = [[0] * l for _ in range(k + 1)]
-    dp[0][0] = 1
-    for a in v.exponents():
-        for j in range(min(k, v.rank), 0, -1):
-            row, prev = dp[j], dp[j - 1]
-            for e in range(l):
-                c = prev[(e - a) % l]
-                if c:
-                    row[e] += c
-    return CharRep(l, tuple(dp[k]))
+    l, rank = v.l, v.rank
+    top = rank if top is None else top
+    if top < 0:
+        raise ValueError("exterior degree must be non-negative")
+    width = comb(rank, min(top, rank // 2)).bit_length() + 1
+    mask = (1 << (l * width)) - 1
+    rows = [1] + [0] * top  # rows[j]: j-subsets of the exponents seen so far
+    seen = 0
+    for a, m in enumerate(v.mult):
+        up, down = a * width, (l - a) * width
+        for _ in range(m):
+            seen += 1
+            for j in range(min(seen, top), 0, -1):
+                r = rows[j - 1]
+                rows[j] += ((r << up) | (r >> down)) & mask
+    field = (1 << width) - 1
+    return [tuple((r >> (e * width)) & field for e in range(l)) for r in rows]
+
+
+def exterior_power(v: CharRep, k: int) -> CharRep:
+    """k-th exterior power: row k of exterior_table(v, k)."""
+    return CharRep(v.l, exterior_table(v, k)[k])
 
 
 def invariants_rank(v: CharRep) -> int:
@@ -245,7 +254,3 @@ def is_typical(u: CharRep) -> bool:
     d = u.mult[1] + u.mult[l - 1]
     return all(u.mult[a] + u.mult[l - a] == d for a in range(1, (l + 1) // 2))
 
-
-def rank_of_exterior(rank: int, k: int) -> int:
-    """C(rank, k); the rank the k-th exterior power must have."""
-    return comb(rank, k)

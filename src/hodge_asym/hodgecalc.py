@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 
@@ -57,14 +58,20 @@ class HodgePolynomial:
     def one() -> "HodgePolynomial":
         return HodgePolynomial.create({(0, 0): 1})
 
+    @cached_property
+    def _lookup(self) -> dict[tuple[int, int], int]:
+        # built on the first coeff(); never handed out, so callers cannot mutate it
+        return dict(self.coeffs)
+
     def as_dict(self) -> dict[tuple[int, int], int]:
+        """A fresh copy of the table, safe for the caller to mutate."""
         return dict(self.coeffs)
 
     def coeff(self, i: int, j: int) -> int:
-        return self.as_dict().get((i, j), 0)
+        return self._lookup.get((i, j), 0)
 
     def is_symmetric(self) -> bool:
-        d = self.as_dict()
+        d = self._lookup
         return all(d.get((j, i), 0) == c for (i, j), c in d.items())
 
     def total_degree(self) -> int:
@@ -488,9 +495,6 @@ class DeltaLedger:
         if self.complete:
             return DeltaValue.create(0)
         return DeltaValue.create(0, {opaque_symbol(*key): sign})
-
-    def is_exact(self, i: int, j: int) -> bool:
-        return i == j or i < 0 or j < 0 or (max(i, j), min(i, j)) in self.exact_dict()
 
 
 @dataclass(frozen=True)

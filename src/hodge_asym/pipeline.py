@@ -283,9 +283,7 @@ def _slice_checks(diamond: HodgePolynomial, dim: int) -> list[tuple[str, bool]]:
         th = sum((n - t) * sl[t] for t in range(n + 1))
         checks.append((f"degree-relation-n{n}", 2 * th == n * sum(sl)))
     checks.append(("odd-degree-parity-n3", sum(degree_slice(diamond, 3)) % 2 == 0))
-    dual_ok = all(
-        diamond.coeff(dim - i, dim - j) == c for (i, j), c in diamond.as_dict().items()
-    )
+    dual_ok = all(diamond.coeff(dim - i, dim - j) == c for (i, j), c in diamond.coeffs)
     checks.append(("antidiagonal-duality", dual_ok))
     return checks
 
@@ -314,9 +312,12 @@ def _d_policy(ij_sum: int, expr: DeltaExpr) -> dict:
             "statement": "nonzero for every positive descent degree d_prime",
         }
     if not expr.opaque:
-        d = 2
-        while expr.exact.eval(d) == 0:
-            d += 1
+        # a nonzero polynomial of degree k has at most k roots among 2..k+2
+        d = next(
+            (d for d in range(2, expr.exact.degree + 3) if expr.exact.eval(d) != 0), None
+        )
+        if d is None:
+            raise StructuralViolation("asymmetry expression is identically zero")
         return {"kind": "concrete", "d": d, "value": str(expr.exact.eval_int(d))}
     k = expr.max_exception_count()
     return {

@@ -242,3 +242,16 @@ def test_text_outputs(capsys):
     assert code == 0 and "W_omega" in out and not out.startswith("{")
     code, out = run(capsys, "search-typical", "--p", "2")
     assert code == 0 and out.count("r0=") == 4
+
+
+def test_malformed_json_shapes_exit_2(tmp_path, capsys):
+    assert main(["hodge", "product", "--left", '{"cofs": []}',
+                 "--right", '{"coeffs": []}']) == 2
+    for bad in ('[1, 2]', '{"coeffs": [[0, 0]]}', '{"coeffs": [[[0], 0, 1]]}'):
+        assert main(["hodge", "product", "--left", bad, "--right", '{"coeffs": []}']) == 2
+    for i, text in enumerate(("{}", "[]", '{"inputs": {"p": "2", "i": 3, "j": 0}}',
+                              '{"inputs": {"p": 2, "i": 3, "j": 0, "embellish": "x"}}')):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(text)
+        assert main(["certify", str(path)]) == 2, text
+    assert "error:" in capsys.readouterr().err

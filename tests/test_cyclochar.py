@@ -7,6 +7,7 @@ from hodge_asym.cyclochar import (
     PrimeContext,
     dual,
     exterior_power,
+    exterior_table,
     frobenius_twist,
     invariants_rank,
     is_prime,
@@ -214,3 +215,22 @@ def test_validation():
         CharRep(5, (0, 0, 0))
     with pytest.raises(ValueError):
         is_typical(CharRep(2, (0, 0)))
+
+
+def test_exterior_table_rows_match_subset_oracle():
+    rng = random.Random(23)
+    reps = [
+        CharRep(5, (0,) * 5),  # rank 0
+        # every exponent 0: field 0 of row k holds C(n, k), the fullest a field gets
+        rep(13, {0: 9}),
+        rep(5, {0: 12}),
+    ] + [random_rep(rng, rng.choice([5, 13, 17])) for _ in range(40)]
+    for v in reps:
+        for top in sorted({0, 2, v.rank // 2, v.rank, v.rank + 2}):
+            rows = exterior_table(v, top)
+            assert len(rows) == top + 1
+            for k, row in enumerate(rows):
+                assert CharRep(v.l, row) == subset_exterior(v, k), (v, top, k)
+        assert exterior_table(v) == exterior_table(v, v.rank)
+    with pytest.raises(ValueError):
+        exterior_table(reps[1], -1)

@@ -368,3 +368,13 @@ def test_weil_restriction_power():
     for d_prime in range(1, 21):
         total = expr.opaque_dict()["d_prime"].eval_int(1) * d_prime
         assert total == -d_prime != 0
+
+
+def test_coeff_unaffected_by_mutating_as_dict():
+    h = HodgePolynomial.create({(1, 0): 2, (0, 1): 2})
+    assert h.coeff(1, 0) == 2  # builds the lookup table
+    table = h.as_dict()
+    table[(1, 0)] = 7
+    table[(3, 3)] = 1
+    assert h.coeff(1, 0) == 2 and h.coeff(3, 3) == 0
+    assert h.as_dict() == {(1, 0): 2, (0, 1): 2}
