@@ -190,6 +190,15 @@ class TypicalSearchResult:
     layer_count: int
     candidate_index: int
 
+    def serialize(self) -> dict:
+        """The search record of certificates and build-cm reports."""
+        return {
+            "layer_count": self.layer_count,
+            "candidate_index": self.candidate_index,
+            "r0": self.r0,
+            "r1": self.r1,
+        }
+
 
 def search_typical_U(
     v: CharRep, ctx: PrimeContext, max_layers: int = 3
@@ -297,6 +306,13 @@ def equivariant_diamond(z: CMData) -> HodgePolynomial:
 def degree_slice(diamond: HodgePolynomial, n: int) -> tuple[int, ...]:
     """The degree-n slice (h^{n,0}, h^{n-1,1}, ..., h^{0,n})."""
     return tuple(diamond.coeff(n - t, t) for t in range(n + 1))
+
+
+def degree3_slices(z: CMData, diamond: HodgePolynomial) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The degree-3 slice and the slice before orientation, which is reversed
+    when the assembly dualized the product."""
+    slice3 = degree_slice(diamond, 3)
+    return slice3, (tuple(reversed(slice3)) if z.oriented else slice3)
 
 
 def build_cm(

@@ -108,6 +108,8 @@ class CharRep:
     @staticmethod
     def from_dict(l: int, mults: dict[int, int]) -> "CharRep":
         """Build from {exponent: multiplicity}; exponents reduced mod l."""
+        if l < 2:
+            raise ValueError(f"modulus l={l} must be prime")
         vec = [0] * l
         for a, m in mults.items():
             vec[a % l] += m
@@ -155,7 +157,7 @@ class CharRep:
         if body:
             for item in body.split(","):
                 a_s, _, m_s = item.partition(":")
-                a = int(a_s) % l
+                a = int(a_s)
                 mults[a] = mults.get(a, 0) + int(m_s)
         return CharRep.from_dict(l, mults)
 

@@ -1,11 +1,13 @@
 """Exact bivariate Hodge-polynomial and truncated-series algebra.
 
-Coefficient tables h^{i,j} are finite maps (i,j) -> non-negative int; the
-polynomial H(x,y) = sum h^{i,j} x^i y^j multiplies by convolution under
-products of varieties.  Alongside the concrete tables this module carries
-the symbolic side: integer-valued polynomials in a formal product-size
-parameter d (DPoly), ledgers of exact/opaque Hodge asymmetries
-delta^{i,j} = h^{i,j} - h^{j,i}, and linear expressions combining the two.
+Coefficient tables h^{i,j} are finite maps (i,j) -> non-negative int, or
+-> integer-valued polynomial in a formal degree d (DPoly) when the diamond
+depends on d; one table type also carries truncated series and untracked
+cells.  The polynomial H(x,y) = sum h^{i,j} x^i y^j multiplies by
+convolution under products of varieties.  Alongside the tables this module
+carries ledgers of exact/opaque Hodge asymmetries
+delta^{i,j} = h^{i,j} - h^{j,i}, and linear expressions combining them with
+polynomials in d.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, factorial
 
 
 class NonSymmetricFactor(Exception):
@@ -25,30 +27,44 @@ class NonNegativeDelta(Exception):
 
 
 # ---------------------------------------------------------------------------
-# concrete coefficient tables
-
-
-def _clean(coeffs: dict) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for (i, j), c in coeffs.items():
-        if i < 0 or j < 0:
-            raise ValueError(f"negative bidegree ({i},{j})")
-        if c < 0:
-            raise ValueError(f"negative coefficient {c} at ({i},{j})")
-        if c:
-            out[(i, j)] = int(c)
-    return out
+# coefficient tables
 
 
 @dataclass(frozen=True)
 class HodgePolynomial:
-    """Finitely supported table of non-negative Hodge numbers."""
+    """Finitely supported table of Hodge numbers h^{i,j}.
 
-    coeffs: tuple[tuple[tuple[int, int], int], ...]
+    A cell is a non-negative int, or a DPoly when the table depends on a
+    formal degree d; a table with any DPoly cell stores every cell as a DPoly.
+    ``bound`` truncates the table at total degree <= bound (a series), and
+    ``unknown`` holds cells whose value is not tracked.
+    """
+
+    coeffs: tuple[tuple[tuple[int, int], int | DPoly], ...]
+    bound: int | None = None
+    unknown: frozenset[tuple[int, int]] = frozenset()
 
     @staticmethod
-    def create(coeffs: dict) -> "HodgePolynomial":
-        return HodgePolynomial(tuple(sorted(_clean(coeffs).items())))
+    def create(coeffs: dict, bound: int | None = None, unknown=()) -> "HodgePolynomial":
+        if bound is not None and bound < 0:
+            raise ValueError("bound must be non-negative")
+        unknown = frozenset(unknown)
+        symbolic = DPoly in set(map(type, coeffs.values()))
+        out: dict[tuple[int, int], int | DPoly] = {}
+        for (i, j), c in coeffs.items():
+            if i < 0 or j < 0:
+                raise ValueError(f"negative bidegree ({i},{j})")
+            if symbolic:
+                c = c if type(c) is DPoly else DPoly.constant(c)
+            elif c < 0:
+                raise ValueError(f"negative coefficient {c} at ({i},{j})")
+            if c:
+                out[(i, j)] = c
+        # filtered in a second pass so that plain tables pay nothing for it
+        if unknown or bound is not None:
+            out = {k: c for k, c in out.items()
+                   if k not in unknown and (bound is None or k[0] + k[1] <= bound)}
+        return HodgePolynomial(tuple(sorted(out.items())), bound, unknown)
 
     @staticmethod
     def zero() -> "HodgePolynomial":
@@ -58,24 +74,26 @@ class HodgePolynomial:
     def one() -> "HodgePolynomial":
         return HodgePolynomial.create({(0, 0): 1})
 
+    @property
+    def known(self) -> tuple:
+        """The tracked cells: every cell not in ``unknown``."""
+        return self.coeffs
+
     @cached_property
-    def _lookup(self) -> dict[tuple[int, int], int]:
+    def _lookup(self) -> dict[tuple[int, int], int | DPoly]:
         # built on the first coeff(); never handed out, so callers cannot mutate it
         return dict(self.coeffs)
 
-    def as_dict(self) -> dict[tuple[int, int], int]:
+    def as_dict(self) -> dict[tuple[int, int], int | DPoly]:
         """A fresh copy of the table, safe for the caller to mutate."""
         return dict(self.coeffs)
 
-    def coeff(self, i: int, j: int) -> int:
+    def coeff(self, i: int, j: int) -> int | DPoly:
         return self._lookup.get((i, j), 0)
 
     def is_symmetric(self) -> bool:
         d = self._lookup
         return all(d.get((j, i), 0) == c for (i, j), c in d.items())
-
-    def total_degree(self) -> int:
-        return max((i + j for (i, j), _ in self.coeffs), default=0)
 
     def __mul__(self, other: "HodgePolynomial") -> "HodgePolynomial":
         return product(self, other)
@@ -89,25 +107,8 @@ class HodgePolynomial:
         return out
 
 
-@dataclass(frozen=True)
-class HodgeSeries:
-    """Coefficient table truncated at total degree <= bound."""
-
-    coeffs: tuple[tuple[tuple[int, int], int], ...]
-    bound: int
-
-    @staticmethod
-    def create(coeffs: dict, bound: int) -> "HodgeSeries":
-        if bound < 0:
-            raise ValueError("bound must be non-negative")
-        kept = {k: c for k, c in _clean(coeffs).items() if k[0] + k[1] <= bound}
-        return HodgeSeries(tuple(sorted(kept.items())), bound)
-
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.coeffs)
-
-    def coeff(self, i: int, j: int) -> int:
-        return self.as_dict().get((i, j), 0)
+# a truncated series is a table with a bound
+HodgeSeries = HodgePolynomial
 
 
 def _convolve(a: dict, b: dict) -> dict[tuple[int, int], int]:
@@ -119,13 +120,12 @@ def _convolve(a: dict, b: dict) -> dict[tuple[int, int], int]:
     return out
 
 
-def product(h1, h2):
-    """Coefficient convolution; truncates at the smaller bound if a series is involved."""
-    conv = _convolve(h1.as_dict(), h2.as_dict())
-    bounds = [h.bound for h in (h1, h2) if isinstance(h, HodgeSeries)]
-    if bounds:
-        return HodgeSeries.create(conv, min(bounds))
-    return HodgePolynomial.create(conv)
+def product(h1: HodgePolynomial, h2: HodgePolynomial) -> HodgePolynomial:
+    """Coefficient convolution, truncated at the smaller bound of a series factor."""
+    bounds = [h.bound for h in (h1, h2) if h.bound is not None]
+    return HodgePolynomial.create(
+        _convolve(h1.as_dict(), h2.as_dict()), min(bounds, default=None)
+    )
 
 
 def delta(h, i: int, j: int) -> int:
@@ -147,15 +147,18 @@ def projective_space(n: int) -> HodgePolynomial:
 def blow_up(h_ambient: HodgePolynomial, h_center: HodgePolynomial, r: int) -> HodgePolynomial:
     """Blow-up along a center of codimension r+1 >= 2.
 
-    H_ambient + H_center * (xy + (xy)^2 + ... + (xy)^r), exactly.
+    H_ambient + H_center * (xy + (xy)^2 + ... + (xy)^r), exactly; the
+    center's unknown cells are shifted the same way.
     """
     if r < 1:
         raise ValueError(f"codimension r+1 = {r + 1} must be at least 2")
-    shift = HodgePolynomial.create({(t, t): 1 for t in range(1, r + 1)})
     out = h_ambient.as_dict()
-    for k, c in (h_center * shift).as_dict().items():
-        out[k] = out.get(k, 0) + c
-    return HodgePolynomial.create(out)
+    unknown = set(h_ambient.unknown)
+    for t in range(1, r + 1):
+        for (a, b), c in h_center.coeffs:
+            out[(a + t, b + t)] = out.get((a + t, b + t), 0) + c
+        unknown.update((a + t, b + t) for (a, b) in h_center.unknown)
+    return HodgePolynomial.create(out, unknown=unknown)
 
 
 def middle_row_count(d: int, n: int, p: int) -> int:
@@ -217,13 +220,17 @@ def blow_up_tower(d: int, n: int, s: int, ambient_dims=None) -> HodgePolynomial:
     of N_t-space along Y_t (codimension N_t - dim Y_t >= 2).  The result
     decomposes as F(xy) + H_{Y_0}(x,y) * (xy)^s * G(xy).
     """
+    return iterated_blow_up(hypersurface(d, n), n, s, ambient_dims)
+
+
+def iterated_blow_up(h: HodgePolynomial, n: int, s: int, ambient_dims=None) -> HodgePolynomial:
+    """The tower of blow_up_tower over any n-dimensional base table h."""
     if s < 0:
         raise ValueError("s must be non-negative")
     if ambient_dims is None:
         ambient_dims = minimal_ambient_dims(n, s)
     if len(ambient_dims) != s:
         raise ValueError(f"need exactly {s} ambient dimensions")
-    h = hypersurface(d, n)
     cur_dim = n
     for big_n in ambient_dims:
         r = big_n - cur_dim - 1
@@ -236,7 +243,7 @@ def blow_up_tower(d: int, n: int, s: int, ambient_dims=None) -> HodgePolynomial:
     return h
 
 
-def stack_series(kind: str, bound: int = 12) -> HodgeSeries:
+def stack_series(kind: str, bound: int = 12) -> HodgePolynomial:
     """Truncated classifying-stack series.
 
     mu_p:    (1+x)/(1-xy) = sum_k (x^k y^k + x^{k+1} y^k)
@@ -257,7 +264,7 @@ def stack_series(kind: str, bound: int = 12) -> HodgeSeries:
             coeffs[(0, k)] = 1
     else:
         raise ValueError(f"unknown stack kind {kind!r}")
-    return HodgeSeries.create(coeffs, bound)
+    return HodgePolynomial.create(coeffs, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +305,7 @@ class DPoly:
         out = DPoly.constant(1)
         for t in range(k):
             out = out * DPoly.create([b - t, a])
-        return out * DPoly.constant(Fraction(1, _factorial(k)))
+        return out * DPoly.constant(Fraction(1, factorial(k)))
 
     @property
     def degree(self) -> int:
@@ -310,7 +317,12 @@ class DPoly:
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
-    def __add__(self, other: "DPoly") -> "DPoly":
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __add__(self, other: "DPoly | int") -> "DPoly":
+        if isinstance(other, int):
+            other = DPoly.constant(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return DPoly.create(
             [
@@ -319,6 +331,8 @@ class DPoly:
                 for t in range(n)
             ]
         )
+
+    __radd__ = __add__
 
     def __neg__(self) -> "DPoly":
         return DPoly.create([-c for c in self.coeffs])
@@ -384,13 +398,6 @@ class DPoly:
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for t in range(2, k + 1):
-        out *= t
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +599,7 @@ def _edge_mul(a: dict, b: dict) -> dict[tuple[int, int], int]:
     return out
 
 
-def _series_edge(series: HodgeSeries) -> dict[tuple[int, int], int]:
+def _series_edge(series: HodgePolynomial) -> dict[tuple[int, int], int]:
     return {
         (i, j): c
         for (i, j), c in series.as_dict().items()

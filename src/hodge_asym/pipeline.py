@@ -11,7 +11,7 @@ the certificate to be emitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import cmbuild, polygons
@@ -23,6 +23,7 @@ from .hodgecalc import (
     DPoly,
     HodgePolynomial,
     blow_up,
+    iterated_blow_up,
     minimal_ambient_dims,
     polarization_degree_search,
     polarization_value,
@@ -61,22 +62,7 @@ class CertificateFailure(Exception):
 # cells vary with d in ways the bookkeeping never needs
 
 
-@dataclass(frozen=True)
-class SymbolicDiamond:
-    known: tuple[tuple[tuple[int, int], DPoly], ...]
-    unknown: frozenset[tuple[int, int]]
-
-    @staticmethod
-    def create(known: dict, unknown=()) -> "SymbolicDiamond":
-        unk = frozenset(unknown)
-        kept = {k: p for k, p in known.items() if k not in unk and not p.is_zero()}
-        return SymbolicDiamond(tuple(sorted(kept.items())), unk)
-
-    def known_dict(self) -> dict[tuple[int, int], DPoly]:
-        return dict(self.known)
-
-
-def symbolic_hypersurface(n: int) -> SymbolicDiamond:
+def symbolic_hypersurface(n: int) -> HodgePolynomial:
     """Degree-d hypersurface of dimension n with d left formal.
 
     The extreme middle entries are C(d-1, n+1); for n <= 2 the whole middle
@@ -99,52 +85,27 @@ def symbolic_hypersurface(n: int) -> SymbolicDiamond:
         known[(1, 1)] = DPoly.constant(1) + prim
     elif n >= 3:
         unknown.update((a, n - a) for a in range(1, n))
-    return SymbolicDiamond.create(known, unknown)
+    return HodgePolynomial.create(known, unknown=unknown)
 
 
-def symbolic_tower(n: int, s: int, ambient_dims=None) -> SymbolicDiamond:
+def symbolic_tower(n: int, s: int, ambient_dims=None) -> HodgePolynomial:
     """The blow-up tower's diamond with the hypersurface degree left formal."""
-    if ambient_dims is None:
-        ambient_dims = minimal_ambient_dims(n, s)
-    if len(ambient_dims) != s:
-        raise ValueError(f"need exactly {s} ambient dimensions")
-    sym = symbolic_hypersurface(n)
-    cur_dim = n
-    for big_n in ambient_dims:
-        r = big_n - cur_dim - 1
-        if r < 1:
-            raise ValueError(
-                f"ambient dimension {big_n} must exceed current dimension {cur_dim} + 1"
-            )
-        known: dict[tuple[int, int], DPoly] = {
-            (a, a): DPoly.constant(1) for a in range(big_n + 1)
-        }
-        unknown: set[tuple[int, int]] = set()
-        for t in range(1, r + 1):
-            for (a, b), poly in sym.known_dict().items():
-                cell = (a + t, b + t)
-                known[cell] = known.get(cell, DPoly.zero()) + poly
-            unknown.update((a + t, b + t) for (a, b) in sym.unknown)
-        sym = SymbolicDiamond.create(known, unknown)
-        cur_dim = big_n
-    return sym
+    return iterated_blow_up(symbolic_hypersurface(n), n, s, ambient_dims)
 
 
-def symbolic_p1_power(max_r: int) -> SymbolicDiamond:
+def symbolic_p1_power(max_r: int) -> HodgePolynomial:
     """Diagonal cells of the d-fold power of the projective line: h^{r,r} = C(d,r)."""
-    return SymbolicDiamond.create(
-        {(r, r): DPoly.binomial(r) for r in range(max_r + 1)}
-    )
+    return HodgePolynomial.create({(r, r): DPoly.binomial(r) for r in range(max_r + 1)})
 
 
-def assemble_delta(ledger: DeltaLedger, sym: SymbolicDiamond, i: int, j: int) -> DeltaExpr:
+def assemble_delta(ledger: DeltaLedger, sym: HodgePolynomial, i: int, j: int) -> DeltaExpr:
     """Symbolic product asymmetry sum(delta^{i1,j1} * h^{i2,j2}(Y)) over splittings.
 
     Unknown cells of the auxiliary diamond must only meet identically zero
     ledger entries; any other pairing raises StructuralViolation.
     """
     expr = DeltaExpr.zero()
-    for (i2, j2), poly in sym.known:
+    for (i2, j2), poly in sym.coeffs:
         if i2 <= i and j2 <= j:
             expr = expr.add_term(ledger.entry(i - i2, j - j2), poly)
     for (i2, j2) in sorted(sym.unknown):
@@ -280,8 +241,7 @@ def _slice_checks(diamond: HodgePolynomial, dim: int) -> list[tuple[str, bool]]:
     checks.append(("degree2-symmetry", diamond.coeff(2, 0) == diamond.coeff(0, 2)))
     for n in (1, 2, 3):
         sl = degree_slice(diamond, n)
-        th = sum((n - t) * sl[t] for t in range(n + 1))
-        checks.append((f"degree-relation-n{n}", 2 * th == n * sum(sl)))
+        checks.append((f"degree-relation-n{n}", polygons.degree_relation(sl)))
     checks.append(("odd-degree-parity-n3", sum(degree_slice(diamond, 3)) % 2 == 0))
     dual_ok = all(diamond.coeff(dim - i, dim - j) == c for (i, j), c in diamond.coeffs)
     checks.append(("antidiagonal-duality", dual_ok))
@@ -289,18 +249,14 @@ def _slice_checks(diamond: HodgePolynomial, dim: int) -> list[tuple[str, bool]]:
 
 
 def _isoclinic_checks(diamond: HodgePolynomial, dim: int) -> list[tuple[str, bool]]:
-    checks = []
-    ok = True
-    for n in range(2 * dim + 1):
-        sl = degree_slice(diamond, n)
-        th = sum((n - t) * sl[t] for t in range(n + 1))
-        ok = ok and 2 * th == n * sum(sl)
-    checks.append(("isoclinic-th-all-degrees", ok))
+    checks = [(
+        "isoclinic-th-all-degrees",
+        all(polygons.degree_relation(degree_slice(diamond, n)) for n in range(2 * dim + 1)),
+    )]
     sl3 = degree_slice(diamond, 3)
-    rank3 = sum(sl3)
-    th3 = sum((3 - t) * sl3[t] for t in range(4))
-    checks.append(("newton-endpoint-degree3", Fraction(3, 2) * rank3 == th3))
-    pd = polygons.PolygonData.create(3, sl3, {Fraction(3, 2): rank3})
+    # the single isoclinic slope 3/2 puts the Newton endpoint at 3/2 * rank
+    checks.append(("newton-endpoint-degree3", polygons.degree_relation(sl3)))
+    pd = polygons.PolygonData.create(3, sl3, {Fraction(3, 2): sum(sl3)})
     checks.append(("newton-above-hodge-degree3", polygons.newton_above_hodge(pd)))
     return checks
 
@@ -349,9 +305,7 @@ def build_certificate(
 
     z, search = cmbuild.build_cm(p, l=l, selector=selector, max_layers=max_layers, bound=bound)
     diamond = cmbuild.equivariant_diamond(z)
-    slice3 = degree_slice(diamond, 3)
-    # pre-orientation slice: reverse when the assembly dualized the product
-    slice3_pre = tuple(reversed(slice3)) if z.oriented else slice3
+    slice3, slice3_pre = cmbuild.degree3_slices(z, diamond)
     quot = quotient_bookkeeping(diamond)
 
     aux = choose_aux_case(big, small)
@@ -477,22 +431,12 @@ def embellish(
         checks.append(("polarization-prime-to-p", value % p != 0))
         checks.append(("polarization-offdiagonal-invariance", offdiag_ok))
 
-    inputs = dict(cert.inputs)
-    emb_list = list(inputs["embellish"])
+    emb_list = list(cert.inputs["embellish"])
     if which not in emb_list:
         emb_list.append(which)
-    inputs["embellish"] = emb_list
-    out = ConstructionCertificate(
-        inputs=inputs,
-        cm=cert.cm,
-        search=cert.search,
-        z_diamond=cert.z_diamond,
-        slice3_pre=cert.slice3_pre,
-        slice3=cert.slice3,
-        quotient=cert.quotient,
-        aux_case=cert.aux_case,
-        delta_result=cert.delta_result,
-        d_policy=cert.d_policy,
+    out = replace(
+        cert,
+        inputs={**cert.inputs, "embellish": emb_list},
         checks=tuple(checks),
         embellishments=emb,
     )
@@ -536,12 +480,7 @@ def serialize_certificate(cert: ConstructionCertificate) -> dict:
             "W_omega": z.W_omega.to_text(),
             "W_o": z.W_o.to_text(),
             "oriented": z.oriented,
-            "search": {
-                "layer_count": cert.search.layer_count,
-                "candidate_index": cert.search.candidate_index,
-                "r0": cert.search.r0,
-                "r1": cert.search.r1,
-            },
+            "search": cert.search.serialize(),
         },
         "z_diamond": {
             "dim": z.dim,

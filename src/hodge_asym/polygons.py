@@ -105,12 +105,19 @@ def check_slope_symmetry_scalar(pd: PolygonData) -> bool:
     return 2 * t_N(pd.newton_dict()) == pd.n * pd.rank
 
 
-def check_degree_relation(pd: PolygonData) -> bool:
-    """Degree-n relation: sum i*h^{i,n-i} = sum (n-i)*h^{i,n-i}, i.e. 2*t_H = n*rank.
+def degree_relation(hodge) -> bool:
+    """Degree-n relation for (h^{n,0}, ..., h^{0,n}): sum i*h^{i,n-i} = sum (n-i)*h^{i,n-i},
+    i.e. 2*t_H = n*rank.
 
     At n = 1 this is h^{1,0} = h^{0,1}, at n = 2 it is h^{2,0} = h^{0,2}.
     """
-    return 2 * t_H(pd) == pd.n * pd.rank
+    n = len(hodge) - 1
+    return 2 * sum((n - t) * h for t, h in enumerate(hodge)) == n * sum(hodge)
+
+
+def check_degree_relation(pd: PolygonData) -> bool:
+    """The degree relation of the polygon's Hodge vector."""
+    return degree_relation(pd.hodge)
 
 
 def check_parity(pd: PolygonData) -> bool:

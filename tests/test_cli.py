@@ -247,7 +247,9 @@ def test_text_outputs(capsys):
 def test_malformed_json_shapes_exit_2(tmp_path, capsys):
     assert main(["hodge", "product", "--left", '{"cofs": []}',
                  "--right", '{"coeffs": []}']) == 2
-    for bad in ('[1, 2]', '{"coeffs": [[0, 0]]}', '{"coeffs": [[[0], 0, 1]]}'):
+    for bad in ('[1, 2]', '{"coeffs": [[0, 0]]}', '{"coeffs": [[[0], 0, 1]]}',
+                '{"coeffs": [[0, 0, 1.5]]}', '{"coeffs": [[0, 0, true]]}',
+                '{"coeffs": [[0, 0, "1"]]}'):
         assert main(["hodge", "product", "--left", bad, "--right", '{"coeffs": []}']) == 2
     for i, text in enumerate(("{}", "[]", '{"inputs": {"p": "2", "i": 3, "j": 0}}',
                               '{"inputs": {"p": 2, "i": 3, "j": 0, "embellish": "x"}}')):
@@ -255,3 +257,24 @@ def test_malformed_json_shapes_exit_2(tmp_path, capsys):
         path.write_text(text)
         assert main(["certify", str(path)]) == 2, text
     assert "error:" in capsys.readouterr().err
+
+
+def test_bad_modulus_and_zero_denominator_exit_2(capsys):
+    for text in ("l=0; 1:1", "l=-5; 1:1"):
+        assert main(["search-typical", "--p", "2", "--V", text]) == 2, text
+    assert main(["verify-polygon", "--n", "3", "--hodge", "0,5,2,1",
+                 "--newton", "1/0:8"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_certify_compares_bytes(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    assert main(["construct", "--p", "2", "--i", "3", "--j", "0",
+                 "--out", str(cert_path)]) == 0
+    # the same JSON value, indented differently: not the certificate's bytes
+    cert_path.write_text(json.dumps(json.loads(cert_path.read_text()), indent=4) + "\n")
+    capsys.readouterr()
+    code, out = run(capsys, "certify", str(cert_path), "--format", "json")
+    assert code == 1
+    checks = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+    assert checks["stored-matches-recomputation"] is False

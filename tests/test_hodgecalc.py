@@ -107,6 +107,18 @@ def test_blow_up_structure():
         assert {k: c for k, c in diff.items() if c} == expected
 
 
+def test_blow_up_symbolic_center_with_unknown_cells():
+    d = DPoly.create([0, 1])
+    center = H({(0, 0): 1, (1, 0): d, (0, 1): d}, unknown={(1, 1)})
+    assert center.coeff(0, 0) == DPoly.constant(1)  # int cells of a symbolic table
+    blown = blow_up(projective_space(3), center, 1)
+    assert blown.unknown == {(2, 2)}
+    assert blown.coeff(2, 2) == 0  # untracked, so the ambient's 1 is dropped too
+    assert blown.coeff(1, 1) == DPoly.constant(2)
+    assert blown.coeff(2, 1) == blown.coeff(1, 2) == d
+    assert blown.coeff(3, 3) == DPoly.constant(1)
+
+
 def test_hypersurface_paper_values():
     assert hypersurface(5, 2).coeff(2, 0) == comb(4, 3) == 4
     assert tuple(hypersurface(4, 2).coeff(a, 2 - a) for a in (2, 1, 0)) == (1, 20, 1)
