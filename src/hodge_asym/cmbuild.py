@@ -32,11 +32,11 @@ from .cyclochar import (
 from .hodgecalc import HodgePolynomial
 
 
-class NotFoundWithinBound(Exception):
+class NotFoundWithinBound(ValueError):
     """No companion prime l below the requested bound."""
 
 
-class SearchExhausted(Exception):
+class SearchExhausted(ValueError):
     """No typical U with asymmetric invariant ranks up to the layer limit."""
 
 
@@ -45,9 +45,10 @@ class EqualRanks(Exception):
 
 
 SELECTORS = ("default", "alt")
+FIND_L_BOUND = 1000
 
 
-def find_l(p: int, bound: int = 1000) -> PrimeContext:
+def find_l(p: int, bound: int = FIND_L_BOUND) -> PrimeContext:
     """Smallest prime l <= bound, l != p, with ord(p mod l) divisible by 4.
 
     Equivalently l divides some p^{2r} + 1; such primes exist for every p,
@@ -170,16 +171,26 @@ def split_layers(u: CharRep) -> list[CharRep]:
     return layers
 
 
-def rank_pair(v: CharRep, u: CharRep, p: int) -> tuple[int, int]:
-    """(r0, r1) = invariant ranks of the two third exterior powers."""
-    w_omega = CharRep(v.l, tuple(a + b for a, b in zip(v.mult, u.mult)))
-    tau_v = frobenius_twist(v, p)
-    u_dual = dual(u)
-    w_o = CharRep(v.l, tuple(a + b for a, b in zip(tau_v.mult, u_dual.mult)))
+def _direct_sum(a: CharRep, b: CharRep) -> CharRep:
+    return CharRep(a.l, tuple(x + y for x, y in zip(a.mult, b.mult)))
+
+
+def module_pair(v: CharRep, u: CharRep, p: int) -> tuple[CharRep, CharRep]:
+    """(W_omega, W_o) = (V + U, tau(V) + U*) before orientation."""
+    return _direct_sum(v, u), _direct_sum(frobenius_twist(v, p), dual(u))
+
+
+def degree3_ranks(w_omega: CharRep, w_o: CharRep) -> tuple[int, int]:
+    """Invariant ranks of the two third exterior powers."""
     return (
         invariants_rank(exterior_power(w_omega, 3)),
         invariants_rank(exterior_power(w_o, 3)),
     )
+
+
+def rank_pair(v: CharRep, u: CharRep, p: int) -> tuple[int, int]:
+    """(r0, r1) = degree-3 invariant ranks of the module pair of V and U."""
+    return degree3_ranks(*module_pair(v, u, p))
 
 
 @dataclass(frozen=True)
@@ -260,20 +271,14 @@ class CMData:
         return self.ctx.ord == self.ctx.l - 1
 
 
-def _direct_sum(a: CharRep, b: CharRep) -> CharRep:
-    return CharRep(a.l, tuple(x + y for x, y in zip(a.mult, b.mult)))
-
-
 def assemble_Z(v: CharRep, u: CharRep, ctx: PrimeContext) -> CMData:
     """Form W_omega = V + U and W_o = tau(V) + U*, oriented so that the
     degree-3 invariant rank of the one-form side is strictly smaller.
 
     When the inequality initially points the other way the product is
     replaced by its dual (swap and dualize the two modules)."""
-    w_omega = _direct_sum(v, u)
-    w_o = _direct_sum(frobenius_twist(v, ctx.p), dual(u))
-    r0 = invariants_rank(exterior_power(w_omega, 3))
-    r1 = invariants_rank(exterior_power(w_o, 3))
+    w_omega, w_o = module_pair(v, u, ctx.p)
+    r0, r1 = degree3_ranks(w_omega, w_o)
     if r0 == r1:
         raise EqualRanks("degree-3 invariant ranks coincide; search postcondition broken")
     oriented = r0 > r1
@@ -320,10 +325,9 @@ def build_cm(
     l: int | None = None,
     selector: str = "default",
     max_layers: int = 3,
-    bound: int = 1000,
 ) -> tuple[CMData, TypicalSearchResult]:
     """End-to-end: companion prime, V, typical search, oriented assembly."""
-    ctx = PrimeContext.create(p, l) if l is not None else find_l(p, bound)
+    ctx = PrimeContext.create(p, l) if l is not None else find_l(p)
     v = build_V(ctx, selector)
     result = search_typical_U(v, ctx, max_layers)
     return assemble_Z(v, result.U, ctx), result

@@ -18,11 +18,11 @@ from functools import cached_property
 from math import comb, factorial
 
 
-class NonSymmetricFactor(Exception):
+class NonSymmetricFactor(ValueError):
     """Product-asymmetry formula applied with a non-symmetric known factor."""
 
 
-class NonNegativeDelta(Exception):
+class NonNegativeDelta(ValueError):
     """Special-fiber fix requested for a non-negative degree-3 asymmetry."""
 
 
@@ -403,6 +403,8 @@ class DPoly:
 # ---------------------------------------------------------------------------
 # asymmetry ledgers and symbolic expressions
 
+DESCENT_SYMBOL = "d_prime"
+
 
 def opaque_symbol(i: int, j: int) -> str:
     """Canonical name for the unknown asymmetry at (i,j), i > j."""
@@ -704,6 +706,6 @@ def weil_restriction_power(h: HodgePolynomial, d_prime: int) -> HodgePolynomial:
     return h ** d_prime
 
 
-def weil_restriction_delta30(delta30: int, symbol: str = "d_prime") -> DeltaExpr:
+def weil_restriction_delta30(delta30: int) -> DeltaExpr:
     """Degree-3 asymmetry after descent with an opaque degree: delta30 * d'."""
-    return DeltaExpr.create(DPoly.zero(), {symbol: DPoly.constant(delta30)})
+    return DeltaExpr.create(DPoly.zero(), {DESCENT_SYMBOL: DPoly.constant(delta30)})

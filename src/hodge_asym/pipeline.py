@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from . import cmbuild, polygons
 from .cmbuild import CMData, TypicalSearchResult, degree_slice
-from .cyclochar import invariants_rank, exterior_power
 from .hodgecalc import (
+    DESCENT_SYMBOL,
     DeltaExpr,
     DeltaLedger,
     DPoly,
@@ -34,14 +34,12 @@ from .hodgecalc import (
 TOOL_VERSION = "1.0.0"
 CERTIFICATE_SCHEMA = "hodge-asym/certificate/v1"
 
-DESCENT_SYMBOL = "d_prime"
 
-
-class InvalidTarget(Exception):
+class InvalidTarget(ValueError):
     """Target bidegree outside i != j, i, j >= 0, i + j >= 3."""
 
 
-class ScopeViolation(Exception):
+class ScopeViolation(ValueError):
     """Embellishment requested outside its supported scope."""
 
 
@@ -88,9 +86,9 @@ def symbolic_hypersurface(n: int) -> HodgePolynomial:
     return HodgePolynomial.create(known, unknown=unknown)
 
 
-def symbolic_tower(n: int, s: int, ambient_dims=None) -> HodgePolynomial:
+def symbolic_tower(n: int, s: int) -> HodgePolynomial:
     """The blow-up tower's diamond with the hypersurface degree left formal."""
-    return iterated_blow_up(symbolic_hypersurface(n), n, s, ambient_dims)
+    return iterated_blow_up(symbolic_hypersurface(n), n, s)
 
 
 def symbolic_p1_power(max_r: int) -> HodgePolynomial:
@@ -137,7 +135,7 @@ class QuotientData:
 
     @property
     def delta30(self) -> int:
-        return self.h_i0[3] - self.h_0j[3]
+        return self.ledger.exact_dict()[(3, 0)]
 
     def edge_dict(self) -> dict[tuple[int, int], int]:
         out = {(0, 0): self.h_i0[0]}
@@ -161,8 +159,8 @@ def quotient_bookkeeping(z_diamond: HodgePolynomial) -> QuotientData:
     h_0j = tuple(z_diamond.coeff(0, j) for j in range(4))
     if h_i0[1] != h_0j[1] or h_i0[2] != h_0j[2]:
         raise StructuralViolation("degree 1/2 edge symmetry failed on the input diamond")
-    delta30 = h_i0[3] - h_0j[3]
-    return QuotientData(h_i0=h_i0, h_0j=h_0j, ledger=DeltaLedger.from_degree3(delta30))
+    ledger = DeltaLedger.from_degree3(h_i0[3] - h_0j[3])
+    return QuotientData(h_i0=h_i0, h_0j=h_0j, ledger=ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +172,6 @@ class AuxCase:
     kind: str                      # "none" | "tower" | "p1_power"
     n: int | None = None
     s: int | None = None
-    ambient_dims: tuple[int, ...] | None = None
 
     def serialize(self) -> dict:
         if self.kind == "tower":
@@ -182,7 +179,7 @@ class AuxCase:
                 "kind": "tower",
                 "n": self.n,
                 "s": self.s,
-                "ambient_dims": list(self.ambient_dims),
+                "ambient_dims": list(minimal_ambient_dims(self.n, self.s)),
             }
         return {"kind": self.kind}
 
@@ -198,18 +195,19 @@ def choose_aux_case(i: int, j: int) -> AuxCase:
     use the dimension-2 tower.
     """
     if i <= j or j < 0 or i + j < 3:
-        raise InvalidTarget(f"need i > j >= 0 and i + j >= 3, got ({i},{j})")
+        raise InvalidTarget(
+            f"need i != j, i, j >= 0 and i + j >= 3, got ({i},{j}) (larger index first)"
+        )
     if i + j == 3:
         return AuxCase("none")
     if i > j + 3:
-        return AuxCase("tower", n=i - 3 - j, s=j, ambient_dims=minimal_ambient_dims(i - 3 - j, j))
+        return AuxCase("tower", n=i - 3 - j, s=j)
     if i == j + 2:
-        return AuxCase("tower", n=1, s=j - 1, ambient_dims=minimal_ambient_dims(1, j - 1))
+        return AuxCase("tower", n=1, s=j - 1)
     # i - j is 1 or 3
     if i + j <= 5:
         return AuxCase("p1_power")
-    s = (i + j - 5) // 2
-    return AuxCase("tower", n=2, s=s, ambient_dims=minimal_ambient_dims(2, s))
+    return AuxCase("tower", n=2, s=(i + j - 5) // 2)
 
 
 @dataclass(frozen=True)
@@ -254,9 +252,9 @@ def _isoclinic_checks(diamond: HodgePolynomial, dim: int) -> list[tuple[str, boo
         all(polygons.degree_relation(degree_slice(diamond, n)) for n in range(2 * dim + 1)),
     )]
     sl3 = degree_slice(diamond, 3)
-    # the single isoclinic slope 3/2 puts the Newton endpoint at 3/2 * rank
-    checks.append(("newton-endpoint-degree3", polygons.degree_relation(sl3)))
+    # every isoclinic slope is 3/2 in degree 3
     pd = polygons.PolygonData.create(3, sl3, {Fraction(3, 2): sum(sl3)})
+    checks.append(("newton-endpoint-degree3", polygons.check_weak_admissibility_endpoints(pd)))
     checks.append(("newton-above-hodge-degree3", polygons.newton_above_hodge(pd)))
     return checks
 
@@ -291,41 +289,34 @@ def build_certificate(
     l: int | None = None,
     selector: str = "default",
     max_layers: int = 3,
-    bound: int = 1000,
 ) -> ConstructionCertificate:
     """Certificate for an object with h^{i,j} != h^{j,i}.
 
     The target is normalized to i > j internally (the recorded asymmetry
     expression is negated back for transposed inputs).
     """
-    if i < 0 or j < 0 or i == j or i + j < 3:
-        raise InvalidTarget(f"need i != j, i, j >= 0, i + j >= 3, got ({i},{j})")
     swapped = i < j
     big, small = (j, i) if swapped else (i, j)
+    aux = choose_aux_case(big, small)
 
-    z, search = cmbuild.build_cm(p, l=l, selector=selector, max_layers=max_layers, bound=bound)
+    z, search = cmbuild.build_cm(p, l=l, selector=selector, max_layers=max_layers)
     diamond = cmbuild.equivariant_diamond(z)
     slice3, slice3_pre = cmbuild.degree3_slices(z, diamond)
     quot = quotient_bookkeeping(diamond)
 
-    aux = choose_aux_case(big, small)
     if aux.kind == "none":
-        expr = weil_restriction_delta30(quot.ledger.entry(big, small).exact, DESCENT_SYMBOL)
+        expr = weil_restriction_delta30(quot.ledger.entry(big, small).exact)
     elif aux.kind == "p1_power":
         expr = assemble_delta(quot.ledger, symbolic_p1_power(small), big, small)
     else:
-        sym = symbolic_tower(aux.n, aux.s, aux.ambient_dims)
-        expr = assemble_delta(quot.ledger, sym, big, small)
+        expr = assemble_delta(quot.ledger, symbolic_tower(aux.n, aux.s), big, small)
     if swapped:
         expr = -expr
 
+    rank_omega, rank_o = cmbuild.degree3_ranks(z.W_omega, z.W_o)
     checks: list[tuple[str, bool]] = [
         ("search-inequality", search.r0 != search.r1),
-        (
-            "orientation-strict",
-            invariants_rank(exterior_power(z.W_omega, 3))
-            < invariants_rank(exterior_power(z.W_o, 3)),
-        ),
+        ("orientation-strict", rank_omega < rank_o),
         ("delta30-negative", quot.delta30 < 0),
         (
             "ledger-degree3-relation",
@@ -355,7 +346,7 @@ def build_certificate(
             "l": l,
             "selector": selector,
             "max_layers": max_layers,
-            "bound": bound,
+            "bound": cmbuild.FIND_L_BOUND,
             "embellish": [],
         },
         cm=z,
@@ -378,13 +369,7 @@ def build_certificate(
 EMBELLISHMENTS = ("special-fiber", "polarization")
 
 
-def embellish(
-    cert: ConstructionCertificate,
-    which: str,
-    h_top: int = 1,
-    k: int = 1,
-    dim: int | None = None,
-) -> ConstructionCertificate:
+def embellish(cert: ConstructionCertificate, which: str) -> ConstructionCertificate:
     """Attach a special-fiber symmetrization or a prime-to-p polarization record."""
     if which not in EMBELLISHMENTS:
         raise ScopeViolation(f"unknown embellishment {which!r}")
@@ -409,8 +394,7 @@ def embellish(
         }
         checks.append(("special-fiber-series", fix.closed_forms_ok and fix.symmetric))
     else:
-        if dim is None:
-            dim = 2 * cert.cm.dim
+        h_top, k, dim = 1, 1, 2 * cert.cm.dim
         n = polarization_degree_search(h_top, k, dim, p)
         value = polarization_value(h_top, k, dim, n)
         blown = blow_up(cert.z_diamond, HodgePolynomial.one(), cert.cm.dim - 1)
@@ -447,6 +431,9 @@ def embellish(
 
 def construct(p: int, i: int, j: int, embellishments=(), **options) -> ConstructionCertificate:
     """build_certificate plus requested embellishments, in canonical order."""
+    unknown = [e for e in embellishments if e not in EMBELLISHMENTS]
+    if unknown:
+        raise ScopeViolation(f"unknown embellishment {unknown[0]!r}")
     cert = build_certificate(p, i, j, **options)
     for which in EMBELLISHMENTS:
         if which in embellishments:

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 
-class EvenDegree(Exception):
+class EvenDegree(ValueError):
     """Parity predicate requested for an even cohomological degree."""
 
 
-class RelationViolated(Exception):
+class RelationViolated(ValueError):
     """Hodge vector fails the degree-n endpoint relation 2*t_H = n*rank."""
 
 
@@ -37,6 +38,15 @@ def _normalize_newton(newton) -> dict[Fraction, int]:
     return out
 
 
+def _hodge_vector(hodge, n: int) -> tuple[int, ...]:
+    hv = tuple(int(h) for h in hodge)
+    if n < 0 or len(hv) != n + 1:
+        raise ValueError(f"hodge vector must have length n+1 = {n + 1}")
+    if any(h < 0 for h in hv):
+        raise ValueError("Hodge numbers must be non-negative")
+    return hv
+
+
 @dataclass(frozen=True)
 class PolygonData:
     """Hodge vector plus Newton slopes for one cohomological degree n.
@@ -52,11 +62,7 @@ class PolygonData:
 
     @staticmethod
     def create(n: int, hodge, newton) -> "PolygonData":
-        hv = tuple(int(h) for h in hodge)
-        if n < 0 or len(hv) != n + 1:
-            raise ValueError(f"hodge vector must have length n+1 = {n + 1}")
-        if any(h < 0 for h in hv):
-            raise ValueError("Hodge numbers must be non-negative")
+        hv = _hodge_vector(hodge, n)
         ns = _normalize_newton(newton)
         if sum(hv) != sum(ns.values()):
             raise ValueError(
@@ -140,22 +146,16 @@ def construct_weakly_admissible(hodge, n: int) -> WeaklyAdmissibleDatum:
     dim F^i = h^{i,n-i} + ... + h^{n,0}; the resulting PolygonData passes
     both the endpoint check and newton_above_hodge.
     """
-    hv = tuple(int(h) for h in hodge)
-    if n < 0 or len(hv) != n + 1:
-        raise ValueError(f"hodge vector must have length n+1 = {n + 1}")
-    if any(h < 0 for h in hv):
-        raise ValueError("Hodge numbers must be non-negative")
+    hv = _hodge_vector(hodge, n)
     b = sum(hv)
     a = sum(i * hv[n - i] for i in range(n + 1))
     if 2 * a != n * b:
         raise RelationViolated(
             f"hodge vector {tuple(hv)} fails 2*t_H = n*rank ({2 * a} != {n * b})"
         )
-    # dim F^i indexed ascending i; hv is descending, so suffix sums of reversed
-    dims = []
-    for i in range(n + 1):
-        dims.append(sum(hv[t] for t in range(n - i + 1)))
-    return WeaklyAdmissibleDatum(a=a, b=b, filtration_dims=tuple(dims))
+    # dim F^i = hv[0] + ... + hv[n-i]: the prefix sums of hv, read from the end
+    dims = tuple(accumulate(hv))[::-1]
+    return WeaklyAdmissibleDatum(a=a, b=b, filtration_dims=dims)
 
 
 def polygon_ordinates(slopes) -> list[Fraction]:

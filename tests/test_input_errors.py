@@ -1,0 +1,75 @@
+"""Bad input maps to exit code 2, never to exit 1 or a traceback."""
+
+import importlib
+import inspect
+import json
+import pkgutil
+import time
+from fractions import Fraction
+
+import pytest
+
+import hodge_asym
+from hodge_asym import pipeline
+from hodge_asym.cli import dumps, main, parse_newton
+
+# errors that signal a broken invariant or a failed check, not bad input
+NOT_INPUT_ERRORS = {"CertificateFailure", "StructuralViolation", "EqualRanks"}
+
+
+def defined_exceptions() -> dict[str, type]:
+    found = {}
+    for info in pkgutil.iter_modules(hodge_asym.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"hodge_asym.{info.name}")
+        for name, obj in vars(module).items():
+            if (
+                inspect.isclass(obj)
+                and issubclass(obj, BaseException)
+                and obj.__module__ == module.__name__
+            ):
+                found[name] = obj
+    return found
+
+
+def test_library_input_errors_are_value_errors():
+    # main maps ValueError to exit 2, so an input error outside it escapes as a traceback
+    found = defined_exceptions()
+    assert NOT_INPUT_ERRORS < set(found)
+    assert sorted(
+        name for name, cls in found.items()
+        if name not in NOT_INPUT_ERRORS and not issubclass(cls, ValueError)
+    ) == []
+    assert not any(issubclass(found[name], ValueError) for name in NOT_INPUT_ERRORS)
+
+
+def test_parse_newton_refuses_exponent_notation(capsys):
+    for text in ("1e10000000:8", "3E2:1", "1/2:1,2e1:1"):
+        with pytest.raises(ValueError):
+            parse_newton(text)
+    assert parse_newton("3/2:2,1.5:1,2:1") == {Fraction(3, 2): 3, Fraction(2): 1}
+    t0 = time.monotonic()
+    code = main(["verify-polygon", "--n", "3", "--hodge", "0,5,2,1",
+                 "--newton", "1e10000000:8"])
+    assert code == 2
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_construct_refuses_unknown_embellishment():
+    with pytest.raises(pipeline.ScopeViolation):
+        pipeline.construct(2, 3, 0, embellishments=["bogus"])
+
+
+def test_certify_unknown_embellishment_exits_2(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    assert main(["construct", "--p", "2", "--i", "3", "--j", "0",
+                 "--out", str(cert_path)]) == 0
+    stored = json.loads(cert_path.read_text())
+    stored["inputs"]["embellish"] = ["bogus"]
+    cert_path.write_text(dumps(stored))
+    assert main(["certify", str(cert_path)]) == 2
+
+
+def test_golden_has_no_format_flag(capsys):
+    assert main(["golden", "--format", "json"]) == 2
