@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import cmbuild, polygons
 from .cmbuild import CMData, TypicalSearchResult, degree_slice
+from .cyclochar import invariants_rank, exterior_power
 from .hodgecalc import (
     DESCENT_SYMBOL,
     DeltaExpr,
@@ -195,9 +196,7 @@ def choose_aux_case(i: int, j: int) -> AuxCase:
     use the dimension-2 tower.
     """
     if i <= j or j < 0 or i + j < 3:
-        raise InvalidTarget(
-            f"need i != j, i, j >= 0 and i + j >= 3, got ({i},{j}) (larger index first)"
-        )
+        raise InvalidTarget(f"need i > j >= 0 and i + j >= 3 once ordered, got ({i},{j})")
     if i + j == 3:
         return AuxCase("none")
     if i > j + 3:
@@ -313,10 +312,13 @@ def build_certificate(
     if swapped:
         expr = -expr
 
-    rank_omega, rank_o = cmbuild.degree3_ranks(z.W_omega, z.W_o)
     checks: list[tuple[str, bool]] = [
         ("search-inequality", search.r0 != search.r1),
-        ("orientation-strict", rank_omega < rank_o),
+        (
+            "orientation-strict",
+            invariants_rank(exterior_power(z.W_omega, 3))
+            < invariants_rank(exterior_power(z.W_o, 3)),
+        ),
         ("delta30-negative", quot.delta30 < 0),
         (
             "ledger-degree3-relation",
@@ -431,13 +433,10 @@ def embellish(cert: ConstructionCertificate, which: str) -> ConstructionCertific
 
 def construct(p: int, i: int, j: int, embellishments=(), **options) -> ConstructionCertificate:
     """build_certificate plus requested embellishments, in canonical order."""
-    unknown = [e for e in embellishments if e not in EMBELLISHMENTS]
-    if unknown:
-        raise ScopeViolation(f"unknown embellishment {unknown[0]!r}")
     cert = build_certificate(p, i, j, **options)
-    for which in EMBELLISHMENTS:
-        if which in embellishments:
-            cert = embellish(cert, which)
+    # unknown names sort last and reach embellish, which refuses them
+    for which in sorted(set(embellishments), key=(*EMBELLISHMENTS, *embellishments).index):
+        cert = embellish(cert, which)
     return cert
 
 
