@@ -22,6 +22,8 @@ from .cyclochar import CharRep
 
 REPORT_SCHEMA = "hodge-asym/report/v1"
 GOLDEN_DIR = Path(__file__).parent / "golden"
+# verify-polygon expands each multiplicity into polygon vertices (~5 us and ~170 B each)
+POLYGON_RANK_CAP = 100_000
 
 
 def dumps(obj: dict) -> str:
@@ -202,6 +204,9 @@ def cmd_verify_polygon(args) -> int:
     t0 = time.monotonic()
     hodge = parse_hodge_vector(args.hodge)
     newton = parse_newton(args.newton)
+    rank = max(sum(hodge), sum(newton.values()))
+    if rank > POLYGON_RANK_CAP:
+        raise ValueError(f"rank {rank} is above the verify-polygon cap {POLYGON_RANK_CAP}")
     pd = polygons.PolygonData.create(args.n, hodge, newton)
     checks = [
         {"name": "degree-relation", "passed": polygons.check_degree_relation(pd)},

@@ -23,11 +23,14 @@ from .cyclochar import (
     dual,
     exterior_power,
     exterior_table,
+    extend_rows,
+    field_width,
     frobenius_twist,
     invariants_rank,
     is_prime,
     is_typical,
     multiplicative_order,
+    packed_rows,
 )
 from .hodgecalc import HodgePolynomial
 
@@ -46,6 +49,7 @@ class EqualRanks(Exception):
 
 SELECTORS = ("default", "alt")
 FIND_L_BOUND = 1000
+SEARCH_TABLE_CAP = 100_000  # candidates search_table lists at most
 
 
 def find_l(p: int, bound: int = FIND_L_BOUND) -> PrimeContext:
@@ -235,11 +239,54 @@ def search_typical_U(
 
 
 def search_table(v: CharRep, ctx: PrimeContext, layer_count: int = 1):
-    """All candidates of a fixed layer count with their rank pairs (for reports)."""
-    return [
-        (u, *rank_pair(v, u, ctx.p))
-        for u in typical_layer_candidates(ctx.l, layer_count)
-    ]
+    """All candidates of a fixed layer count with their rank pairs (for reports).
+
+    Row for row equal to (u, *rank_pair(v, u, ctx.p)) over
+    typical_layer_candidates(ctx.l, layer_count), from one depth-first walk
+    over the inverse pairs {a, l-a} in candidate order.  stack[k] holds the
+    packed Lambda^0..Lambda^3 rows of V + U and tau(V) + U* over the first k
+    pairs, so a candidate extends only the pairs after the prefix it shares
+    with the previous one: U puts c - big at a and big at l - a, U* the
+    reverse.  One field width, for rank(V) + c(l-1)/2, serves every node,
+    and field 0 of row 3 is the invariant rank.  Refuses a negative layer
+    count and more than SEARCH_TABLE_CAP candidates.
+    """
+    l, c = ctx.l, layer_count
+    half = (l - 1) // 2
+    if c < 0:
+        raise ValueError("layer count must be non-negative")
+    # (c+1)^half >= 2^half once c >= 1, so a capped exponent decides the comparison
+    if (c + 1) ** min(half, SEARCH_TABLE_CAP.bit_length()) > SEARCH_TABLE_CAP:
+        raise ValueError(
+            f"{c + 1}^{half} candidates exceed the search table cap {SEARCH_TABLE_CAP}"
+        )
+    width = field_width(v.rank + c * half, 3)
+    field = (1 << width) - 1
+    stack = [(packed_rows(v, 3, width), packed_rows(frobenius_twist(v, ctx.p), 3, width))]
+    stack += [None] * half
+    digits = [0] * half  # multiplicity of the larger member l - a, per pair
+    mult = [0] * l
+    table = []
+    start = 0
+    while True:
+        for k in range(start, half):
+            a, big = k + 1, digits[k]
+            mult[a] = small = c - big
+            mult[l - a] = big
+            w, o = stack[k]
+            w, o = w[:], o[:]
+            extend_rows(w, l, width, ((a, small), (l - a, big)))
+            extend_rows(o, l, width, ((l - a, small), (a, big)))
+            stack[k + 1] = (w, o)
+        w, o = stack[half]
+        table.append((CharRep(l, tuple(mult)), w[3] & field, o[3] & field))
+        start = half - 1  # advance the last pair whose digit can still grow
+        while start >= 0 and digits[start] == c:
+            digits[start] = 0
+            start -= 1
+        if start < 0:
+            return table
+        digits[start] += 1
 
 
 @dataclass(frozen=True)

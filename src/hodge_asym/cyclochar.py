@@ -201,34 +201,63 @@ def tensor(v: CharRep, w: CharRep) -> CharRep:
     return CharRep(l, tuple(vec))
 
 
+def field_width(rank: int, top: int) -> int:
+    """Bits per exponent field of the packed rows 0..top of a rank-`rank` module.
+
+    One bit wider than C(rank, min(top, rank // 2)), the largest multiplicity
+    those rows can hold, so no field ever carries into its neighbour.
+    """
+    return comb(rank, min(top, rank // 2)).bit_length() + 1
+
+
+def extend_rows(rows: list[int], l: int, width: int, counts) -> None:
+    """Multiply packed rows in place by the product of (1 + t*x^a)^m over the
+    (a, m) pairs of counts, in Z[x]/(x^l - 1).
+
+    rows[j] is the coefficient of t^j, one width-bit field per exponent, so
+    multiplying by x^a rotates the fields and each step is one big-integer
+    add per row.  rows[0] is the constant 1; rows above the highest nonzero
+    one stay zero until enough factors reach them, and are skipped.
+    """
+    mask = (1 << (l * width)) - 1
+    top = live = len(rows) - 1
+    while not rows[live]:
+        live -= 1
+    for a, m in counts:
+        up, down = a * width, (l - a) * width
+        for _ in range(m):
+            if live < top:
+                live += 1
+            for j in range(live, 0, -1):
+                r = rows[j - 1]
+                rows[j] += ((r << up) | (r >> down)) & mask
+
+
+def packed_rows(v: CharRep, top: int, width: int) -> list[int]:
+    """Rows Lambda^0 v, ..., Lambda^top v packed with width-bit fields."""
+    rows = [1] + [0] * top
+    extend_rows(rows, v.l, width, enumerate(v.mult))
+    return rows
+
+
 def exterior_table(v: CharRep, top: int | None = None) -> list[tuple[int, ...]]:
     """Multiplicity vectors of Lambda^0 v, ..., Lambda^top v from one DP pass.
 
     Expands the product of (1 + t*x^a) over the rank(v) exponent instances
-    in Z[x]/(x^l - 1); row k is the coefficient of t^k.  Equivalent to
-    enumerating k-element index subsets (the test oracle), but each step is
-    one big-integer add per row: a row is packed into one integer with one
-    field per exponent, one bit wider than C(rank, min(top, rank // 2)), the
-    largest multiplicity rows 0..top can hold, so that multiplying by x^a is
-    a rotation of the fields.  top defaults to rank; rows above it are zero.
+    in Z[x]/(x^l - 1) with extend_rows; row k is the coefficient of t^k.
+    Equivalent to enumerating k-element index subsets (the test oracle).
+    top defaults to rank; rows above it are zero.
     """
     l, rank = v.l, v.rank
     top = rank if top is None else top
     if top < 0:
         raise ValueError("exterior degree must be non-negative")
-    width = comb(rank, min(top, rank // 2)).bit_length() + 1
-    mask = (1 << (l * width)) - 1
-    rows = [1] + [0] * top  # rows[j]: j-subsets of the exponents seen so far
-    seen = 0
-    for a, m in enumerate(v.mult):
-        up, down = a * width, (l - a) * width
-        for _ in range(m):
-            seen += 1
-            for j in range(min(seen, top), 0, -1):
-                r = rows[j - 1]
-                rows[j] += ((r << up) | (r >> down)) & mask
+    width = field_width(rank, top)
     field = (1 << width) - 1
-    return [tuple((r >> (e * width)) & field for e in range(l)) for r in rows]
+    return [
+        tuple((r >> (e * width)) & field for e in range(l))
+        for r in packed_rows(v, top, width)
+    ]
 
 
 def exterior_power(v: CharRep, k: int) -> CharRep:

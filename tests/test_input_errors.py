@@ -73,3 +73,28 @@ def test_certify_unknown_embellishment_exits_2(tmp_path, capsys):
 
 def test_golden_has_no_format_flag(capsys):
     assert main(["golden", "--format", "json"]) == 2
+
+
+def test_search_typical_refuses_negative_and_oversized_tables(capsys):
+    t0 = time.monotonic()
+    for argv in (["--layer-count", "-1"], ["--l", "37", "--layer-count", "1"],
+                 ["--layer-count", str(10 ** 100)]):
+        assert main(["search-typical", "--p", "2", *argv]) == 2, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+    assert time.monotonic() - t0 < 1.0
+    assert main(["search-typical", "--p", "2", "--layer-count", "0"]) == 0
+    assert capsys.readouterr().out.count("r0=") == 1
+
+
+def test_verify_polygon_refuses_ranks_above_the_cap(capsys):
+    t0 = time.monotonic()
+    for hodge, newton in (("100000000,100000000", "1/2:200000000"),
+                          ("50001,50000", "1/2:100001"),
+                          ("1,1", "1/2:2,0:200000000")):  # a Newton rank alone
+        code = main(["verify-polygon", "--n", "1", "--hodge", hodge, "--newton", newton])
+        assert code == 2, (hodge, newton)
+        assert "cap" in capsys.readouterr().err
+    assert time.monotonic() - t0 < 1.0
+    # rank exactly at the cap is still checked
+    assert main(["verify-polygon", "--n", "1", "--hodge", "50000,50000",
+                 "--newton", "1/2:100000"]) == 0
