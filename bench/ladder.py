@@ -3,10 +3,12 @@
     python3 bench/ladder.py --out BENCH_5.json parent=../parent/src change=src
 
 Each ``LABEL=DIR`` names a source tree holding ``hodge_asym``. The script
-runs ``--repeat`` rounds; a round starts one fresh interpreter per tree, in
-an order that reverses every round, so a drift in machine speed reaches
-every tree alike. The interpreter imports the package from its tree and
-times, with ``time.perf_counter`` and after one untimed warm-up call each:
+runs ROUNDS rounds. A round starts one fresh worker interpreter per tree,
+which imports the package from its tree, and times every item below on
+every tree back to back, so a drift in machine speed reaches the trees of
+one item alike; the tree that goes first alternates between rounds. A
+worker times an item with ``time.perf_counter``: one untimed warm-up call,
+then a loop of at least MIN_LOOP_S, and the fastest call of the loop:
 
 - ``pipeline.build_certificate(2, 4, 2, l)`` for ``l`` in LADDER;
 - ``cmbuild.search_table(V, ctx, layer_count)`` for the (l, layer_count)
@@ -31,56 +33,71 @@ from time import perf_counter
 
 LADDER = (5, 13, 29, 53, 61, 101)
 SEARCH_SHAPES = ((13, 1), (13, 2), (13, 3), (17, 1), (17, 2))
+ROUNDS = 5
+MIN_LOOP_S = 0.1
+ITEMS = [("build_certificate_ms", f"l{l}") for l in LADDER] + [
+    ("search_table_ms", f"l{l}_c{count}") for l, count in SEARCH_SHAPES
+]
 
 
 def timed_ms(fn) -> float:
-    fn()  # warm-up
-    t0 = perf_counter()
+    """Fastest call of fn, in milliseconds, in a loop of at least MIN_LOOP_S after a warm-up."""
     fn()
-    return (perf_counter() - t0) * 1000
+    fastest, start = float("inf"), perf_counter()
+    while (t0 := perf_counter()) - start < MIN_LOOP_S:
+        fn()
+        fastest = min(fastest, perf_counter() - t0)
+    return fastest * 1000
 
 
-def one_round() -> dict:
-    """Times of this interpreter's hodge_asym, one warmed-up run per item."""
+def serve() -> None:
+    """Worker: for each ITEMS index read from standard input, print its time."""
     from hodge_asym import cmbuild, pipeline
 
-    certs = {f"l{l}": timed_ms(lambda: pipeline.build_certificate(2, 4, 2, l=l)) for l in LADDER}
-    searches = {}
+    calls = [lambda l=l: pipeline.build_certificate(2, 4, 2, l=l) for l in LADDER]
     for l, count in SEARCH_SHAPES:
         ctx = cmbuild.PrimeContext.create(2, l)
         v = cmbuild.build_V(ctx)
-        searches[f"l{l}_c{count}"] = timed_ms(lambda: cmbuild.search_table(v, ctx, count))
-    return {"build_certificate_ms": certs, "search_table_ms": searches}
-
-
-def run_tree(src: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run(
-        [sys.executable, __file__, "--round"], env=env, check=True, capture_output=True, text=True
-    ).stdout
-    return json.loads(out)
+        calls.append(lambda v=v, ctx=ctx, count=count: cmbuild.search_table(v, ctx, count))
+    for line in sys.stdin:
+        print(timed_ms(calls[int(line)]), flush=True)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="*", metavar="LABEL=DIR", help="source trees to time")
     parser.add_argument("--out", type=Path, default=None, help="JSON file to write (default: print)")
-    parser.add_argument("--repeat", type=int, default=5, help="rounds; each figure is their minimum")
-    parser.add_argument("--round", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.round:
-        print(json.dumps(one_round()))
+    if args.serve:
+        serve()
         return 0
     trees = [tuple(t.split("=", 1)) for t in args.trees]
-    if not trees or any(len(t) != 2 for t in trees) or args.repeat < 1:
-        parser.error("give at least one LABEL=DIR and --repeat >= 1")
-    best: dict[str, dict] = {}
-    for r in range(args.repeat):
-        for label, src in trees if r % 2 == 0 else reversed(trees):
-            for group, times in run_tree(Path(src).resolve()).items():
-                kept = best.setdefault(label, {}).setdefault(group, {})
-                for name, ms in times.items():
+    if not trees or any(len(t) != 2 for t in trees):
+        parser.error("give at least one LABEL=DIR")
+    best: dict[str, dict] = {label: {} for label, _ in trees}
+    for r in range(ROUNDS):
+        workers = [
+            (label, subprocess.Popen(
+                [sys.executable, __file__, "--serve"],
+                # a fixed hash seed gives every worker the same dict and set layouts
+                env=dict(os.environ, PYTHONPATH=str(Path(src).resolve()), PYTHONHASHSEED="0"),
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            ))
+            for label, src in (trees if r % 2 == 0 else reversed(trees))
+        ]
+        try:
+            for index, (group, name) in enumerate(ITEMS):
+                for label, worker in workers:
+                    worker.stdin.write(f"{index}\n")
+                    worker.stdin.flush()
+                    ms = float(worker.stdout.readline())
+                    kept = best[label].setdefault(group, {})
                     kept[name] = min(kept.get(name, ms), ms)
+        finally:
+            for _, worker in workers:
+                worker.stdin.close()
+                worker.wait()
     for runs in best.values():
         for group in runs.values():
             for name, ms in group.items():
@@ -90,7 +107,7 @@ def main(argv=None) -> int:
         "environment": {
             "python": platform.python_version(),
             "nproc": len(os.sched_getaffinity(0)),  # what `nproc` prints
-            "rounds": args.repeat,
+            "rounds": ROUNDS,
         },
         "runs": best,
     }

@@ -142,6 +142,11 @@ def st_slopes(phi, ctx: PrimeContext) -> dict[Fraction, int]:
     return slopes
 
 
+def layer_digits(l: int, layer_count: int):
+    """Per pair {a, l-a}, a = 1..(l-1)/2, the multiplicity of l - a; last pair fastest."""
+    return itertools.product(range(layer_count + 1), repeat=(l - 1) // 2)
+
+
 def typical_layer_candidates(l: int, layer_count: int):
     """Typical multiplicity patterns with pair sums equal to layer_count.
 
@@ -149,10 +154,9 @@ def typical_layer_candidates(l: int, layer_count: int):
     for a pair is the multiplicity given to the LARGER member, so the
     lexicographically first candidate takes the smaller member everywhere.
     """
-    reps = list(range(1, (l + 1) // 2))
-    for digits in itertools.product(range(layer_count + 1), repeat=len(reps)):
+    for digits in layer_digits(l, layer_count):
         mults = {}
-        for a, big_count in zip(reps, digits):
+        for a, big_count in enumerate(digits, 1):
             if layer_count - big_count:
                 mults[a] = layer_count - big_count
             if big_count:
@@ -264,11 +268,14 @@ def search_table(v: CharRep, ctx: PrimeContext, layer_count: int = 1):
     field = (1 << width) - 1
     stack = [(packed_rows(v, 3, width), packed_rows(frobenius_twist(v, ctx.p), 3, width))]
     stack += [None] * half
-    digits = [0] * half  # multiplicity of the larger member l - a, per pair
     mult = [0] * l
     table = []
-    start = 0
-    while True:
+    prev = (-1,) * half
+    for digits in layer_digits(l, c):
+        start = 0  # the pairs before the first changed digit keep their rows
+        while start < half and digits[start] == prev[start]:
+            start += 1
+        prev = digits
         for k in range(start, half):
             a, big = k + 1, digits[k]
             mult[a] = small = c - big
@@ -280,13 +287,7 @@ def search_table(v: CharRep, ctx: PrimeContext, layer_count: int = 1):
             stack[k + 1] = (w, o)
         w, o = stack[half]
         table.append((CharRep(l, tuple(mult)), w[3] & field, o[3] & field))
-        start = half - 1  # advance the last pair whose digit can still grow
-        while start >= 0 and digits[start] == c:
-            digits[start] = 0
-            start -= 1
-        if start < 0:
-            return table
-        digits[start] += 1
+    return table
 
 
 @dataclass(frozen=True)

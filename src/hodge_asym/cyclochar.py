@@ -217,13 +217,23 @@ def extend_rows(rows: list[int], l: int, width: int, counts) -> None:
     rows[j] is the coefficient of t^j, one width-bit field per exponent, so
     multiplying by x^a rotates the fields and each step is one big-integer
     add per row.  rows[0] is the constant 1; rows above the highest nonzero
-    one stay zero until enough factors reach them, and are skipped.
+    one stay zero until enough factors reach them, and are skipped.  A count
+    m above the top row is expanded by the binomial theorem instead, so its
+    cost does not grow with m.
     """
     mask = (1 << (l * width)) - 1
     top = live = len(rows) - 1
     while not rows[live]:
         live -= 1
     for a, m in counts:
+        if m > top:
+            # rows[j] += C(m, i) x^(i*a) rows[j-i]; going down, rows[j-i] is still the old row
+            live = top
+            for j in range(top, 0, -1):
+                for i in range(1, j + 1):
+                    s, r = i * a % l * width, rows[j - i]
+                    rows[j] += comb(m, i) * (((r << s) | (r >> (l * width - s))) & mask)
+            continue
         up, down = a * width, (l - a) * width
         for _ in range(m):
             if live < top:

@@ -90,6 +90,16 @@ def test_exterior_power_examples():
     assert exterior_power(v, 5).rank == 0  # k > rank
 
 
+def test_exterior_table_expands_large_multiplicities_by_binomials():
+    # a multiplicity above the top row takes extend_rows' binomial branch
+    rng = random.Random(17)
+    for _ in range(30):
+        l = rng.choice([5, 7, 13])
+        v = rep(l, {a: rng.randint(0, 7) for a in rng.sample(range(l), k=3)})
+        top = rng.randint(1, 3)
+        assert exterior_table(v, top) == [subset_exterior(v, k).mult for k in range(top + 1)], (v, top)
+
+
 def test_invariants_rank_examples():
     assert invariants_rank(rep(5, {0: 3, 2: 1})) == 3
     assert invariants_rank(rep(5, {1: 1, 4: 1})) == 0

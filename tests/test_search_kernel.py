@@ -79,6 +79,19 @@ def test_rows_match_subset_oracle():
         assert r1 == invariants_rank(subset_exterior(w_o, 3))
 
 
+def test_many_layers_match_subset_oracle():
+    # 6 layers: U's counts exceed the top row, so each pair is a binomial step
+    ctx = PrimeContext.create(2, 5)
+    v = build_V(ctx)
+    rows = search_table(v, ctx, 6)
+    assert len(rows) == 49
+    for u, r0, r1 in rows:
+        w_omega = CharRep(5, tuple(x + y for x, y in zip(v.mult, u.mult)))
+        w_o = CharRep(5, tuple(x + y for x, y in zip(frobenius_twist(v, 2).mult, dual(u).mult)))
+        assert r0 == invariants_rank(subset_exterior(w_omega, 3))
+        assert r1 == invariants_rank(subset_exterior(w_o, 3))
+
+
 def test_two_layer_table_digest_is_pinned():
     # sha256 of the table's text, recorded before search_table became a prefix walk
     ctx = PrimeContext.create(2, 13)
