@@ -99,3 +99,15 @@ def triple_invariants(exps_a: list[int], exps_b: list[int], l: int, *, wedge_a: 
             if (sa + sum(exps_b[t] for t in cb)) % l == 0:
                 total += 1
     return total
+
+
+def dot_product_diamond(p_tab, q_tab) -> dict:
+    """{(i, j): sum_e P_i[e] * Q_j[-e]} over two exterior tables, cell by cell."""
+    l = len(p_tab[0])
+    out: dict[tuple[int, int], int] = {}
+    for i, p_row in enumerate(p_tab):
+        for j, q_row in enumerate(q_tab):
+            c = sum(p_row[e] * q_row[-e % l] for e in range(l))
+            if c:
+                out[(i, j)] = c
+    return out
