@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import lshift, mul
 
 from .cyclochar import (
     CharRep,
@@ -340,17 +340,26 @@ def equivariant_diamond(z: CMData) -> HodgePolynomial:
 
     Computed as the constant-exponent coefficient of the product of the two
     subset generating functions, i.e. sum_e P_i[e] * Q_j[-e] where P and Q
-    are the exterior_table rows of the two modules, one packed-field DP pass
-    per module.  The Q rows are stored with exponents negated, so each cell
-    is a plain dot product; every cell is computed, none is inferred from
-    duality, so the duality check stays an independent test.
+    are the exterior_table rows of the two modules.  W_o's table is packed
+    by column: col[e] holds Q_j[-e] for every j, one field of
+    w = bit_length(l * max P * max Q) + 1 bits per j, so no cell carries
+    into the next.  Row i of the diamond is then the single sum of l
+    multiply-adds sum_e P_i[e] * col[e], read field by field.  Every cell is
+    computed, none is inferred from duality, so the duality check stays an
+    independent test.
     """
     p_tab = exterior_table(z.W_omega)
-    q_neg = [row[:1] + row[:0:-1] for row in exterior_table(z.W_o)]
+    q_tab = exterior_table(z.W_o)
+    width = (z.ctx.l * max(map(max, p_tab)) * max(map(max, q_tab))).bit_length() + 1
+    field = (1 << width) - 1
+    shifts = range(0, len(q_tab) * width, width)
+    cols = [sum(map(lshift, column, shifts)) for column in zip(*q_tab)]
+    cols = cols[:1] + cols[:0:-1]  # col[e] packs the exponent -e of every row
     coeffs = {}
     for i, p_row in enumerate(p_tab):
-        for j, q_row in enumerate(q_neg):
-            c = sum(map(mul, p_row, q_row))
+        packed = sum(map(mul, p_row, cols))
+        for j, s in enumerate(shifts):
+            c = (packed >> s) & field
             if c:
                 coeffs[(i, j)] = c
     return HodgePolynomial.create(coeffs)

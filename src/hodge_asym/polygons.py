@@ -9,6 +9,7 @@ floating point anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -158,30 +159,43 @@ def construct_weakly_admissible(hodge, n: int) -> WeaklyAdmissibleDatum:
     return WeaklyAdmissibleDatum(a=a, b=b, filtration_dims=dims)
 
 
-def polygon_ordinates(slopes) -> list[Fraction]:
-    """Cumulative ordinates of the convex polygon with the given slopes from (0,0)."""
-    expanded: list[Fraction] = []
-    for s, m in sorted(_normalize_newton(slopes).items()):
-        expanded.extend([s] * m)
-    out = [Fraction(0)]
-    for s in expanded:
-        out.append(out[-1] + s)
-    return out
-
-
 def hodge_slopes(pd: PolygonData) -> dict[Fraction, int]:
     """The Hodge polygon as a slope multiset: slope i with multiplicity h^{i,n-i}."""
     return {Fraction(i): pd.h(i) for i in range(pd.n + 1) if pd.h(i)}
 
 
+def _vertices(slopes) -> tuple[list[int], list[Fraction]]:
+    """Abscissas and ordinates of the breakpoints of the convex polygon drawn
+    from (0,0) with the given slopes in ascending order."""
+    xs, ys = [0], [Fraction(0)]
+    for s, m in sorted(slopes.items()):
+        xs.append(xs[-1] + m)
+        ys.append(ys[-1] + s * m)
+    return xs, ys
+
+
+def _ordinate(xs: list[int], ys: list[Fraction], x: int) -> Fraction:
+    """Ordinate at abscissa x of the polygon with breakpoints (xs, ys)."""
+    k = bisect_left(xs, x)
+    if xs[k] == x:
+        return ys[k]
+    return ys[k - 1] + (ys[k] - ys[k - 1]) * (x - xs[k - 1]) / (xs[k] - xs[k - 1])
+
+
 def newton_above_hodge(pd: PolygonData) -> bool:
     """Newton polygon on or above the Hodge polygon with matching endpoints.
 
-    Both polygons are drawn from (0,0) with slopes in ascending order and
-    compared at every integer abscissa (all breakpoints are integral).
+    Both polygons are drawn from (0,0) with slopes in ascending order, so
+    both are convex and piecewise linear, and their difference is linear
+    between consecutive points of the union of the two breakpoint sets.  The
+    ordinates are therefore compared exactly at those points only, the
+    cumulative multiplicities: one per distinct slope, not one per unit of
+    rank.
     """
-    newt = polygon_ordinates(pd.newton_dict())
-    hodg = polygon_ordinates(hodge_slopes(pd))
-    if newt[-1] != hodg[-1]:
+    nx, ny = _vertices(pd.newton_dict())
+    hx, hy = _vertices(hodge_slopes(pd))
+    if (nx[-1], ny[-1]) != (hx[-1], hy[-1]):
         return False
-    return all(nv >= hv for nv, hv in zip(newt, hodg))
+    return all(_ordinate(nx, ny, x) >= y for x, y in zip(hx, hy)) and all(
+        y >= _ordinate(hx, hy, x) for x, y in zip(nx, ny)
+    )

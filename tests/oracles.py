@@ -7,6 +7,7 @@ path with the implementations it checks.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from hodge_asym.cyclochar import CharRep
 
@@ -111,3 +112,19 @@ def dot_product_diamond(p_tab, q_tab) -> dict:
             if c:
                 out[(i, j)] = c
     return out
+
+
+def polygon_ordinates(slopes: dict) -> list[Fraction]:
+    """Ordinates at every integer abscissa of the convex polygon from (0,0)
+    with the given {slope: multiplicity}, each multiplicity expanded."""
+    expanded = sorted(Fraction(s) for s, m in slopes.items() for _ in range(m))
+    return [Fraction(0), *itertools.accumulate(expanded)]
+
+
+def expanded_newton_above_hodge(hodge, newton: dict) -> bool:
+    """Newton polygon on or above the Hodge polygon (h^{n,0}, ..., h^{0,n}),
+    ends equal, compared at every integer abscissa."""
+    n = len(hodge) - 1
+    newt = polygon_ordinates(newton)
+    hodg = polygon_ordinates({i: hodge[n - i] for i in range(n + 1)})
+    return newt[-1] == hodg[-1] and all(a >= b for a, b in zip(newt, hodg))

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodge_asym.polygons import (
     EvenDegree,
@@ -14,10 +16,11 @@ from hodge_asym.polygons import (
     check_weak_admissibility_endpoints,
     construct_weakly_admissible,
     newton_above_hodge,
-    polygon_ordinates,
     t_H,
     t_N,
 )
+
+from oracles import expanded_newton_above_hodge, polygon_ordinates
 
 F = Fraction
 
@@ -110,6 +113,38 @@ def test_newton_above_hodge_examples():
 def test_polygon_ordinates():
     assert polygon_ordinates({F(3, 2): 2, 0: 1}) == [0, 0, F(3, 2), 3]
     assert polygon_ordinates({}) == [0]
+
+
+@st.composite
+def polygon_inputs(draw):
+    """(n, hodge, newton) with equal ranks.  The Newton slopes split the rank
+    at random ("random"), or the same with the last slope set so the
+    endpoints match ("endpoint"), or are the Hodge slopes ("coincide")."""
+    n = draw(st.integers(0, 5))
+    hodge = draw(st.lists(st.integers(0, 6), min_size=n + 1, max_size=n + 1))
+    mode = draw(st.sampled_from(["random", "endpoint", "coincide"]))
+    if mode == "coincide":
+        return n, hodge, {F(n - t): h for t, h in enumerate(hodge) if h}
+    parts, remaining = [], sum(hodge)
+    while remaining:
+        m = draw(st.integers(1, remaining))
+        parts.append((F(draw(st.integers(-2, 2 * n + 2)), draw(st.integers(1, 4))), m))
+        remaining -= m
+    if mode == "endpoint" and parts:
+        t_h = sum((n - t) * h for t, h in enumerate(hodge))
+        m = parts[-1][1]
+        parts[-1] = ((t_h - sum((s * k for s, k in parts[:-1]), F(0))) / m, m)
+    newton = {}
+    for s, m in parts:
+        newton[s] = newton.get(s, 0) + m
+    return n, hodge, newton
+
+
+@settings(max_examples=300, deadline=None)
+@given(polygon_inputs())
+def test_newton_above_hodge_matches_expanded_ordinates(inputs):
+    n, hodge, newton = inputs
+    assert newton_above_hodge(pd(n, hodge, newton)) == expanded_newton_above_hodge(hodge, newton)
 
 
 def random_polygon(rng):
