@@ -13,6 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+# largest modulus l accepted: a CharRep holds one int per exponent, so the
+# cap bounds every length-l vector before it is allocated
+MODULUS_CAP = 1_000_000
 
 # ---------------------------------------------------------------------------
 # small number theory helpers (kept local: no third-party deps, fast import)
@@ -34,18 +37,45 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def multiplicative_order(a: int, n: int) -> int:
-    """Smallest k >= 1 with a^k = 1 mod n; requires gcd(a, n) = 1."""
-    a %= n
-    if a == 0:
-        raise ValueError(f"{a} is not invertible mod {n}")
-    k, x = 1, a
-    while x != 1:
-        x = (x * a) % n
-        k += 1
-        if k > n:
-            raise ValueError(f"{a} is not invertible mod {n}")
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, by trial division."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def multiplicative_order(a: int, l: int) -> int:
+    """Smallest k >= 1 with a^k = 1 mod l, for a prime l not dividing a.
+
+    The order divides l - 1: start from l - 1 and divide out each prime
+    factor q while a^(k/q) = 1 mod l, so the cost is the factorisation of
+    l - 1, not one step per power.
+    """
+    if not is_prime(l):
+        raise ValueError(f"modulus {l} is not prime")
+    if a % l == 0:
+        raise ValueError(f"{a} is not invertible mod {l}")
+    k = l - 1
+    for q in _prime_factors(k):
+        while k % q == 0 and pow(a, k // q, l) == 1:
+            k //= q
     return k
+
+
+def check_modulus_size(l: int) -> None:
+    """Refuse a modulus below 2 or above MODULUS_CAP, before a length-l
+    vector is allocated."""
+    if l < 2:
+        raise ValueError(f"modulus l={l} must be prime")
+    if l > MODULUS_CAP:
+        raise ValueError(f"modulus l={l} is above the cap MODULUS_CAP={MODULUS_CAP}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +96,7 @@ class PrimeContext:
     def create(p: int, l: int) -> "PrimeContext":
         if not is_prime(p):
             raise ValueError(f"p={p} is not prime")
+        check_modulus_size(l)
         if not is_prime(l):
             raise ValueError(f"l={l} is not prime")
         if p == l:
@@ -108,8 +139,7 @@ class CharRep:
     @staticmethod
     def from_dict(l: int, mults: dict[int, int]) -> "CharRep":
         """Build from {exponent: multiplicity}; exponents reduced mod l."""
-        if l < 2:
-            raise ValueError(f"modulus l={l} must be prime")
+        check_modulus_size(l)
         vec = [0] * l
         for a, m in mults.items():
             vec[a % l] += m
@@ -117,6 +147,7 @@ class CharRep:
 
     @staticmethod
     def from_exponents(l: int, exponents) -> "CharRep":
+        check_modulus_size(l)
         vec = [0] * l
         for a in exponents:
             vec[a % l] += 1

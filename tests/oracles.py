@@ -128,3 +128,12 @@ def expanded_newton_above_hodge(hodge, newton: dict) -> bool:
     newt = polygon_ordinates(newton)
     hodg = polygon_ordinates({i: hodge[n - i] for i in range(n + 1)})
     return newt[-1] == hodg[-1] and all(a >= b for a, b in zip(newt, hodg))
+
+
+def stepwise_order(a: int, l: int) -> int:
+    """Smallest k >= 1 with a^k = 1 mod l, by stepping through the powers."""
+    k, x = 1, a % l
+    while x != 1:
+        x = x * a % l
+        k += 1
+    return k

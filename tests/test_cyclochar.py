@@ -1,4 +1,6 @@
 import random
+import time
+from math import gcd
 
 import pytest
 
@@ -15,7 +17,7 @@ from hodge_asym.cyclochar import (
     multiplicative_order,
     tensor,
 )
-from oracles import pair_tensor, subset_exterior, typical_by_partition
+from oracles import pair_tensor, stepwise_order, subset_exterior, typical_by_partition
 
 
 def rep(l, mults):
@@ -29,6 +31,31 @@ def test_is_prime_and_order():
     assert multiplicative_order(4, 5) == 2
     with pytest.raises(ValueError):
         multiplicative_order(5, 5)
+    with pytest.raises(ValueError):
+        multiplicative_order(2, 9)  # not a prime modulus
+
+
+def test_multiplicative_order_matches_stepwise_definition():
+    for l in filter(is_prime, range(2, 2000)):
+        if l < 400:
+            assert [multiplicative_order(a, l) for a in range(1, l)] == [
+                stepwise_order(a, l) for a in range(1, l)
+            ], l
+            continue
+        # above 400, every order from one stepwise walk of a generator g:
+        # g^k has order (l-1)/gcd(k, l-1)
+        g = next(g for g in range(2, l) if stepwise_order(g, l) == l - 1)
+        expected, x = [0] * l, 1
+        for k in range(l - 1):
+            expected[x] = (l - 1) // gcd(k, l - 1)
+            x = x * g % l
+        assert [multiplicative_order(a, l) for a in range(1, l)] == expected[1:], l
+
+
+def test_multiplicative_order_is_fast_at_a_large_modulus():
+    t0 = time.monotonic()
+    assert multiplicative_order(2, 1_000_000_007) == 500_000_003
+    assert time.monotonic() - t0 < 0.1
 
 
 def test_prime_context():

@@ -3,15 +3,21 @@
 import importlib
 import inspect
 import json
+import os
 import pkgutil
+import resource
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import hodge_asym
 from hodge_asym import pipeline
 from hodge_asym.cli import dumps, main, parse_newton
+from hodge_asym.cyclochar import MODULUS_CAP
 
 # errors that signal a broken invariant or a failed check, not bad input
 NOT_INPUT_ERRORS = {"CertificateFailure", "StructuralViolation", "EqualRanks"}
@@ -98,3 +104,27 @@ def test_verify_polygon_refuses_ranks_above_the_cap(capsys):
     # rank exactly at the cap is still checked
     assert main(["verify-polygon", "--n", "1", "--hodge", "50000,50000",
                  "--newton", "1/2:100000"]) == 0
+
+
+def limit_memory() -> None:
+    # 1 GB of address space: without the cap the run fails with a MemoryError
+    # at once instead of allocating a vector of 2*10^9 ints
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--V", "l=2000000000;"],
+    ["--l", "1000000007", "--layer-count", "0"],
+])
+def test_search_typical_refuses_a_modulus_above_the_cap(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(hodge_asym.__file__).resolve().parents[1]))
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hodge_asym", "search-typical", "--p", "2", *argv],
+        capture_output=True, text=True, env=env, timeout=10, preexec_fn=limit_memory,
+    )
+    assert time.monotonic() - t0 < 1.0
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert f"MODULUS_CAP={MODULUS_CAP}" in proc.stderr
