@@ -1,6 +1,7 @@
 """Min-of-N timings of the certificate ladder and the search table, tree against tree.
 
-    python3 bench/ladder.py --out BENCH_5.json parent=../parent/src change=src
+    python3 bench/ladder.py --out BENCH_6.json parent=../parent/src \
+        parent_again=../parent/src change=src
 
 Each ``LABEL=DIR`` names a source tree holding ``hodge_asym``. The script
 runs ROUNDS rounds. A round starts one fresh worker interpreter per tree,
@@ -12,7 +13,12 @@ then a loop of at least MIN_LOOP_S, and the fastest call of the loop:
 
 - ``pipeline.build_certificate(2, 4, 2, l)`` for ``l`` in LADDER;
 - ``cmbuild.search_table(V, ctx, layer_count)`` for the (l, layer_count)
-  shapes in SEARCH_SHAPES, with ``p = 2`` and the default ``V``.
+  shapes in SEARCH_SHAPES, with ``p = 2`` and the default ``V``;
+- ``cmbuild.equivariant_diamond(z)`` for ``z, _ = cmbuild.build_cm(2, l=l)``,
+  ``l`` in DIAMOND_LS;
+- ``polygons.newton_above_hodge`` on the certificate's degree-3 slice at
+  ``l = POLYGON_L``: the slice as Hodge vector, the single slope 3/2 at its
+  whole rank (13,000 at l=101).
 
 A figure is the minimum over the rounds, in milliseconds. The output (to
 ``--out``, or standard output) gives the environment (Python version,
@@ -33,11 +39,16 @@ from time import perf_counter
 
 LADDER = (5, 13, 29, 53, 61, 101)
 SEARCH_SHAPES = ((13, 1), (13, 2), (13, 3), (17, 1), (17, 2))
+DIAMOND_LS = (61, 101)
+POLYGON_L = 101
 ROUNDS = 5
 MIN_LOOP_S = 0.1
-ITEMS = [("build_certificate_ms", f"l{l}") for l in LADDER] + [
-    ("search_table_ms", f"l{l}_c{count}") for l, count in SEARCH_SHAPES
-]
+ITEMS = (
+    [("build_certificate_ms", f"l{l}") for l in LADDER]
+    + [("search_table_ms", f"l{l}_c{count}") for l, count in SEARCH_SHAPES]
+    + [("equivariant_diamond_ms", f"l{l}") for l in DIAMOND_LS]
+    + [("newton_above_hodge_ms", f"l{POLYGON_L}")]
+)
 
 
 def timed_ms(fn) -> float:
@@ -52,13 +63,22 @@ def timed_ms(fn) -> float:
 
 def serve() -> None:
     """Worker: for each ITEMS index read from standard input, print its time."""
-    from hodge_asym import cmbuild, pipeline
+    from fractions import Fraction
+
+    from hodge_asym import cmbuild, pipeline, polygons
 
     calls = [lambda l=l: pipeline.build_certificate(2, 4, 2, l=l) for l in LADDER]
     for l, count in SEARCH_SHAPES:
         ctx = cmbuild.PrimeContext.create(2, l)
         v = cmbuild.build_V(ctx)
         calls.append(lambda v=v, ctx=ctx, count=count: cmbuild.search_table(v, ctx, count))
+    for l in DIAMOND_LS:
+        z, _ = cmbuild.build_cm(2, l=l)
+        calls.append(lambda z=z: cmbuild.equivariant_diamond(z))
+    z, _ = cmbuild.build_cm(2, l=POLYGON_L)
+    slice3 = cmbuild.degree_slice(cmbuild.equivariant_diamond(z), 3)
+    pd = polygons.PolygonData.create(3, slice3, {Fraction(3, 2): sum(slice3)})
+    calls.append(lambda: polygons.newton_above_hodge(pd))
     for line in sys.stdin:
         print(timed_ms(calls[int(line)]), flush=True)
 

@@ -22,7 +22,8 @@ from .cyclochar import CharRep
 
 REPORT_SCHEMA = "hodge-asym/report/v1"
 GOLDEN_DIR = Path(__file__).parent / "golden"
-# verify-polygon expands each multiplicity into polygon vertices (~5 us and ~170 B each)
+# largest rank verify-polygon accepts: an input limit, since every check costs
+# O(distinct slopes) and none grows with the rank
 POLYGON_RANK_CAP = 100_000
 
 
