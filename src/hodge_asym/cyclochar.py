@@ -69,7 +69,7 @@ def multiplicative_order(a: int, l: int) -> int:
     return k
 
 
-def check_modulus_size(l: int) -> None:
+def _check_modulus_size(l: int) -> None:
     """Refuse a modulus below 2 or above MODULUS_CAP, before a length-l
     vector is allocated."""
     if l < 2:
@@ -96,7 +96,7 @@ class PrimeContext:
     def create(p: int, l: int) -> "PrimeContext":
         if not is_prime(p):
             raise ValueError(f"p={p} is not prime")
-        check_modulus_size(l)
+        _check_modulus_size(l)
         if not is_prime(l):
             raise ValueError(f"l={l} is not prime")
         if p == l:
@@ -139,7 +139,7 @@ class CharRep:
     @staticmethod
     def from_dict(l: int, mults: dict[int, int]) -> "CharRep":
         """Build from {exponent: multiplicity}; exponents reduced mod l."""
-        check_modulus_size(l)
+        _check_modulus_size(l)
         vec = [0] * l
         for a, m in mults.items():
             vec[a % l] += m
@@ -147,7 +147,7 @@ class CharRep:
 
     @staticmethod
     def from_exponents(l: int, exponents) -> "CharRep":
-        check_modulus_size(l)
+        _check_modulus_size(l)
         vec = [0] * l
         for a in exponents:
             vec[a % l] += 1

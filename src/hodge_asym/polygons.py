@@ -186,16 +186,14 @@ def newton_above_hodge(pd: PolygonData) -> bool:
     """Newton polygon on or above the Hodge polygon with matching endpoints.
 
     Both polygons are drawn from (0,0) with slopes in ascending order, so
-    both are convex and piecewise linear, and their difference is linear
-    between consecutive points of the union of the two breakpoint sets.  The
-    ordinates are therefore compared exactly at those points only, the
-    cumulative multiplicities: one per distinct slope, not one per unit of
-    rank.
+    both are convex and piecewise linear.  Between consecutive Newton
+    breakpoints the Newton polygon is linear and the Hodge polygon convex,
+    so their difference is concave there and smallest at the two ends: the
+    ordinates are compared exactly at the Newton breakpoints only, one per
+    distinct slope, not one per unit of rank.
     """
     nx, ny = _vertices(pd.newton_dict())
     hx, hy = _vertices(hodge_slopes(pd))
     if (nx[-1], ny[-1]) != (hx[-1], hy[-1]):
         return False
-    return all(_ordinate(nx, ny, x) >= y for x, y in zip(hx, hy)) and all(
-        y >= _ordinate(hx, hy, x) for x, y in zip(nx, ny)
-    )
+    return all(y >= _ordinate(hx, hy, x) for x, y in zip(nx, ny))

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hodge_asym.polygons import (
@@ -119,12 +119,24 @@ def test_polygon_ordinates():
 def polygon_inputs(draw):
     """(n, hodge, newton) with equal ranks.  The Newton slopes split the rank
     at random ("random"), or the same with the last slope set so the
-    endpoints match ("endpoint"), or are the Hodge slopes ("coincide")."""
+    endpoints match ("endpoint"), or are the Hodge slopes ("coincide"), or
+    the Hodge slopes with amounts moved between units, which keeps the
+    endpoints and puts Newton breakpoints inside Hodge segments ("moved")."""
     n = draw(st.integers(0, 5))
     hodge = draw(st.lists(st.integers(0, 6), min_size=n + 1, max_size=n + 1))
-    mode = draw(st.sampled_from(["random", "endpoint", "coincide"]))
-    if mode == "coincide":
-        return n, hodge, {F(n - t): h for t, h in enumerate(hodge) if h}
+    mode = draw(st.sampled_from(["random", "endpoint", "coincide", "moved"]))
+    if mode in ("coincide", "moved"):
+        units = [F(n - t) for t, h in enumerate(hodge) for _ in range(h)]
+        for _ in range(draw(st.integers(0, 3)) if mode == "moved" and units else 0):
+            i = draw(st.integers(0, len(units) - 1))
+            j = draw(st.integers(0, len(units) - 1))
+            amount = F(draw(st.integers(1, 3)), draw(st.integers(1, 8)))
+            units[i] -= amount
+            units[j] += amount
+        newton = {}
+        for s in units:
+            newton[s] = newton.get(s, 0) + 1
+        return n, hodge, newton
     parts, remaining = [], sum(hodge)
     while remaining:
         m = draw(st.integers(1, remaining))
@@ -142,6 +154,9 @@ def polygon_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(polygon_inputs())
+# ends match, and the Newton breakpoint (3, 3/4) lies inside the Hodge
+# segment from (2, 0) to (4, 2), just below its (3, 1)
+@example((1, [2, 2], {F(0): 2, F(3, 4): 1, F(5, 4): 1}))
 def test_newton_above_hodge_matches_expanded_ordinates(inputs):
     n, hodge, newton = inputs
     assert newton_above_hodge(pd(n, hodge, newton)) == expanded_newton_above_hodge(hodge, newton)
