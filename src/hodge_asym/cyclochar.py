@@ -147,7 +147,6 @@ class CharRep:
 
     @staticmethod
     def from_exponents(l: int, exponents) -> "CharRep":
-        _check_modulus_size(l)
         vec = [0] * l
         for a in exponents:
             vec[a % l] += 1
