@@ -183,21 +183,24 @@ def cmd_search_typical(args) -> int:
             else cmbuild.PrimeContext.create(args.p, args.l)
         )
         v = cmbuild.build_V(ctx, args.selector)
-    rows = cmbuild.search_table(v, ctx, args.layer_count)
-    table = [
-        {"U": u.to_text(), "r0": r0, "r1": r1, "hit": r0 != r1}
-        for u, r0, r1 in rows
-    ]
+    count = cmbuild.table_size(ctx.l, args.layer_count)  # refused before any output
+    rows = cmbuild.candidate_walk(v, ctx, args.layer_count)
     if args.format == "json":
-        _print(dumps({
-            "p": ctx.p, "l": ctx.l, "V": v.to_text(),
-            "layer_count": args.layer_count, "candidates": table,
-        }))
+        # the layout of dumps, written one row at a time as the walk yields it
+        head = {"p": ctx.p, "l": ctx.l, "V": v.to_text(), "layer_count": args.layer_count}
+        sys.stdout.write(json.dumps(head, indent=2)[:-2] + ',\n  "candidates": [')
+        sep = "\n"
+        for u, r0, r1 in rows:
+            sys.stdout.write(
+                f'{sep}    {{\n      "U": {json.dumps(u.to_text())},\n      "r0": {r0},\n'
+                f'      "r1": {r1},\n      "hit": {json.dumps(r0 != r1)}\n    }}'
+            )
+            sep = ",\n"
+        sys.stdout.write("\n  ]\n}\n")
     else:
-        _print(f"V = {v.to_text()}   ({len(table)} candidates, {args.layer_count} layer(s))")
-        for row in table:
-            mark = "*" if row["hit"] else " "
-            _print(f"  {mark} {row['U']:<24} r0={row['r0']} r1={row['r1']}")
+        _print(f"V = {v.to_text()}   ({count} candidates, {args.layer_count} layer(s))")
+        for u, r0, r1 in rows:
+            _print(f"  {'*' if r0 != r1 else ' '} {u.to_text():<24} r0={r0} r1={r1}")
     return 0
 
 

@@ -20,6 +20,7 @@ from operator import lshift, mul
 from .cyclochar import (
     CharRep,
     PrimeContext,
+    check_p,
     dual,
     exterior_power,
     exterior_table,
@@ -50,6 +51,9 @@ class EqualRanks(Exception):
 SELECTORS = ("default", "alt")
 FIND_L_BOUND = 1000
 SEARCH_TABLE_CAP = 100_000  # candidates search_table lists at most
+# largest diamond cost estimate dim^2 * l that build_cm accepts: on a 2-vCPU
+# machine the diamond took 0.40 s at l=157 (dim 156, 3.8e6), 0.64 s at l=173
+DIAMOND_COST_CAP = 4_000_000
 
 
 def find_l(p: int, bound: int = FIND_L_BOUND) -> PrimeContext:
@@ -58,8 +62,7 @@ def find_l(p: int, bound: int = FIND_L_BOUND) -> PrimeContext:
     Equivalently l divides some p^{2r} + 1; such primes exist for every p,
     so the bound is only a search cutoff.
     """
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
+    check_p(p)
     if bound < 5:
         raise ValueError("bound must be at least 5")
     for l in range(5, bound + 1):
@@ -147,23 +150,6 @@ def layer_digits(l: int, layer_count: int):
     return itertools.product(range(layer_count + 1), repeat=(l - 1) // 2)
 
 
-def typical_layer_candidates(l: int, layer_count: int):
-    """Typical multiplicity patterns with pair sums equal to layer_count.
-
-    Pairs {a, l-a} are ordered by the smaller member a; the enumerated digit
-    for a pair is the multiplicity given to the LARGER member, so the
-    lexicographically first candidate takes the smaller member everywhere.
-    """
-    for digits in layer_digits(l, layer_count):
-        mults = {}
-        for a, big_count in enumerate(digits, 1):
-            if layer_count - big_count:
-                mults[a] = layer_count - big_count
-            if big_count:
-                mults[l - a] = big_count
-        yield CharRep.from_dict(l, mults)
-
-
 def split_layers(u: CharRep) -> list[CharRep]:
     """Decompose a typical representation into full-rank typical layers."""
     l = u.l
@@ -194,11 +180,6 @@ def degree3_ranks(w_omega: CharRep, w_o: CharRep) -> tuple[int, int]:
         invariants_rank(exterior_power(w_omega, 3)),
         invariants_rank(exterior_power(w_o, 3)),
     )
-
-
-def rank_pair(v: CharRep, u: CharRep, p: int) -> tuple[int, int]:
-    """(r0, r1) = degree-3 invariant ranks of the module pair of V and U."""
-    return degree3_ranks(*module_pair(v, u, p))
 
 
 @dataclass(frozen=True)
@@ -235,28 +216,16 @@ def search_typical_U(
     if max_layers < 1:
         raise ValueError("max_layers must be positive")
     for layer_count in range(1, max_layers + 1):
-        for idx, u in enumerate(typical_layer_candidates(ctx.l, layer_count)):
-            r0, r1 = rank_pair(v, u, ctx.p)
+        for idx, (u, r0, r1) in enumerate(candidate_walk(v, ctx, layer_count)):
             if r0 != r1:
                 return TypicalSearchResult(u, r0, r1, layer_count, idx)
     raise SearchExhausted(f"no asymmetric typical U with at most {max_layers} layers")
 
 
-def search_table(v: CharRep, ctx: PrimeContext, layer_count: int = 1):
-    """All candidates of a fixed layer count with their rank pairs (for reports).
-
-    Row for row equal to (u, *rank_pair(v, u, ctx.p)) over
-    typical_layer_candidates(ctx.l, layer_count), from one depth-first walk
-    over the inverse pairs {a, l-a} in candidate order.  stack[k] holds the
-    packed Lambda^0..Lambda^3 rows of V + U and tau(V) + U* over the first k
-    pairs, so a candidate extends only the pairs after the prefix it shares
-    with the previous one: U puts c - big at a and big at l - a, U* the
-    reverse.  One field width, for rank(V) + c(l-1)/2, serves every node,
-    and field 0 of row 3 is the invariant rank.  Refuses a negative layer
-    count and more than SEARCH_TABLE_CAP candidates.
-    """
-    l, c = ctx.l, layer_count
-    half = (l - 1) // 2
+def table_size(l: int, layer_count: int) -> int:
+    """(c+1)^((l-1)/2), the number of candidates with c layers; refuses a
+    negative layer count and more than SEARCH_TABLE_CAP candidates."""
+    c, half = layer_count, (l - 1) // 2
     if c < 0:
         raise ValueError("layer count must be non-negative")
     # (c+1)^half >= 2^half once c >= 1, so a capped exponent decides the comparison
@@ -264,12 +233,35 @@ def search_table(v: CharRep, ctx: PrimeContext, layer_count: int = 1):
         raise ValueError(
             f"{c + 1}^{half} candidates exceed the search table cap {SEARCH_TABLE_CAP}"
         )
+    return (c + 1) ** half
+
+
+def search_table(v: CharRep, ctx: PrimeContext, layer_count: int = 1):
+    """The rows of candidate_walk as a list, refused as table_size refuses."""
+    table_size(ctx.l, layer_count)
+    return list(candidate_walk(v, ctx, layer_count))
+
+
+def candidate_walk(v: CharRep, ctx: PrimeContext, layer_count: int):
+    """Yield (U, r0, r1) for every typical U with layer_count layers, in
+    candidate order, where (r0, r1) are the degree3_ranks of module_pair(V, U).
+
+    Pairs {a, l-a} are ordered by a, the last pair changing fastest; a
+    candidate's digit b for a pair puts c - b at a and b at l - a (U* the
+    reverse), so the first candidate takes the smaller member everywhere.
+    One depth-first walk over the pairs: stack[k] holds the packed
+    Lambda^0..Lambda^3 rows of V + U and tau(V) + U* over the first k pairs,
+    so a candidate extends only the pairs after the prefix it shares with
+    the previous one.  One field width, for rank(V) + c(l-1)/2, serves every
+    node, and field 0 of row 3 is the invariant rank.
+    """
+    l, c = ctx.l, layer_count
+    half = (l - 1) // 2
     width = field_width(v.rank + c * half, 3)
     field = (1 << width) - 1
     stack = [(packed_rows(v, 3, width), packed_rows(frobenius_twist(v, ctx.p), 3, width))]
     stack += [None] * half
     mult = [0] * l
-    table = []
     prev = (-1,) * half
     for digits in layer_digits(l, c):
         start = 0  # the pairs before the first changed digit keep their rows
@@ -286,8 +278,7 @@ def search_table(v: CharRep, ctx: PrimeContext, layer_count: int = 1):
             extend_rows(o, l, width, ((l - a, small), (a, big)))
             stack[k + 1] = (w, o)
         w, o = stack[half]
-        table.append((CharRep(l, tuple(mult)), w[3] & field, o[3] & field))
-    return table
+        yield CharRep(l, tuple(mult)), w[3] & field, o[3] & field
 
 
 @dataclass(frozen=True)
@@ -383,8 +374,18 @@ def build_cm(
     selector: str = "default",
     max_layers: int = 3,
 ) -> tuple[CMData, TypicalSearchResult]:
-    """End-to-end: companion prime, V, typical search, oriented assembly."""
+    """End-to-end: companion prime, V, typical search, oriented assembly.
+
+    Refuses a product whose diamond would cost dim^2 * l above
+    DIAMOND_COST_CAP, before the assembly and the diamond.
+    """
     ctx = PrimeContext.create(p, l) if l is not None else find_l(p)
     v = build_V(ctx, selector)
     result = search_typical_U(v, ctx, max_layers)
+    dim = v.rank + result.U.rank
+    if dim * dim * ctx.l > DIAMOND_COST_CAP:
+        raise ValueError(
+            f"diamond cost dim^2*l = {dim}^2*{ctx.l} is above the cap "
+            f"DIAMOND_COST_CAP={DIAMOND_COST_CAP}"
+        )
     return assemble_Z(v, result.U, ctx), result

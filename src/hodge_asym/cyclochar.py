@@ -16,6 +16,8 @@ from math import comb
 # largest modulus l accepted: a CharRep holds one int per exponent, so the
 # cap bounds every length-l vector before it is allocated
 MODULUS_CAP = 1_000_000
+# largest prime p accepted: is_prime tests p by trial division up to sqrt(p)
+P_CAP = 1_000_000
 
 # ---------------------------------------------------------------------------
 # small number theory helpers (kept local: no third-party deps, fast import)
@@ -69,6 +71,15 @@ def multiplicative_order(a: int, l: int) -> int:
     return k
 
 
+def check_p(p: int) -> None:
+    """Refuse a p above P_CAP, before its trial-division primality test, and
+    a p that is not prime."""
+    if p > P_CAP:
+        raise ValueError(f"p={p} is above the cap P_CAP={P_CAP}")
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+
+
 def _check_modulus_size(l: int) -> None:
     """Refuse a modulus below 2 or above MODULUS_CAP, before a length-l
     vector is allocated."""
@@ -94,8 +105,7 @@ class PrimeContext:
 
     @staticmethod
     def create(p: int, l: int) -> "PrimeContext":
-        if not is_prime(p):
-            raise ValueError(f"p={p} is not prime")
+        check_p(p)
         _check_modulus_size(l)
         if not is_prime(l):
             raise ValueError(f"l={l} is not prime")

@@ -55,6 +55,7 @@ def test_search_typical_table(capsys):
     code, out = run(capsys, "search-typical", "--p", "2", "--format", "json")
     assert code == 0
     data = json.loads(out)
+    assert out == dumps(data)  # written row by row, in the layout of one dumps
     assert len(data["candidates"]) == 4
     assert [c["hit"] for c in data["candidates"]] == [True] * 4
     assert [(c["r0"], c["r1"]) for c in data["candidates"]] == [

@@ -4,6 +4,7 @@ import pytest
 
 from hodge_asym import cmbuild
 from hodge_asym.cmbuild import (
+    DIAMOND_COST_CAP,
     EqualRanks,
     NotFoundWithinBound,
     SearchExhausted,
@@ -14,14 +15,15 @@ from hodge_asym.cmbuild import (
     degree_slice,
     equivariant_diamond,
     find_l,
-    rank_pair,
+    degree3_ranks,
+    module_pair,
     search_table,
     search_typical_U,
     split_layers,
     st_slopes,
-    typical_layer_candidates,
 )
 from hodge_asym.cyclochar import (
+    P_CAP,
     CharRep,
     PrimeContext,
     dual,
@@ -35,6 +37,19 @@ from oracles import subset_exterior, triple_invariants
 
 def rep(l, mults):
     return CharRep.from_dict(l, mults)
+
+
+def test_caps_on_p_and_on_the_diamond():
+    # 999983 and 1000003 are the primes either side of P_CAP
+    assert find_l(999983).l == 5
+    for refused in (lambda: find_l(1000003), lambda: PrimeContext.create(1000003, 5)):
+        with pytest.raises(ValueError, match=f"P_CAP={P_CAP}"):
+            refused()
+    # one layer: dim = l - 1, so l=157 costs 3.8e6 and l=173 costs 5.1e6
+    z, _ = build_cm(2, l=157)
+    assert z.dim ** 2 * 157 <= DIAMOND_COST_CAP < 172 ** 2 * 173
+    with pytest.raises(ValueError, match=f"DIAMOND_COST_CAP={DIAMOND_COST_CAP}"):
+        build_cm(2, l=173)
 
 
 def test_find_l_examples():
@@ -107,7 +122,9 @@ def test_st_slopes_endpoint_and_symmetry():
 
 
 def test_typical_candidate_order():
-    cands = list(typical_layer_candidates(5, 1))
+    ctx = PrimeContext.create(2, 5)
+    v = build_V(ctx)
+    cands = [u for u, _, _ in search_table(v, ctx, 1)]
     assert cands == [
         rep(5, {1: 1, 2: 1}),
         rep(5, {1: 1, 3: 1}),
@@ -115,7 +132,7 @@ def test_typical_candidate_order():
         rep(5, {4: 1, 3: 1}),
     ]
     assert all(is_typical(u) for u in cands)
-    two_layer = list(typical_layer_candidates(5, 2))
+    two_layer = [u for u, _, _ in search_table(v, ctx, 2)]
     assert len(two_layer) == 9
     assert all(is_typical(u) and u.rank == 4 for u in two_layer)
 
@@ -157,12 +174,12 @@ def test_search_swap_symmetry():
     ctx = PrimeContext.create(2, 5)
     v = build_V(ctx)
     u = rep(5, {1: 1, 2: 1})
-    r0, r1 = rank_pair(v, u, 2)
+    r0, r1 = degree3_ranks(*module_pair(v, u, 2))
     # relabeling: the alt selector starts from tau V
     v_alt = build_V(ctx, "alt")
     assert frobenius_twist(v, 2) == v_alt
     # tau(V_alt) = V and dual(U)'s dual is U, so the pair comes back swapped
-    s0, s1 = rank_pair(v_alt, dual(u), 2)
+    s0, s1 = degree3_ranks(*module_pair(v_alt, dual(u), 2))
     assert (s0, s1) == (r1, r0)
 
 
@@ -300,8 +317,12 @@ def test_search_exhausted(monkeypatch):
     with pytest.raises(ValueError):
         search_typical_U(v, ctx, max_layers=0)
     # no natural failure exists at l=5 (the first candidate already wins),
-    # so exhaust the search by stubbing the rank computation
-    monkeypatch.setattr(cmbuild, "rank_pair", lambda *a: (0, 0))
+    # so exhaust the search with a walk whose every rank pair is symmetric
+    walk = cmbuild.candidate_walk
+    monkeypatch.setattr(
+        cmbuild, "candidate_walk",
+        lambda *a: ((u, 0, 0) for u, _, _ in walk(*a)),
+    )
     with pytest.raises(SearchExhausted) as err:
         search_typical_U(v, ctx, max_layers=2)
-    assert "2" in str(err.value)
+    assert "at most 2 layers" in str(err.value)

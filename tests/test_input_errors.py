@@ -17,7 +17,8 @@ import pytest
 import hodge_asym
 from hodge_asym import pipeline
 from hodge_asym.cli import dumps, main, parse_newton
-from hodge_asym.cyclochar import MODULUS_CAP
+from hodge_asym.cmbuild import DIAMOND_COST_CAP
+from hodge_asym.cyclochar import MODULUS_CAP, P_CAP
 
 # errors that signal a broken invariant or a failed check, not bad input
 NOT_INPUT_ERRORS = {"CertificateFailure", "StructuralViolation", "EqualRanks"}
@@ -86,7 +87,8 @@ def test_search_typical_refuses_negative_and_oversized_tables(capsys):
     for argv in (["--layer-count", "-1"], ["--l", "37", "--layer-count", "1"],
                  ["--layer-count", str(10 ** 100)]):
         assert main(["search-typical", "--p", "2", *argv]) == 2, argv
-        assert capsys.readouterr().err.startswith("error:"), argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:"), argv
     assert time.monotonic() - t0 < 1.0
     assert main(["search-typical", "--p", "2", "--layer-count", "0"]) == 0
     assert capsys.readouterr().out.count("r0=") == 1
@@ -112,19 +114,50 @@ def limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def assert_refused_naming(cap: str, *argv: str) -> None:
+    """Run the CLI in a fresh interpreter under limit_memory: exit 2 within
+    1 s, no output and no traceback, and an error that names the cap."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hodge_asym.__file__).resolve().parents[1]))
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hodge_asym", *argv],
+        capture_output=True, text=True, env=env, timeout=10, preexec_fn=limit_memory,
+    )
+    assert time.monotonic() - t0 < 1.0
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and cap in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["--V", "l=2000000000;"],
     ["--l", "1000000007", "--layer-count", "0"],
 ])
 def test_search_typical_refuses_a_modulus_above_the_cap(argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(hodge_asym.__file__).resolve().parents[1]))
-    t0 = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "hodge_asym", "search-typical", "--p", "2", *argv],
-        capture_output=True, text=True, env=env, timeout=10, preexec_fn=limit_memory,
-    )
-    assert time.monotonic() - t0 < 1.0
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error:")
-    assert f"MODULUS_CAP={MODULUS_CAP}" in proc.stderr
+    assert_refused_naming(f"MODULUS_CAP={MODULUS_CAP}", "search-typical", "--p", "2", *argv)
+
+
+@pytest.mark.parametrize("argv,cap", [
+    (["find-l", "--p", "1000000000000000003"], f"P_CAP={P_CAP}"),
+    (["construct", "--p", "1000000000000000003", "--i", "4", "--j", "2"], f"P_CAP={P_CAP}"),
+    (["construct", "--p", "2", "--i", "4", "--j", "2", "--l", "1009"],
+     f"DIAMOND_COST_CAP={DIAMOND_COST_CAP}"),
+    (["build-cm", "--p", "2", "--l", "1009"], f"DIAMOND_COST_CAP={DIAMOND_COST_CAP}"),
+])
+def test_costly_inputs_exit_2_naming_the_cap(argv, cap):
+    assert_refused_naming(cap, *argv)
+
+
+def test_certify_refuses_stored_inputs_above_the_diamond_cap(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    assert main(["construct", "--p", "2", "--i", "4", "--j", "2",
+                 "--out", str(cert_path)]) == 0
+    stored = json.loads(cert_path.read_text())
+    stored["inputs"]["l"] = 1009
+    cert_path.write_text(dumps(stored))
+    assert_refused_naming(f"DIAMOND_COST_CAP={DIAMOND_COST_CAP}", "certify", str(cert_path))
+
+
+def test_diamond_cap_admits_the_ladder(capsys):
+    assert main(["construct", "--p", "2", "--i", "4", "--j", "2", "--l", "101"]) == 0

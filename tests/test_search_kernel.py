@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from hodge_asym.cmbuild import (
     SEARCH_TABLE_CAP,
+    TypicalSearchResult,
     build_V,
-    rank_pair,
+    degree3_ranks,
+    layer_digits,
+    module_pair,
     search_table,
-    typical_layer_candidates,
+    search_typical_U,
 )
 from hodge_asym.cyclochar import (
     CharRep,
@@ -25,9 +28,20 @@ from hodge_asym.cyclochar import (
 from oracles import subset_exterior
 
 
-def reference(v: CharRep, ctx: PrimeContext, layer_count: int) -> list:
-    """One rank_pair per candidate: what search_table computed before the walk."""
-    return [(u, *rank_pair(v, u, ctx.p)) for u in typical_layer_candidates(ctx.l, layer_count)]
+def candidates(l: int, layer_count: int):
+    """Typical U in search order: digit b of pair {a, l-a} gives a the
+    multiplicity c - b and l - a the multiplicity b."""
+    for digits in layer_digits(l, layer_count):
+        mult = [0] * l
+        for a, big in enumerate(digits, 1):
+            mult[a], mult[l - a] = layer_count - big, big
+        yield CharRep(l, tuple(mult))
+
+
+def reference(v: CharRep, ctx: PrimeContext, layer_count: int):
+    """Two exterior powers per candidate, no shared prefix: the search before the walk."""
+    for u in candidates(ctx.l, layer_count):
+        yield (u, *degree3_ranks(*module_pair(v, u, ctx.p)))
 
 
 def bare_context(p: int, l: int) -> PrimeContext:
@@ -41,7 +55,7 @@ def bare_context(p: int, l: int) -> PrimeContext:
 def test_matches_reference_on_coset_modules(l, layer_count, selector):
     ctx = PrimeContext.create(2, l)
     v = build_V(ctx, selector)
-    assert search_table(v, ctx, layer_count) == reference(v, ctx, layer_count)
+    assert search_table(v, ctx, layer_count) == list(reference(v, ctx, layer_count))
 
 
 @pytest.mark.parametrize("text,layer_count", [
@@ -53,7 +67,7 @@ def test_matches_reference_on_coset_modules(l, layer_count, selector):
 def test_matches_reference_on_overrides(text, layer_count):
     v = CharRep.from_text(text)
     ctx = PrimeContext.create(2, v.l)
-    assert search_table(v, ctx, layer_count) == reference(v, ctx, layer_count)
+    assert search_table(v, ctx, layer_count) == list(reference(v, ctx, layer_count))
 
 
 @settings(max_examples=40, deadline=None)
@@ -65,7 +79,7 @@ def test_matches_reference_on_random_modules(data):
     layer_count = data.draw(st.integers(0, 2), label="layer_count")
     v = CharRep(l, tuple(mult))
     ctx = bare_context(p, l)
-    assert search_table(v, ctx, layer_count) == reference(v, ctx, layer_count)
+    assert search_table(v, ctx, layer_count) == list(reference(v, ctx, layer_count))
 
 
 def test_rows_match_subset_oracle():
@@ -109,7 +123,8 @@ def test_zero_layers_at_large_modulus():
     v = build_V(ctx)
     rows = search_table(v, ctx, 0)
     assert len(rows) == 1
-    assert rows[0] == (CharRep(2017, (0,) * 2017), *rank_pair(v, rows[0][0], 3))
+    assert rows == list(reference(v, ctx, 0))
+    assert rows[0][0] == CharRep(2017, (0,) * 2017)
 
 
 def test_refuses_negative_layer_count_and_oversized_tables():
@@ -124,3 +139,23 @@ def test_refuses_negative_layer_count_and_oversized_tables():
         search_table(build_V(ctx37), ctx37, 1)
     with pytest.raises(ValueError, match="cap"):
         search_table(v, ctx, 10 ** 100)
+
+
+def first_asymmetric(rows, layer_count: int) -> TypicalSearchResult:
+    return next(
+        TypicalSearchResult(u, r0, r1, layer_count, idx)
+        for idx, (u, r0, r1) in enumerate(rows) if r0 != r1
+    )
+
+
+# the certificate ladder at p=2 and the small-certificate primes at l=5
+@pytest.mark.parametrize("p,l", [(2, l) for l in (5, 13, 29, 53, 61, 101)]
+                         + [(p, 5) for p in (3, 7, 13, 17, 23, 37, 43, 47, 53)])
+@pytest.mark.parametrize("selector", ["default", "alt"])
+def test_typical_search_is_the_first_asymmetric_row(p, l, selector):
+    ctx = PrimeContext.create(p, l)
+    v = build_V(ctx, selector)
+    result = search_typical_U(v, ctx)
+    assert result == first_asymmetric(reference(v, ctx, 1), 1)
+    if l <= 13:
+        assert result == first_asymmetric(search_table(v, ctx, 1), 1)
