@@ -1,6 +1,6 @@
 """Min-of-N timings of the certificate ladder and the search table, tree against tree.
 
-    python3 bench/ladder.py --out BENCH_6.json parent=../parent/src \
+    python3 bench/ladder.py --out BENCH_8.json parent=../parent/src \
         parent_again=../parent/src change=src
 
 Each ``LABEL=DIR`` names a source tree holding ``hodge_asym``. The script
@@ -18,7 +18,12 @@ then a loop of at least MIN_LOOP_S, and the fastest call of the loop:
   ``l`` in DIAMOND_LS;
 - ``polygons.newton_above_hodge`` on the certificate's degree-3 slice at
   ``l = POLYGON_L``: the slice as Hodge vector, the single slope 3/2 at its
-  whole rank (13,000 at l=101).
+  whole rank (13,000 at l=101);
+- one in-process ``cli.main`` pair, ``construct --p 2 --i I --j J --out F``
+  then ``certify F`` (``l = 5``), for the targets in CLI_TARGETS, with
+  standard output discarded;
+- ``pipeline.symbolic_tower(n, s)`` for SMALL_TOWER, the tower with the most
+  blow-ups and cells among the small-certs targets (``i + j <= 20``).
 
 A figure is the minimum over the rounds, in milliseconds. The output (to
 ``--out``, or standard output) gives the environment (Python version,
@@ -41,6 +46,8 @@ LADDER = (5, 13, 29, 53, 61, 101)
 SEARCH_SHAPES = ((13, 1), (13, 2), (13, 3), (17, 1), (17, 2))
 DIAMOND_LS = (61, 101)
 POLYGON_L = 101
+CLI_TARGETS = ((4, 2), (12, 7), (20, 0))
+SMALL_TOWER = (1, 8)  # target (12, 8): dimension 17, 20 cells
 ROUNDS = 5
 MIN_LOOP_S = 0.1
 ITEMS = (
@@ -48,6 +55,8 @@ ITEMS = (
     + [("search_table_ms", f"l{l}_c{count}") for l, count in SEARCH_SHAPES]
     + [("equivariant_diamond_ms", f"l{l}") for l in DIAMOND_LS]
     + [("newton_above_hodge_ms", f"l{POLYGON_L}")]
+    + [("cli_pair_ms", f"i{i}_j{j}") for i, j in CLI_TARGETS]
+    + [("symbolic_tower_ms", "n{}_s{}".format(*SMALL_TOWER))]
 )
 
 
@@ -63,9 +72,12 @@ def timed_ms(fn) -> float:
 
 def serve() -> None:
     """Worker: for each ITEMS index read from standard input, print its time."""
+    import contextlib
+    import io
+    import tempfile
     from fractions import Fraction
 
-    from hodge_asym import cmbuild, pipeline, polygons
+    from hodge_asym import cli, cmbuild, pipeline, polygons
 
     calls = [lambda l=l: pipeline.build_certificate(2, 4, 2, l=l) for l in LADDER]
     for l, count in SEARCH_SHAPES:
@@ -79,8 +91,22 @@ def serve() -> None:
     slice3 = cmbuild.degree_slice(cmbuild.equivariant_diamond(z), 3)
     pd = polygons.PolygonData.create(3, slice3, {Fraction(3, 2): sum(slice3)})
     calls.append(lambda: polygons.newton_above_hodge(pd))
-    for line in sys.stdin:
-        print(timed_ms(calls[int(line)]), flush=True)
+
+    def cli_pair(i: int, j: int, out: str) -> None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = (
+                cli.main(["construct", "--p", "2", "--i", str(i), "--j", str(j), "--out", out]),
+                cli.main(["certify", out]),
+            )
+        if codes != (0, 0):
+            raise RuntimeError(f"construct/certify ({i},{j}) exited {codes}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = str(Path(tmp) / "cert.json")
+        calls += [lambda i=i, j=j: cli_pair(i, j, out) for i, j in CLI_TARGETS]
+        calls.append(lambda: pipeline.symbolic_tower(*SMALL_TOWER))
+        for line in sys.stdin:
+            print(timed_ms(calls[int(line)]), flush=True)
 
 
 def main(argv=None) -> int:

@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from . import cmbuild, hodgecalc, pipeline, polygons
@@ -375,7 +376,9 @@ def cmd_golden(args) -> int:
 # argument parsing
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hodge-asym",
         description="Exact bookkeeping for products violating Hodge symmetry.",

@@ -54,6 +54,10 @@ SEARCH_TABLE_CAP = 100_000  # candidates search_table lists at most
 # largest diamond cost estimate dim^2 * l that build_cm accepts: on a 2-vCPU
 # machine the diamond took 0.40 s at l=157 (dim 156, 3.8e6), 0.64 s at l=173
 DIAMOND_COST_CAP = 4_000_000
+# largest walk cost estimate l*(l-1)/2 that a candidate walk accepts: its first
+# candidate extends the packed rows over every inverse pair, O(l^2) in all; the
+# typical search, p=3, took 0.21 s at l=2801 (3.9e6) and 1.2 s at l=5009 (1.3e7)
+WALK_COST_CAP = 4_000_000
 
 
 def find_l(p: int, bound: int = FIND_L_BOUND) -> PrimeContext:
@@ -166,7 +170,7 @@ def split_layers(u: CharRep) -> list[CharRep]:
 
 
 def _direct_sum(a: CharRep, b: CharRep) -> CharRep:
-    return CharRep(a.l, tuple(x + y for x, y in zip(a.mult, b.mult)))
+    return CharRep(a.l, tuple([x + y for x, y in zip(a.mult, b.mult)]))
 
 
 def module_pair(v: CharRep, u: CharRep, p: int) -> tuple[CharRep, CharRep]:
@@ -215,6 +219,7 @@ def search_typical_U(
         raise ValueError("V must differ from its twist")
     if max_layers < 1:
         raise ValueError("max_layers must be positive")
+    check_walk_cost(ctx.l)
     for layer_count in range(1, max_layers + 1):
         for idx, (u, r0, r1) in enumerate(candidate_walk(v, ctx, layer_count)):
             if r0 != r1:
@@ -222,12 +227,23 @@ def search_typical_U(
     raise SearchExhausted(f"no asymmetric typical U with at most {max_layers} layers")
 
 
+def check_walk_cost(l: int) -> None:
+    """Refuse a modulus whose candidate walk costs more than WALK_COST_CAP."""
+    if l * (l - 1) // 2 > WALK_COST_CAP:
+        raise ValueError(
+            f"candidate walk cost l*(l-1)/2 at l={l} is above the cap "
+            f"WALK_COST_CAP={WALK_COST_CAP}"
+        )
+
+
 def table_size(l: int, layer_count: int) -> int:
     """(c+1)^((l-1)/2), the number of candidates with c layers; refuses a
-    negative layer count and more than SEARCH_TABLE_CAP candidates."""
+    negative layer count, more than SEARCH_TABLE_CAP candidates and a walk
+    above WALK_COST_CAP."""
     c, half = layer_count, (l - 1) // 2
     if c < 0:
         raise ValueError("layer count must be non-negative")
+    check_walk_cost(l)
     # (c+1)^half >= 2^half once c >= 1, so a capped exponent decides the comparison
     if (c + 1) ** min(half, SEARCH_TABLE_CAP.bit_length()) > SEARCH_TABLE_CAP:
         raise ValueError(
@@ -358,7 +374,7 @@ def equivariant_diamond(z: CMData) -> HodgePolynomial:
 
 def degree_slice(diamond: HodgePolynomial, n: int) -> tuple[int, ...]:
     """The degree-n slice (h^{n,0}, h^{n-1,1}, ..., h^{0,n})."""
-    return tuple(diamond.coeff(n - t, t) for t in range(n + 1))
+    return tuple([diamond.coeff(n - t, t) for t in range(n + 1)])
 
 
 def degree3_slices(z: CMData, diamond: HodgePolynomial) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -212,7 +212,7 @@ class CharRep:
 def dual(v: CharRep) -> CharRep:
     """Dual representation: negate every exponent."""
     l = v.l
-    return CharRep(l, tuple(v.mult[(-a) % l] for a in range(l)))
+    return CharRep(l, tuple([v.mult[(-a) % l] for a in range(l)]))
 
 
 def frobenius_twist(v: CharRep, p: int) -> CharRep:
@@ -304,8 +304,12 @@ def exterior_table(v: CharRep, top: int | None = None) -> list[tuple[int, ...]]:
         raise ValueError("exterior degree must be non-negative")
     width = field_width(rank, top)
     field = (1 << width) - 1
+    # each tuple is built from a list, not a generator: a generator's tuple is
+    # allocated at a guessed length and shrunk, and once freed it waits in the
+    # free list of its final length until a full garbage collection, which a
+    # run that makes little cyclic garbage seldom does; so peak RSS creeps
     return [
-        tuple((r >> (e * width)) & field for e in range(l))
+        tuple([(r >> (e * width)) & field for e in range(l)])
         for r in packed_rows(v, top, width)
     ]
 

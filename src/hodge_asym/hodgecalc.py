@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 
 class NonSymmetricFactor(ValueError):
@@ -24,6 +24,21 @@ class NonSymmetricFactor(ValueError):
 
 class NonNegativeDelta(ValueError):
     """Special-fiber fix requested for a non-negative degree-3 asymmetry."""
+
+
+# largest estimated cost of a calculator table: (D+1)^2 for a table of top
+# degree D, the grid its text rendering prints, which also bounds building a
+# blow-up tower; a hypersurface adds (n+2)^3 * d^2, a bound on its middle-row
+# DP updates.  On a 2-vCPU machine, printing a 1,000,000-cell grid took 0.85 s
+TABLE_COST_CAP = 500_000
+
+
+def check_table_cost(cost: int, what: str) -> None:
+    """Refuse a table whose estimated cost is above TABLE_COST_CAP."""
+    if cost > TABLE_COST_CAP:
+        raise ValueError(
+            f"{what}: estimated cost {cost} is above the cap TABLE_COST_CAP={TABLE_COST_CAP}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +206,7 @@ def hypersurface(d: int, n: int) -> HodgePolynomial:
     """
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
+    check_table_cost((n + 2) ** 3 * d * d + (n + 1) ** 2, f"hypersurface d={d}, n={n}")
     coeffs: dict[tuple[int, int], int] = {}
     for a in range(n + 1):
         if 2 * a != n:
@@ -227,6 +243,8 @@ def iterated_blow_up(h: HodgePolynomial, n: int, s: int, ambient_dims=None) -> H
     """The tower of blow_up_tower over any n-dimensional base table h."""
     if s < 0:
         raise ValueError("s must be non-negative")
+    top = n + 2 * s if ambient_dims is None else max((n, *ambient_dims))
+    check_table_cost((top + 1) ** 2, f"blow-up tower of dimension {top}")
     if ambient_dims is None:
         ambient_dims = minimal_ambient_dims(n, s)
     if len(ambient_dims) != s:
@@ -251,6 +269,7 @@ def stack_series(kind: str, bound: int = 12) -> HodgePolynomial:
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
+    check_table_cost((bound + 1) ** 2, f"series bound {bound}")
     coeffs: dict[tuple[int, int], int] = {}
     if kind == "mu_p":
         k = 0
@@ -273,19 +292,37 @@ def stack_series(kind: str, bound: int = 12) -> HodgePolynomial:
 
 @dataclass(frozen=True)
 class DPoly:
-    """Univariate polynomial in the product-size parameter d, exact coefficients."""
+    """Univariate polynomial in the product-size parameter d, exact coefficients.
 
-    coeffs: tuple[Fraction, ...]  # ascending powers, no trailing zeros
+    Integer numerators over one positive common denominator, in lowest terms,
+    so equal polynomials have equal fields; ``coeffs`` gives the Fractions.
+    """
+
+    nums: tuple[int, ...]  # ascending powers, no trailing zeros
+    den: int = 1
+
+    @staticmethod
+    def _reduced(nums: list[int], den: int) -> "DPoly":
+        """The polynomial sum(nums[t] d^t) / den for a positive den, in lowest terms."""
+        while nums and not nums[-1]:
+            nums.pop()
+        if den != 1:
+            g = gcd(den, *nums)  # den itself when nums is empty
+            if g != 1:
+                nums = [c // g for c in nums]
+                den //= g
+        return DPoly(tuple(nums), den)
 
     @staticmethod
     def create(coeffs) -> "DPoly":
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return DPoly(tuple(cs))
+        cs = [c if type(c) is int else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        return DPoly._reduced([c.numerator * (den // c.denominator) for c in cs], den)
 
     @staticmethod
     def constant(c) -> "DPoly":
+        if type(c) is int:
+            return DPoly((c,) if c else ())
         return DPoly.create([c])
 
     @staticmethod
@@ -302,61 +339,67 @@ class DPoly:
         """C(a*d + b, k) expanded as a polynomial in d."""
         if k < 0:
             raise ValueError("k must be non-negative")
-        out = DPoly.constant(1)
-        for t in range(k):
-            out = out * DPoly.create([b - t, a])
-        return out * DPoly.constant(Fraction(1, factorial(k)))
+        nums = [1]
+        for t in range(k):  # times (b - t) + a*d
+            nums = [(b - t) * x + a * y for x, y in zip(nums + [0], [0] + nums)]
+        return DPoly._reduced(nums, factorial(k))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        # tuples from lists, not generators: see cyclochar.exterior_table
+        return tuple([Fraction(c, self.den) for c in self.nums])
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.nums) - 1  # -1 for the zero polynomial
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.nums) <= 1
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __add__(self, other: "DPoly | int") -> "DPoly":
         if isinstance(other, int):
             other = DPoly.constant(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DPoly.create(
-            [
-                (self.coeffs[t] if t < len(self.coeffs) else 0)
-                + (other.coeffs[t] if t < len(other.coeffs) else 0)
-                for t in range(n)
-            ]
-        )
+        den = lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.nums]
+        b = [c * (den // other.den) for c in other.nums]
+        if len(a) < len(b):
+            a, b = b, a
+        for t, c in enumerate(b):
+            a[t] += c
+        return DPoly._reduced(a, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "DPoly":
-        return DPoly.create([-c for c in self.coeffs])
+        return DPoly(tuple([-c for c in self.nums]), self.den)
 
     def __sub__(self, other: "DPoly") -> "DPoly":
         return self + (-other)
 
     def __mul__(self, other: "DPoly") -> "DPoly":
-        if self.is_zero() or other.is_zero():
+        if not self.nums or not other.nums:
             return DPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for a, ca in enumerate(self.coeffs):
-            for b, cb in enumerate(other.coeffs):
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for a, ca in enumerate(self.nums):
+            for b, cb in enumerate(other.nums):
                 out[a + b] += ca * cb
-        return DPoly.create(out)
+        return DPoly._reduced(out, self.den * other.den)
 
     def scale(self, c) -> "DPoly":
-        return self * DPoly.constant(c)
+        num, den = c.as_integer_ratio()
+        return DPoly._reduced([x * num for x in self.nums], self.den * den)
 
     def eval(self, d: int) -> Fraction:
-        total = Fraction(0)
-        for c in reversed(self.coeffs):
+        total = 0
+        for c in reversed(self.nums):
             total = total * d + c
-        return total
+        return Fraction(total, self.den)
 
     def eval_int(self, d: int) -> int:
         v = self.eval(d)
@@ -378,9 +421,10 @@ class DPoly:
     def display(self) -> str:
         if self.is_zero():
             return "0"
+        cs = self.coeffs  # built once: each read of the property makes a new tuple
         parts = []
         for t in range(self.degree, -1, -1):
-            c = self.coeffs[t]
+            c = cs[t]
             if c == 0:
                 continue
             mag = abs(c)

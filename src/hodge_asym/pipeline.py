@@ -34,6 +34,10 @@ from .hodgecalc import (
 
 TOOL_VERSION = "1.0.0"
 CERTIFICATE_SCHEMA = "hodge-asym/certificate/v1"
+# largest target degree i + j accepted: the symbolic tower's cost grows about
+# as (i + j)^2, and on a 2-vCPU machine the slowest target at i + j = 400
+# built in 0.3-0.5 s
+TARGET_DEGREE_CAP = 400
 
 
 class InvalidTarget(ValueError):
@@ -156,8 +160,8 @@ def quotient_bookkeeping(z_diamond: HodgePolynomial) -> QuotientData:
     then pins delta^{2,1} = -3*delta^{3,0} while degrees 1 and 2 are
     symmetric.
     """
-    h_i0 = tuple(z_diamond.coeff(i, 0) for i in range(4))
-    h_0j = tuple(z_diamond.coeff(0, j) for j in range(4))
+    h_i0 = tuple([z_diamond.coeff(i, 0) for i in range(4)])
+    h_0j = tuple([z_diamond.coeff(0, j) for j in range(4)])
     if h_i0[1] != h_0j[1] or h_i0[2] != h_0j[2]:
         raise StructuralViolation("degree 1/2 edge symmetry failed on the input diamond")
     ledger = DeltaLedger.from_degree3(h_i0[3] - h_0j[3])
@@ -197,6 +201,10 @@ def choose_aux_case(i: int, j: int) -> AuxCase:
     """
     if i <= j or j < 0 or i + j < 3:
         raise InvalidTarget(f"need i > j >= 0 and i + j >= 3 once ordered, got ({i},{j})")
+    if i + j > TARGET_DEGREE_CAP:
+        raise InvalidTarget(
+            f"target degree i+j={i + j} is above the cap TARGET_DEGREE_CAP={TARGET_DEGREE_CAP}"
+        )
     if i + j == 3:
         return AuxCase("none")
     if i > j + 3:

@@ -7,7 +7,9 @@ path with the implementations it checks.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from hodge_asym.cyclochar import CharRep
 
@@ -137,3 +139,133 @@ def stepwise_order(a: int, l: int) -> int:
         x = x * a % l
         k += 1
     return k
+
+
+@dataclass(frozen=True)
+class FractionDPoly:
+    """The Fraction-coefficient DPoly that hodgecalc.DPoly replaced, kept as its
+    reference: one Fraction per coefficient, every operation on Fractions."""
+
+    coeffs: tuple[Fraction, ...]  # ascending powers, no trailing zeros
+
+    @staticmethod
+    def create(coeffs) -> "FractionDPoly":
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return FractionDPoly(tuple(cs))
+
+    @staticmethod
+    def constant(c) -> "FractionDPoly":
+        return FractionDPoly.create([c])
+
+    @staticmethod
+    def zero() -> "FractionDPoly":
+        return FractionDPoly(())
+
+    @staticmethod
+    def binomial(k: int, shift: int = 0) -> "FractionDPoly":
+        """C(d + shift, k) expanded as a polynomial in d."""
+        return FractionDPoly.binomial_linear(k, 1, shift)
+
+    @staticmethod
+    def binomial_linear(k: int, a: int, b: int) -> "FractionDPoly":
+        """C(a*d + b, k) expanded as a polynomial in d."""
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        out = FractionDPoly.constant(1)
+        for t in range(k):
+            out = out * FractionDPoly.create([b - t, a])
+        return out * FractionDPoly.constant(Fraction(1, factorial(k)))
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1  # -1 for the zero polynomial
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def is_constant(self) -> bool:
+        return len(self.coeffs) <= 1
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __add__(self, other: "FractionDPoly | int") -> "FractionDPoly":
+        if isinstance(other, int):
+            other = FractionDPoly.constant(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return FractionDPoly.create(
+            [
+                (self.coeffs[t] if t < len(self.coeffs) else 0)
+                + (other.coeffs[t] if t < len(other.coeffs) else 0)
+                for t in range(n)
+            ]
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FractionDPoly":
+        return FractionDPoly.create([-c for c in self.coeffs])
+
+    def __sub__(self, other: "FractionDPoly") -> "FractionDPoly":
+        return self + (-other)
+
+    def __mul__(self, other: "FractionDPoly") -> "FractionDPoly":
+        if self.is_zero() or other.is_zero():
+            return FractionDPoly.zero()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for a, ca in enumerate(self.coeffs):
+            for b, cb in enumerate(other.coeffs):
+                out[a + b] += ca * cb
+        return FractionDPoly.create(out)
+
+    def scale(self, c) -> "FractionDPoly":
+        return self * FractionDPoly.constant(c)
+
+    def eval(self, d: int) -> Fraction:
+        total = Fraction(0)
+        for c in reversed(self.coeffs):
+            total = total * d + c
+        return total
+
+    def eval_int(self, d: int) -> int:
+        v = self.eval(d)
+        if v.denominator != 1:
+            raise ValueError(f"non-integer value {v} at d={d}")
+        return v.numerator
+
+    def serialize(self) -> list:
+        """Ascending coefficients; integers plain, other rationals as 'num/den'."""
+        return [
+            c.numerator if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+            for c in self.coeffs
+        ]
+
+    @staticmethod
+    def deserialize(items) -> "FractionDPoly":
+        return FractionDPoly.create([Fraction(str(c)) for c in items])
+
+    def display(self) -> str:
+        if self.is_zero():
+            return "0"
+        parts = []
+        for t in range(self.degree, -1, -1):
+            c = self.coeffs[t]
+            if c == 0:
+                continue
+            mag = abs(c)
+            mono = "" if t == 0 else ("d" if t == 1 else f"d^{t}")
+            if mono and mag == 1:
+                body = mono
+            elif mono:
+                body = f"{mag}*{mono}"
+            else:
+                body = str(mag)
+            sign = "-" if c < 0 else "+"
+            parts.append((sign, body))
+        first_sign, first_body = parts[0]
+        text = (first_sign if first_sign == "-" else "") + first_body
+        for sign, body in parts[1:]:
+            text += f" {sign} {body}"
+        return text

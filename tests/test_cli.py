@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hodge_asym
 from hodge_asym.cli import (
     GOLDEN_DIR,
     dumps,
@@ -279,3 +284,26 @@ def test_certify_compares_bytes(tmp_path, capsys):
     assert code == 1
     checks = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
     assert checks["stored-matches-recomputation"] is False
+
+
+def test_main_is_reentrant_on_its_one_parser(tmp_path, monkeypatch, capsys):
+    # main parses every call with the one parser it builds per process; each
+    # call here must print and return what a fresh interpreter does
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to this width
+    env = dict(os.environ, PYTHONPATH=str(Path(hodge_asym.__file__).resolve().parents[1]))
+    cert = str(tmp_path / "cert.json")
+    calls = (
+        (["construct", "--p", "4", "--i", "3", "--j", "0"], 2),  # 4 is not prime
+        (["construct", "--p", "2", "--i", "5", "--j", "2", "--out", cert], 0),
+        (["certify", cert], 0),
+        (["construct", "--p", "two", "--i", "3", "--j", "0"], 2),  # a parse error
+        (["golden"], 0),
+    )
+    for argv, code in calls:
+        got = (main(argv), *capsys.readouterr())
+        fresh = subprocess.run(
+            [sys.executable, "-m", "hodge_asym", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert got[0] == code, argv

@@ -1,0 +1,113 @@
+"""The integer DPoly against the Fraction DPoly it replaced (tests/oracles.py).
+
+Every operation must give the same coefficients, values, serialized bytes and
+display text as the reference, and equal polynomials must have equal fields
+and hashes however they were built.
+"""
+
+import dataclasses
+import itertools
+import json
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hodge_asym.hodgecalc import DPoly
+from oracles import FractionDPoly
+
+EXAMPLES = settings(max_examples=100, deadline=None)
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=24)
+numbers = st.one_of(st.integers(-50, 50), rationals)
+coeff_lists = st.lists(numbers, max_size=6)
+points = st.integers(-30, 30)
+
+
+def same(p: DPoly, ref: FractionDPoly) -> None:
+    assert p.coeffs == ref.coeffs
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.degree == ref.degree
+    assert (bool(p), p.is_zero(), p.is_constant()) == (bool(ref), ref.is_zero(), ref.is_constant())
+
+
+def assert_same_fields(p: DPoly, q: DPoly) -> None:
+    assert p == q
+    assert dataclasses.astuple(p) == dataclasses.astuple(q)
+    assert hash(p) == hash(q)
+
+
+@EXAMPLES
+@given(coeff_lists, coeff_lists, numbers)
+def test_arithmetic_agrees_with_the_fraction_reference(a, b, c):
+    p, pr = DPoly.create(a), FractionDPoly.create(a)
+    q, qr = DPoly.create(b), FractionDPoly.create(b)
+    same(p, pr)
+    same(p + q, pr + qr)
+    same(p - q, pr - qr)
+    same(-p, -pr)
+    same(p * q, pr * qr)
+    same(p.scale(c), pr.scale(c))
+    same(DPoly.constant(c), FractionDPoly.constant(c))
+    same(p + 3, pr + 3)
+    same(3 + p, 3 + pr)
+    same(p - 3, pr - 3)
+
+
+@EXAMPLES
+@given(coeff_lists, points)
+def test_values_bytes_and_text_agree(a, d):
+    p, pr = DPoly.create(a), FractionDPoly.create(a)
+    assert type(p.eval(d)) is Fraction and p.eval(d) == pr.eval(d)
+    try:
+        expected = pr.eval_int(d)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            p.eval_int(d)
+        assert str(got.value) == str(e)
+    else:
+        assert p.eval_int(d) == expected
+    assert json.dumps(p.serialize()) == json.dumps(pr.serialize())
+    same(DPoly.deserialize(pr.serialize()), FractionDPoly.deserialize(pr.serialize()))
+    assert_same_fields(DPoly.deserialize(p.serialize()), p)
+    assert p.display() == pr.display()
+
+
+@EXAMPLES
+@given(st.integers(0, 12), st.integers(-4, 4), st.integers(-10, 10), points)
+def test_binomial_linear_agrees(k, a, b, d):
+    p, pr = DPoly.binomial_linear(k, a, b), FractionDPoly.binomial_linear(k, a, b)
+    same(p, pr)
+    assert p.eval_int(d) == pr.eval_int(d)  # C(a*d + b, k) is an integer
+    same(DPoly.binomial(k, b), FractionDPoly.binomial(k, b))
+    assert p.display() == pr.display()
+
+
+def test_negative_binomial_order_is_refused():
+    for cls in (DPoly, FractionDPoly):
+        with pytest.raises(ValueError):
+            cls.binomial_linear(-1, 1, 0)
+
+
+@EXAMPLES
+@given(coeff_lists, coeff_lists, st.integers(1, 9))
+def test_equal_polynomials_have_equal_fields_and_hashes(a, b, m):
+    p, q = DPoly.create(a), DPoly.create(b)
+    assert (p == q) == (FractionDPoly.create(a) == FractionDPoly.create(b))
+    total = p + q
+    # one common denominator, positive and in lowest terms
+    assert total.den > 0 and gcd(total.den, *total.nums) == 1
+    assert not total.nums or total.nums[-1] != 0
+    summed = [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+    for other in (
+        q + p,
+        DPoly.create(summed),
+        p - (-q),
+        total.scale(m).scale(Fraction(1, m)),
+        total * DPoly.constant(1),
+        DPoly.deserialize(total.serialize()),
+    ):
+        assert_same_fields(other, total)
+    assert_same_fields(p * q, q * p)
+    assert_same_fields(p - p, DPoly.zero())

@@ -15,10 +15,12 @@ from pathlib import Path
 import pytest
 
 import hodge_asym
-from hodge_asym import pipeline
+from hodge_asym import cmbuild, hodgecalc, pipeline
 from hodge_asym.cli import dumps, main, parse_newton
-from hodge_asym.cmbuild import DIAMOND_COST_CAP
+from hodge_asym.cmbuild import DIAMOND_COST_CAP, WALK_COST_CAP
 from hodge_asym.cyclochar import MODULUS_CAP, P_CAP
+from hodge_asym.hodgecalc import TABLE_COST_CAP
+from hodge_asym.pipeline import TARGET_DEGREE_CAP
 
 # errors that signal a broken invariant or a failed check, not bad input
 NOT_INPUT_ERRORS = {"CertificateFailure", "StructuralViolation", "EqualRanks"}
@@ -144,9 +146,61 @@ def test_search_typical_refuses_a_modulus_above_the_cap(argv):
     (["construct", "--p", "2", "--i", "4", "--j", "2", "--l", "1009"],
      f"DIAMOND_COST_CAP={DIAMOND_COST_CAP}"),
     (["build-cm", "--p", "2", "--l", "1009"], f"DIAMOND_COST_CAP={DIAMOND_COST_CAP}"),
+    (["hodge", "stack", "--kind", "mu_p", "--bound", "10000000"],
+     f"TABLE_COST_CAP={TABLE_COST_CAP}"),
+    (["hodge", "blowup-tower", "--d", "3", "--n", "1", "--s", "100000"],
+     f"TABLE_COST_CAP={TABLE_COST_CAP}"),
+    (["hodge", "blowup-tower", "--d", "100000", "--n", "3", "--s", "1"],
+     f"TABLE_COST_CAP={TABLE_COST_CAP}"),
+    (["hodge", "blowup-tower", "--d", "3", "--n", "1", "--s", "1", "--ambient-dims", "100000"],
+     f"TABLE_COST_CAP={TABLE_COST_CAP}"),
+    (["hodge", "hypersurface", "--d", "100000", "--n", "5"], f"TABLE_COST_CAP={TABLE_COST_CAP}"),
+    (["search-typical", "--p", "2", "--l", "100049", "--layer-count", "0"],
+     f"WALK_COST_CAP={WALK_COST_CAP}"),
+    # the certificate search walks before the diamond cap is checked
+    (["construct", "--p", "3", "--i", "4", "--j", "2", "--l", "10009"],
+     f"WALK_COST_CAP={WALK_COST_CAP}"),
+    (["construct", "--p", "2", "--i", "100000", "--j", "0"],
+     f"TARGET_DEGREE_CAP={TARGET_DEGREE_CAP}"),
+    (["construct", "--p", "2", "--i", "1000", "--j", "998"],
+     f"TARGET_DEGREE_CAP={TARGET_DEGREE_CAP}"),
 ])
 def test_costly_inputs_exit_2_naming_the_cap(argv, cap):
     assert_refused_naming(cap, *argv)
+
+
+def test_caps_sit_between_the_benchmark_inputs_and_the_refused_ones(capsys):
+    # the largest inputs of the tables benchmark pass
+    hodgecalc.blow_up_tower(25, 4, 6)
+    hodgecalc.stack_series("mu_p", 200)
+    # each estimate at its last accepted value and one step above it
+    hodgecalc.hypersurface(48, 4)  # 6^3 * 48^2 + 25 = 497,689
+    with pytest.raises(ValueError, match="TABLE_COST_CAP"):
+        hodgecalc.hypersurface(49, 4)
+    hodgecalc.stack_series("Z_mod_p", 706)  # 707^2
+    with pytest.raises(ValueError, match="TABLE_COST_CAP"):
+        hodgecalc.stack_series("Z_mod_p", 707)
+    hodgecalc.blow_up_tower(3, 1, 352)  # dimension 705, 706^2
+    with pytest.raises(ValueError, match="TABLE_COST_CAP"):
+        hodgecalc.blow_up_tower(3, 1, 353)
+    cmbuild.check_walk_cost(2828)  # 2828 * 2827 / 2 = 3,997,378
+    with pytest.raises(ValueError, match="WALK_COST_CAP"):
+        cmbuild.check_walk_cost(2829)  # 4,000,206
+    assert pipeline.choose_aux_case(TARGET_DEGREE_CAP - 199, 199).kind == "tower"
+    with pytest.raises(pipeline.InvalidTarget, match="TARGET_DEGREE_CAP"):
+        pipeline.choose_aux_case(TARGET_DEGREE_CAP - 198, 199)
+    assert main(["search-typical", "--p", "2", "--l", "2801", "--layer-count", "0"]) == 0
+    assert main(["construct", "--p", "2", "--i", "276", "--j", "124"]) == 0
+
+
+def test_certify_refuses_stored_targets_above_the_degree_cap(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    assert main(["construct", "--p", "2", "--i", "4", "--j", "2",
+                 "--out", str(cert_path)]) == 0
+    stored = json.loads(cert_path.read_text())
+    stored["inputs"]["i"] = 1000
+    cert_path.write_text(dumps(stored))
+    assert_refused_naming(f"TARGET_DEGREE_CAP={TARGET_DEGREE_CAP}", "certify", str(cert_path))
 
 
 def test_certify_refuses_stored_inputs_above_the_diamond_cap(tmp_path, capsys):
