@@ -1,6 +1,6 @@
 """Min-of-N timings of the certificate ladder and the search table, tree against tree.
 
-    python3 bench/ladder.py --out BENCH_8.json parent=../parent/src \
+    python3 bench/ladder.py --out BENCH_9.json parent=../parent/src \
         parent_again=../parent/src change=src
 
 Each ``LABEL=DIR`` names a source tree holding ``hodge_asym``. The script
@@ -23,7 +23,11 @@ then a loop of at least MIN_LOOP_S, and the fastest call of the loop:
   then ``certify F`` (``l = 5``), for the targets in CLI_TARGETS, with
   standard output discarded;
 - ``pipeline.symbolic_tower(n, s)`` for SMALL_TOWER, the tower with the most
-  blow-ups and cells among the small-certs targets (``i + j <= 20``).
+  blow-ups and cells among the small-certs targets (``i + j <= 20``);
+- ``cli.dumps`` of the serialized certificate ``(2, 4, 2, l)`` for ``l`` in
+  DUMPS_LS;
+- ``pipeline._slice_checks`` plus ``pipeline._isoclinic_checks`` on the
+  diamond at ``l = CHECKS_L``.
 
 A figure is the minimum over the rounds, in milliseconds. The output (to
 ``--out``, or standard output) gives the environment (Python version,
@@ -48,6 +52,8 @@ DIAMOND_LS = (61, 101)
 POLYGON_L = 101
 CLI_TARGETS = ((4, 2), (12, 7), (20, 0))
 SMALL_TOWER = (1, 8)  # target (12, 8): dimension 17, 20 cells
+DUMPS_LS = (61, 101)
+CHECKS_L = 61
 ROUNDS = 5
 MIN_LOOP_S = 0.1
 ITEMS = (
@@ -57,6 +63,8 @@ ITEMS = (
     + [("newton_above_hodge_ms", f"l{POLYGON_L}")]
     + [("cli_pair_ms", f"i{i}_j{j}") for i, j in CLI_TARGETS]
     + [("symbolic_tower_ms", "n{}_s{}".format(*SMALL_TOWER))]
+    + [("dumps_ms", f"l{l}") for l in DUMPS_LS]
+    + [("diamond_checks_ms", f"l{CHECKS_L}")]
 )
 
 
@@ -105,6 +113,14 @@ def serve() -> None:
         out = str(Path(tmp) / "cert.json")
         calls += [lambda i=i, j=j: cli_pair(i, j, out) for i, j in CLI_TARGETS]
         calls.append(lambda: pipeline.symbolic_tower(*SMALL_TOWER))
+        for l in DUMPS_LS:
+            payload = pipeline.serialize_certificate(pipeline.build_certificate(2, 4, 2, l=l))
+            calls.append(lambda payload=payload: cli.dumps(payload))
+        z, _ = cmbuild.build_cm(2, l=CHECKS_L)
+        diamond = cmbuild.equivariant_diamond(z)
+        calls.append(lambda diamond=diamond, dim=z.dim: (
+            pipeline._slice_checks(diamond, dim), pipeline._isoclinic_checks(diamond, dim)
+        ))
         for line in sys.stdin:
             print(timed_ms(calls[int(line)]), flush=True)
 

@@ -16,6 +16,8 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import cmbuild, hodgecalc, pipeline, polygons
@@ -29,7 +31,63 @@ POLYGON_RANK_CAP = 100_000
 
 
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"``, byte for byte, without the
+    pure-Python encoder that ``indent`` forces on the standard library."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, nl: str, out: list[str]) -> None:
+    """Append obj's text to out; nl is a newline plus the indent of obj's line."""
+    kind = type(obj)
+    if kind is str:
+        out.append(encode_basestring_ascii(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif obj is None or kind is bool:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif kind is dict and all(type(key) is str for key in obj):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        kinds = set(map(type, obj))
+        cells = tuple(chain.from_iterable(obj)) if kinds <= {list, tuple} and all(obj) else ()
+        if kinds == {int}:
+            out.append("[" + inner + sep.join(map(int.__repr__, obj)) + nl + "]")
+        elif cells and set(map(type, cells)) == {int}:
+            # non-empty int rows, as the diamond's cells: one %d template per row
+            # length, filled with every cell at once
+            cell_nl = inner + "  "
+            row = {
+                n: "[" + cell_nl + ("," + cell_nl).join(["%d"] * n) + inner + "]"
+                for n in set(map(len, obj))
+            }
+            table = sep.join(map(row.__getitem__, map(len, obj))) % cells
+            out.append("[" + inner + table + nl + "]")
+        else:
+            lead = "[" + inner
+            for value in obj:
+                out.append(lead)
+                _write(value, inner, out)
+                lead = sep
+            out.append(nl + "]")
+    else:  # floats, non-str keys, subclasses: the standard library, re-indented
+        out.append(json.dumps(obj, indent=2).replace("\n", nl))
 
 
 def _print(text: str) -> None:
@@ -189,12 +247,13 @@ def cmd_search_typical(args) -> int:
     if args.format == "json":
         # the layout of dumps, written one row at a time as the walk yields it
         head = {"p": ctx.p, "l": ctx.l, "V": v.to_text(), "layer_count": args.layer_count}
-        sys.stdout.write(json.dumps(head, indent=2)[:-2] + ',\n  "candidates": [')
+        sys.stdout.write(dumps(head)[:-3] + ',\n  "candidates": [')
         sep = "\n"
         for u, r0, r1 in rows:
             sys.stdout.write(
-                f'{sep}    {{\n      "U": {json.dumps(u.to_text())},\n      "r0": {r0},\n'
-                f'      "r1": {r1},\n      "hit": {json.dumps(r0 != r1)}\n    }}'
+                f'{sep}    {{\n      "U": {encode_basestring_ascii(u.to_text())},\n'
+                f'      "r0": {r0},\n      "r1": {r1},\n'
+                f'      "hit": {"true" if r0 != r1 else "false"}\n    }}'
             )
             sep = ",\n"
         sys.stdout.write("\n  ]\n}\n")
@@ -256,9 +315,10 @@ def cmd_hodge(args) -> int:
     elif args.hodge_op == "stack":
         table = hodgecalc.stack_series(args.kind, args.bound)
     else:  # product
-        table = hodgecalc.product(
-            parse_coeff_table(args.left), parse_coeff_table(args.right)
-        )
+        left, right = parse_coeff_table(args.left), parse_coeff_table(args.right)
+        # the convolution visits every pair of cells
+        hodgecalc.check_table_cost(len(left.coeffs) * len(right.coeffs), "hodge product")
+        table = hodgecalc.product(left, right)
     if args.format == "json":
         _print(dumps({"coeffs": coeff_list(table)}))
     else:

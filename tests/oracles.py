@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from hodge_asym.cmbuild import degree_slice
 from hodge_asym.cyclochar import CharRep
+from hodge_asym.polygons import degree_relation
 
 
 def subset_exterior(v: CharRep, k: int) -> CharRep:
@@ -114,6 +116,17 @@ def dot_product_diamond(p_tab, q_tab) -> dict:
             if c:
                 out[(i, j)] = c
     return out
+
+
+def slicewise_degree_relations(diamond, dim: int) -> bool:
+    """The isoclinic-th-all-degrees check as first written: the degree relation
+    of every slice n <= 2*dim, each slice read cell by cell."""
+    return all(degree_relation(degree_slice(diamond, n)) for n in range(2 * dim + 1))
+
+
+def lookup_antidiagonal_duality(diamond, dim: int) -> bool:
+    """The antidiagonal-duality check as first written: look up the dual of every cell."""
+    return all(diamond.coeff(dim - i, dim - j) == c for (i, j), c in diamond.coeffs)
 
 
 def polygon_ordinates(slopes: dict) -> list[Fraction]:

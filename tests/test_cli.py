@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import hodge_asym
+from hodge_asym import cmbuild
 from hodge_asym.cli import (
     GOLDEN_DIR,
     dumps,
@@ -75,6 +76,25 @@ def test_search_typical_table(capsys):
     assert [(c["r0"], c["r1"]) for c in data["candidates"]] == [
         (1, 0), (0, 1), (0, 1), (1, 0),
     ]
+
+
+def test_search_typical_streams_the_standard_library_layout(capsys):
+    # the rows are written one at a time; together they are one indent=2 document
+    code, out = run(capsys, "search-typical", "--p", "2", "--layer-count", "2",
+                    "--format", "json")
+    assert code == 0
+    ctx = cmbuild.find_l(2)
+    v = cmbuild.build_V(ctx)
+    whole = {
+        "p": 2, "l": ctx.l, "V": v.to_text(), "layer_count": 2,
+        "candidates": [
+            {"U": u.to_text(), "r0": r0, "r1": r1, "hit": r0 != r1}
+            for u, r0, r1 in cmbuild.search_table(v, ctx, 2)
+        ],
+    }
+    assert len(whole["candidates"]) > 1
+    assert {c["hit"] for c in whole["candidates"]} == {True, False}
+    assert out == json.dumps(whole, indent=2) + "\n"
 
 
 def test_verify_polygon_pass_and_fail(capsys):

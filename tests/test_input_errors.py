@@ -169,10 +169,28 @@ def test_costly_inputs_exit_2_naming_the_cap(argv, cap):
     assert_refused_naming(cap, *argv)
 
 
+def test_hodge_product_refuses_cell_pairs_above_the_table_cap(tmp_path):
+    # two 2,025-cell tables, 4,100,625 cell pairs: 1.8 s of convolution without the cap
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"coeffs": [[i, j, 1] for i in range(45) for j in range(45)]}))
+    assert_refused_naming(f"TABLE_COST_CAP={TABLE_COST_CAP}", "hodge", "product",
+                          "--left", f"@{table}", "--right", f"@{table}")
+
+
+def coeff_table_text(rows: int, cols: int) -> str:
+    return json.dumps({"coeffs": [[i, j, 1] for i in range(rows) for j in range(cols)]})
+
+
 def test_caps_sit_between_the_benchmark_inputs_and_the_refused_ones(capsys):
     # the largest inputs of the tables benchmark pass
     hodgecalc.blow_up_tower(25, 4, 6)
     hodgecalc.stack_series("mu_p", 200)
+    # its products are library calls, 201 x 201 cells, which the CLI cap leaves alone
+    hodgecalc.product(hodgecalc.stack_series("mu_p", 200), hodgecalc.stack_series("Z_mod_p", 200))
+    thousand = coeff_table_text(40, 25)
+    assert main(["hodge", "product", "--left", thousand, "--right", coeff_table_text(20, 25)]) == 0
+    assert main(["hodge", "product", "--left", thousand, "--right", coeff_table_text(501, 1)]) == 2
+    assert "TABLE_COST_CAP" in capsys.readouterr().err
     # each estimate at its last accepted value and one step above it
     hodgecalc.hypersurface(48, 4)  # 6^3 * 48^2 + 25 = 497,689
     with pytest.raises(ValueError, match="TABLE_COST_CAP"):
