@@ -248,14 +248,12 @@ def cmd_search_typical(args) -> int:
         # the layout of dumps, written one row at a time as the walk yields it
         head = {"p": ctx.p, "l": ctx.l, "V": v.to_text(), "layer_count": args.layer_count}
         sys.stdout.write(dumps(head)[:-3] + ',\n  "candidates": [')
-        sep = "\n"
+        row_nl = sep = "\n    "
         for u, r0, r1 in rows:
-            sys.stdout.write(
-                f'{sep}    {{\n      "U": {encode_basestring_ascii(u.to_text())},\n'
-                f'      "r0": {r0},\n      "r1": {r1},\n'
-                f'      "hit": {"true" if r0 != r1 else "false"}\n    }}'
-            )
-            sep = ",\n"
+            out = [sep]
+            _write({"U": u.to_text(), "r0": r0, "r1": r1, "hit": r0 != r1}, row_nl, out)
+            sys.stdout.write("".join(out))
+            sep = "," + row_nl
         sys.stdout.write("\n  ]\n}\n")
     else:
         _print(f"V = {v.to_text()}   ({count} candidates, {args.layer_count} layer(s))")

@@ -179,7 +179,8 @@ def module_pair(v: CharRep, u: CharRep, p: int) -> tuple[CharRep, CharRep]:
 
 
 def degree3_ranks(w_omega: CharRep, w_o: CharRep) -> tuple[int, int]:
-    """Invariant ranks of the two third exterior powers."""
+    """Invariant ranks of the two third exterior powers, computed directly:
+    the reference for the ranks candidate_walk reads off its packed rows."""
     return (
         invariants_rank(exterior_power(w_omega, 3)),
         invariants_rank(exterior_power(w_o, 3)),
@@ -326,20 +327,20 @@ class CMData:
         return self.ctx.ord == self.ctx.l - 1
 
 
-def assemble_Z(v: CharRep, u: CharRep, ctx: PrimeContext) -> CMData:
+def assemble_Z(v: CharRep, search: TypicalSearchResult, ctx: PrimeContext) -> CMData:
     """Form W_omega = V + U and W_o = tau(V) + U*, oriented so that the
     degree-3 invariant rank of the one-form side is strictly smaller.
 
-    When the inequality initially points the other way the product is
-    replaced by its dual (swap and dualize the two modules)."""
-    w_omega, w_o = module_pair(v, u, ctx.p)
-    r0, r1 = degree3_ranks(w_omega, w_o)
-    if r0 == r1:
+    The ranks are the search's (r0, r1) for module_pair(V, U).  When the
+    inequality initially points the other way the product is replaced by
+    its dual (swap and dualize the two modules)."""
+    if search.r0 == search.r1:
         raise EqualRanks("degree-3 invariant ranks coincide; search postcondition broken")
-    oriented = r0 > r1
+    w_omega, w_o = module_pair(v, search.U, ctx.p)
+    oriented = search.r0 > search.r1
     if oriented:
         w_omega, w_o = dual(w_o), dual(w_omega)
-    return CMData(ctx=ctx, V=v, U=u, W_omega=w_omega, W_o=w_o, oriented=oriented)
+    return CMData(ctx=ctx, V=v, U=search.U, W_omega=w_omega, W_o=w_o, oriented=oriented)
 
 
 def equivariant_diamond(z: CMData) -> HodgePolynomial:
@@ -404,4 +405,4 @@ def build_cm(
             f"diamond cost dim^2*l = {dim}^2*{ctx.l} is above the cap "
             f"DIAMOND_COST_CAP={DIAMOND_COST_CAP}"
         )
-    return assemble_Z(v, result.U, ctx), result
+    return assemble_Z(v, result, ctx), result

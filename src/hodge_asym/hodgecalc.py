@@ -6,8 +6,9 @@ depends on d; one table type also carries truncated series and untracked
 cells.  The polynomial H(x,y) = sum h^{i,j} x^i y^j multiplies by
 convolution under products of varieties.  Alongside the tables this module
 carries ledgers of exact/opaque Hodge asymmetries
-delta^{i,j} = h^{i,j} - h^{j,i}, and linear expressions combining them with
-polynomials in d.
+delta^{i,j} = h^{i,j} - h^{j,i}, and one expression type, DeltaExpr, for
+every asymmetry value: a ledger entry is a DeltaExpr with constant
+coefficients, a product asymmetry one with polynomials in d.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import comb, factorial, gcd, lcm
 
 
 class NonSymmetricFactor(ValueError):
-    """Product-asymmetry formula applied with a non-symmetric known factor."""
+    """Product-asymmetry formula applied with a non-symmetric auxiliary factor."""
 
 
 class NonNegativeDelta(ValueError):
@@ -89,11 +90,6 @@ class HodgePolynomial:
     def one() -> "HodgePolynomial":
         return HodgePolynomial.create({(0, 0): 1})
 
-    @property
-    def known(self) -> tuple:
-        """The tracked cells: every cell not in ``unknown``."""
-        return self.coeffs
-
     @cached_property
     def _lookup(self) -> dict[tuple[int, int], int | DPoly]:
         # built on the first coeff(); never handed out, so callers cannot mutate it
@@ -107,8 +103,12 @@ class HodgePolynomial:
         return self._lookup.get((i, j), 0)
 
     def is_symmetric(self) -> bool:
+        """h^{i,j} = h^{j,i} on every tracked cell, and the untracked cells
+        are closed under (i, j) -> (j, i)."""
         d = self._lookup
-        return all(d.get((j, i), 0) == c for (i, j), c in d.items())
+        return all(d.get((j, i), 0) == c for (i, j), c in d.items()) and all(
+            (j, i) in self.unknown for (i, j) in self.unknown
+        )
 
     def __mul__(self, other: "HodgePolynomial") -> "HodgePolynomial":
         return product(self, other)
@@ -382,7 +382,9 @@ class DPoly:
     def __sub__(self, other: "DPoly") -> "DPoly":
         return self + (-other)
 
-    def __mul__(self, other: "DPoly") -> "DPoly":
+    def __mul__(self, other: "DPoly | int") -> "DPoly":
+        if isinstance(other, int):
+            other = DPoly.constant(other)
         if not self.nums or not other.nums:
             return DPoly.zero()
         out = [0] * (len(self.nums) + len(other.nums) - 1)
@@ -456,43 +458,6 @@ def opaque_symbol(i: int, j: int) -> str:
 
 
 @dataclass(frozen=True)
-class DeltaValue:
-    """Integer-linear combination of 1 and opaque symbols (no d dependence)."""
-
-    exact: int = 0
-    opaque: tuple[tuple[str, int], ...] = ()
-
-    @staticmethod
-    def create(exact: int = 0, opaque: dict | None = None) -> "DeltaValue":
-        cleaned = {s: c for s, c in (opaque or {}).items() if c != 0}
-        return DeltaValue(exact, tuple(sorted(cleaned.items())))
-
-    def opaque_dict(self) -> dict[str, int]:
-        return dict(self.opaque)
-
-    def is_zero(self) -> bool:
-        return self.exact == 0 and not self.opaque
-
-    def __add__(self, other: "DeltaValue") -> "DeltaValue":
-        op = self.opaque_dict()
-        for s, c in other.opaque:
-            op[s] = op.get(s, 0) + c
-        return DeltaValue.create(self.exact + other.exact, op)
-
-    def scale(self, c: int) -> "DeltaValue":
-        return DeltaValue.create(self.exact * c, {s: v * c for s, v in self.opaque})
-
-    def __neg__(self) -> "DeltaValue":
-        return self.scale(-1)
-
-    def display(self) -> str:
-        parts = [str(self.exact)] if self.exact else []
-        for s, c in self.opaque:
-            parts.append(f"{c}*{s}" if c != 1 else s)
-        return " + ".join(parts) if parts else "0"
-
-
-@dataclass(frozen=True)
 class DeltaLedger:
     """Per-(i,j) asymmetries for i > j: exact integers where known, opaque otherwise.
 
@@ -537,22 +502,26 @@ class DeltaLedger:
     def exact_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.exact)
 
-    def entry(self, i: int, j: int) -> DeltaValue:
+    def entry(self, i: int, j: int) -> DeltaExpr:
+        """delta^{i,j} as an expression with constant coefficients."""
         if i < 0 or j < 0 or i == j:
-            return DeltaValue.create(0)
+            return DeltaExpr.zero()
         sign = 1 if i > j else -1
         key = (max(i, j), min(i, j))
         known = self.exact_dict()
         if key in known:
-            return DeltaValue.create(sign * known[key])
+            return DeltaExpr.create(DPoly.constant(sign * known[key]))
         if self.complete:
-            return DeltaValue.create(0)
-        return DeltaValue.create(0, {opaque_symbol(*key): sign})
+            return DeltaExpr.zero()
+        return DeltaExpr.create(DPoly.zero(), {opaque_symbol(*key): DPoly.constant(sign)})
 
 
 @dataclass(frozen=True)
 class DeltaExpr:
-    """Polynomial in d whose coefficients are combinations of 1 and opaque symbols."""
+    """Polynomial in d whose coefficients are combinations of 1 and opaque symbols.
+
+    The one asymmetry value type: a ledger entry has constant coefficients.
+    """
 
     exact: DPoly = field(default_factory=DPoly.zero)
     opaque: tuple[tuple[str, DPoly], ...] = ()
@@ -569,18 +538,18 @@ class DeltaExpr:
     def opaque_dict(self) -> dict[str, DPoly]:
         return dict(self.opaque)
 
-    def add_term(self, value: DeltaValue, coeff: DPoly) -> "DeltaExpr":
-        exact = self.exact + coeff.scale(value.exact)
+    def is_zero(self) -> bool:
+        return self.exact.is_zero() and not self.opaque
+
+    def add_term(self, value: "DeltaExpr", coeff: DPoly | int) -> "DeltaExpr":
+        """self + value * coeff."""
         op = self.opaque_dict()
-        for s, c in value.opaque:
-            op[s] = op.get(s, DPoly.zero()) + coeff.scale(c)
-        return DeltaExpr.create(exact, op)
+        for s, p in value.opaque:
+            op[s] = op.get(s, DPoly.zero()) + p * coeff
+        return DeltaExpr.create(self.exact + value.exact * coeff, op)
 
     def __neg__(self) -> "DeltaExpr":
         return DeltaExpr.create(-self.exact, {s: -p for s, p in self.opaque})
-
-    def is_nonconstant_in_d(self) -> bool:
-        return self.exact.degree >= 1 or any(p.degree >= 1 for _, p in self.opaque)
 
     def opaque_coeffs_d_independent(self) -> bool:
         return all(p.is_constant() for _, p in self.opaque)
@@ -612,21 +581,6 @@ class DeltaExpr:
         for s, p in self.opaque:
             parts.append(s if p == DPoly.constant(1) else f"({p.display()})*{s}")
         return " + ".join(parts) if parts else "0"
-
-
-def product_delta(ledger: DeltaLedger, h_sym: HodgePolynomial, i: int, j: int) -> DeltaValue:
-    """Asymmetry of a product with a symmetric factor.
-
-    delta^{i,j}(T x Y) = sum over i1+i2=i, j1+j2=j of delta^{i1,j1}(T) * h^{i2,j2}(Y),
-    with the ledger supplying exact or opaque delta entries of T.
-    """
-    if not h_sym.is_symmetric():
-        raise NonSymmetricFactor("the known factor must have a symmetric table")
-    total = DeltaValue.create(0)
-    for (i2, j2), c in h_sym.as_dict().items():
-        if i2 <= i and j2 <= j:
-            total = total + ledger.entry(i - i2, j - j2).scale(c)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .hodgecalc import (
     DeltaLedger,
     DPoly,
     HodgePolynomial,
+    NonSymmetricFactor,
     blow_up,
     iterated_blow_up,
     minimal_ambient_dims,
@@ -101,17 +102,21 @@ def symbolic_p1_power(max_r: int) -> HodgePolynomial:
     return HodgePolynomial.create({(r, r): DPoly.binomial(r) for r in range(max_r + 1)})
 
 
-def assemble_delta(ledger: DeltaLedger, sym: HodgePolynomial, i: int, j: int) -> DeltaExpr:
-    """Symbolic product asymmetry sum(delta^{i1,j1} * h^{i2,j2}(Y)) over splittings.
+def assemble_delta(ledger: DeltaLedger, aux: HodgePolynomial, i: int, j: int) -> DeltaExpr:
+    """Product asymmetry sum(delta^{i1,j1}(T) * h^{i2,j2}(Y)) over splittings.
 
-    Unknown cells of the auxiliary diamond must only meet identically zero
-    ledger entries; any other pairing raises StructuralViolation.
+    The auxiliary diamond Y may have int cells (a concrete d) or DPoly cells
+    (d left formal), and must be symmetric, or NonSymmetricFactor is raised.
+    Unknown cells of Y must only meet identically zero ledger entries; any
+    other pairing raises StructuralViolation.
     """
+    if not aux.is_symmetric():
+        raise NonSymmetricFactor("the auxiliary factor must have a symmetric table")
     expr = DeltaExpr.zero()
-    for (i2, j2), poly in sym.coeffs:
+    for (i2, j2), c in aux.coeffs:
         if i2 <= i and j2 <= j:
-            expr = expr.add_term(ledger.entry(i - i2, j - j2), poly)
-    for (i2, j2) in sorted(sym.unknown):
+            expr = expr.add_term(ledger.entry(i - i2, j - j2), c)
+    for (i2, j2) in sorted(aux.unknown):
         if i2 <= i and j2 <= j:
             entry = ledger.entry(i - i2, j - j2)
             if not entry.is_zero():
@@ -320,8 +325,9 @@ def build_certificate(
     slice3, slice3_pre = cmbuild.degree3_slices(z, diamond)
     quot = quotient_bookkeeping(diamond)
 
+    ledger_exact = quot.ledger.exact_dict()
     if aux.kind == "none":
-        expr = weil_restriction_delta30(quot.ledger.entry(big, small).exact)
+        expr = weil_restriction_delta30(ledger_exact[(big, small)])
     elif aux.kind == "p1_power":
         expr = assemble_delta(quot.ledger, symbolic_p1_power(small), big, small)
     else:
@@ -337,10 +343,7 @@ def build_certificate(
             < invariants_rank(exterior_power(z.W_o, 3)),
         ),
         ("delta30-negative", quot.delta30 < 0),
-        (
-            "ledger-degree3-relation",
-            quot.ledger.entry(2, 1).exact == -3 * quot.ledger.entry(3, 0).exact,
-        ),
+        ("ledger-degree3-relation", ledger_exact[(2, 1)] == -3 * ledger_exact[(3, 0)]),
     ]
     checks.extend(_slice_checks(diamond, z.dim))
     if z.isoclinic():

@@ -8,6 +8,7 @@ from hodge_asym.cmbuild import (
     EqualRanks,
     NotFoundWithinBound,
     SearchExhausted,
+    TypicalSearchResult,
     assemble_Z,
     build_V,
     build_cm,
@@ -204,16 +205,22 @@ def test_search_errors():
         search_typical_U(rep(5, {1: 1, 2: 1, 3: 1, 4: 1}), ctx)  # equals its twist
 
 
+def searched(v, u, ctx):
+    """The search record of U, with its ranks computed directly."""
+    return TypicalSearchResult(u, *degree3_ranks(*module_pair(v, u, ctx.p)), 1, 0)
+
+
 def test_assemble_examples():
     ctx = PrimeContext.create(2, 5)
     v = build_V(ctx)
     u = rep(5, {1: 1, 2: 1})
-    z = assemble_Z(v, u, ctx)
+    z = assemble_Z(v, searched(v, u, ctx), ctx)
     assert z.W_omega == rep(5, {1: 2, 2: 1, 4: 1})
     assert z.W_o == rep(5, {2: 1, 3: 2, 4: 1})
     assert z.oriented is False
     # the reversed-inequality start flips to oriented=True and restores it
-    z_alt = assemble_Z(build_V(ctx, "alt"), u, ctx)
+    v_alt = build_V(ctx, "alt")
+    z_alt = assemble_Z(v_alt, searched(v_alt, u, ctx), ctx)
     assert z_alt.oriented is True
     for data in (z, z_alt):
         assert invariants_rank(exterior_power(data.W_omega, 3)) < invariants_rank(
@@ -221,7 +228,7 @@ def test_assemble_examples():
         )
     # the two-sided regular-minus-trivial U has rank pair (2, 2)
     with pytest.raises(EqualRanks):
-        assemble_Z(v, rep(5, {1: 1, 2: 1, 3: 1, 4: 1}), ctx)
+        assemble_Z(v, searched(v, rep(5, {1: 1, 2: 1, 3: 1, 4: 1}), ctx), ctx)
 
 
 def test_equivariant_diamond_paper_slice():

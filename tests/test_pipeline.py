@@ -9,6 +9,7 @@ from hodge_asym.hodgecalc import (
     DPoly,
     HodgePolynomial,
     blow_up_tower,
+    projective_space,
 )
 from hodge_asym.pipeline import (
     InvalidTarget,
@@ -41,8 +42,8 @@ def test_quotient_bookkeeping_p2():
     assert quot.h_0j == (1, 0, 2, 1)
     assert quot.delta30 == -1
     ledger = quot.ledger
-    assert ledger.entry(3, 0).exact == -1
-    assert ledger.entry(2, 1).exact == 3
+    assert ledger.entry(3, 0) == DeltaExpr.create(DPoly.constant(-1))
+    assert ledger.entry(2, 1) == DeltaExpr.create(DPoly.constant(3))
     assert ledger.entry(1, 0).is_zero() and ledger.entry(2, 0).is_zero()
 
 
@@ -68,10 +69,10 @@ def test_symbolic_hypersurface_matches_concrete():
         sym = symbolic_hypersurface(n)
         for d in (1, 2, 3, 4, 5, 7):
             concrete = hypersurface(d, n)
-            for (i, j), poly in sym.known:
+            for (i, j), poly in sym.coeffs:
                 assert poly.eval_int(d) == concrete.coeff(i, j), (n, d, i, j)
             for (i, j), c in concrete.as_dict().items():
-                if (i, j) not in dict(sym.known):
+                if (i, j) not in dict(sym.coeffs):
                     assert (i, j) in sym.unknown
 
 
@@ -80,10 +81,10 @@ def test_symbolic_tower_matches_concrete():
         sym = symbolic_tower(n, s)
         for d in (2, 3, 5):
             concrete = blow_up_tower(d, n, s)
-            for (i, j), poly in sym.known:
+            for (i, j), poly in sym.coeffs:
                 assert poly.eval_int(d) == concrete.coeff(i, j), (n, s, d, i, j)
             for (i, j), c in concrete.as_dict().items():
-                if (i, j) not in dict(sym.known):
+                if (i, j) not in dict(sym.coeffs):
                     assert (i, j) in sym.unknown
 
 
@@ -180,6 +181,39 @@ def test_assemble_delta_structural_guard():
     assert expr.opaque_coeffs_d_independent()
 
 
+def at(expr: DeltaExpr, d: int) -> DeltaExpr:
+    """expr with the formal degree d set to a value."""
+    return DeltaExpr.create(
+        DPoly.constant(expr.exact.eval_int(d)),
+        {s: DPoly.constant(p.eval_int(d)) for s, p in expr.opaque},
+    )
+
+
+def test_assemble_delta_symbolic_matches_concrete():
+    # one sum for both kinds of auxiliary diamond: the symbolic one at d
+    # equals the concrete one built at that d
+    ledger = DeltaLedger.from_degree3(-2)
+    cases = 0
+    for total in range(4, 15):
+        for j in range((total + 1) // 2):
+            i = total - j
+            aux = choose_aux_case(i, j)
+            if aux.kind == "tower":
+                symbolic = symbolic_tower(aux.n, aux.s)
+            else:
+                assert aux.kind == "p1_power", (i, j)
+                symbolic = symbolic_p1_power(j)
+            expr = assemble_delta(ledger, symbolic, i, j)
+            for d in range(2, 7):
+                if aux.kind == "tower":
+                    concrete = blow_up_tower(d, aux.n, aux.s)
+                else:
+                    concrete = projective_space(1) ** d
+                assert at(expr, d) == assemble_delta(ledger, concrete, i, j), (i, j, d)
+                cases += 1
+    assert cases == 260
+
+
 def test_determinism_and_roundtrip():
     a = serialize_certificate(build_certificate(3, 4, 2))
     b = serialize_certificate(build_certificate(3, 4, 2))
@@ -265,17 +299,15 @@ def test_construct_with_embellishments():
 
 def test_symbolic_p1_power():
     sym = symbolic_p1_power(3)
-    known = dict(sym.known)
+    known = dict(sym.coeffs)
     assert known[(0, 0)] == DPoly.constant(1)
     assert known[(1, 1)] == DPoly.create([0, 1])
     assert known[(2, 2)] == DPoly.binomial(2)
     assert not sym.unknown
     # matches the concrete d-fold power of the projective line
-    from hodge_asym.hodgecalc import projective_space
-
     for d in (1, 2, 3, 5):
         concrete = projective_space(1) ** d
-        for (r, _), poly in sym.known:
+        for (r, _), poly in sym.coeffs:
             assert poly.eval_int(d) == concrete.coeff(r, r)
 
 
