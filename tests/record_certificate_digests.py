@@ -1,0 +1,67 @@
+"""Record the SHA-256 of every certificate in a fixed grid of inputs.
+
+    PYTHONPATH=src python tests/record_certificate_digests.py
+
+writes tests/certificate_digests.json, which
+tests/test_certificate_digests.py rebuilds and compares.  Record it at the
+commit before a change to the certificate path, never to make a change pass.
+
+The grid: p in {2,3,5,7,11,13}, both selectors, every target with
+3 <= i+j <= 12 in both orders, each plain and with polarization, and (3,0)
+with special-fiber; plus l in {29,53,61} at p=2 for four targets.  Its
+plain certificates alone cover every aux case (none, tower, p1_power),
+oriented or not, isoclinic or not.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from hodge_asym import cmbuild, pipeline
+from hodge_asym.cli import dumps
+
+MANIFEST = Path(__file__).resolve().parent / "certificate_digests.json"
+PRIMES = (2, 3, 5, 7, 11, 13)
+LARGE_L = (29, 53, 61)
+LARGE_L_TARGETS = ((3, 0), (4, 2), (4, 1), (2, 5))
+
+
+def grid() -> list[dict]:
+    """The inputs of every recorded certificate, in a fixed order."""
+    targets = [
+        (i, s - i) for s in range(3, 13) for i in range(s + 1) if 2 * i != s
+    ]
+    rows = []
+    for p in PRIMES:
+        for selector in cmbuild.SELECTORS:
+            for i, j in targets:
+                for embellish in ([], ["polarization"]):
+                    rows.append(dict(p=p, i=i, j=j, l=None, selector=selector, embellish=embellish))
+            rows.append(dict(p=p, i=3, j=0, l=None, selector=selector, embellish=["special-fiber"]))
+    for l in LARGE_L:
+        for selector in cmbuild.SELECTORS:
+            for i, j in LARGE_L_TARGETS:
+                rows.append(dict(p=2, i=i, j=j, l=l, selector=selector, embellish=[]))
+    return rows
+
+
+def certificate_digest(inputs: dict) -> str:
+    """SHA-256 of the certificate bytes that `construct --format json` writes."""
+    cert = pipeline.construct(
+        inputs["p"], inputs["i"], inputs["j"], embellishments=inputs["embellish"],
+        l=inputs["l"], selector=inputs["selector"],
+    )
+    text = dumps(pipeline.serialize_certificate(cert))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main() -> None:
+    lines = [
+        json.dumps({**inputs, "sha256": certificate_digest(inputs)}) for inputs in grid()
+    ]
+    MANIFEST.write_text("[\n" + ",\n".join(lines) + "\n]\n")
+    print(f"wrote {len(lines)} digests to {MANIFEST}")
+
+
+if __name__ == "__main__":
+    main()
