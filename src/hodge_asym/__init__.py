@@ -4,7 +4,7 @@ products with asymmetric Hodge numbers."""
 
 from .cyclochar import CharRep, PrimeContext
 from .polygons import PolygonData
-from .hodgecalc import DeltaExpr, DeltaLedger, DPoly, HodgePolynomial, HodgeSeries
+from .hodgecalc import DeltaExpr, DPoly, HodgePolynomial, HodgeSeries
 from .cmbuild import CMData
 from .pipeline import ConstructionCertificate
 
@@ -17,7 +17,6 @@ __all__ = [
     "HodgePolynomial",
     "HodgeSeries",
     "DPoly",
-    "DeltaLedger",
     "DeltaExpr",
     "CMData",
     "ConstructionCertificate",

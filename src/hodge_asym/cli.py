@@ -149,6 +149,7 @@ def render_table(table) -> str:
         return "h^{i,j}: (zero table)\n"
     imax = max(i for i, _ in d)
     jmax = max(j for _, j in d)
+    hodgecalc.check_table_cost((imax + 1) * (jmax + 1), "text table")
     width = max(len(str(c)) for c in d.values())
     width = max(width, len(str(jmax)), 1)
     lines = ["h^{i,j}: rows i = form degree, columns j"]

@@ -5,10 +5,9 @@ Coefficient tables h^{i,j} are finite maps (i,j) -> non-negative int, or
 depends on d; one table type also carries truncated series and untracked
 cells.  The polynomial H(x,y) = sum h^{i,j} x^i y^j multiplies by
 convolution under products of varieties.  Alongside the tables this module
-carries ledgers of exact/opaque Hodge asymmetries
-delta^{i,j} = h^{i,j} - h^{j,i}, and one expression type, DeltaExpr, for
-every asymmetry value: a ledger entry is a DeltaExpr with constant
-coefficients, a product asymmetry one with polynomials in d.
+carries one expression type, DeltaExpr, for the Hodge asymmetries
+delta^{i,j} = h^{i,j} - h^{j,i}: a polynomial in d whose coefficients
+combine 1 with opaque symbols for asymmetries that are not known exactly.
 """
 
 from __future__ import annotations
@@ -447,7 +446,7 @@ class DPoly:
 
 
 # ---------------------------------------------------------------------------
-# asymmetry ledgers and symbolic expressions
+# symbolic asymmetry expressions
 
 DESCENT_SYMBOL = "d_prime"
 
@@ -458,70 +457,8 @@ def opaque_symbol(i: int, j: int) -> str:
 
 
 @dataclass(frozen=True)
-class DeltaLedger:
-    """Per-(i,j) asymmetries for i > j: exact integers where known, opaque otherwise.
-
-    The convention delta^{j,i} = -delta^{i,j} and delta^{i,i} = 0 is applied
-    on lookup; entries at negative indices are zero (no cohomology there).
-    A complete ledger (fully-known table) treats missing keys as exact zero.
-    """
-
-    exact: tuple[tuple[tuple[int, int], int], ...]
-    complete: bool = False
-
-    @staticmethod
-    def create(exact: dict[tuple[int, int], int], complete: bool = False) -> "DeltaLedger":
-        for (i, j) in exact:
-            if i <= j:
-                raise ValueError(f"ledger keys must have i > j, got ({i},{j})")
-        return DeltaLedger(tuple(sorted(exact.items())), complete)
-
-    @staticmethod
-    def from_degree3(delta30: int) -> "DeltaLedger":
-        """Ledger of a smooth-model object with known degree-3 asymmetry.
-
-        Degree 1 and 2 are symmetric and the degree-3 relation pins
-        delta^{2,1} = -3*delta^{3,0}; everything above stays opaque.
-        """
-        return DeltaLedger.create(
-            {(1, 0): 0, (2, 0): 0, (3, 0): delta30, (2, 1): -3 * delta30}
-        )
-
-    @staticmethod
-    def from_polynomial(h: HodgePolynomial) -> "DeltaLedger":
-        """Fully-exact ledger of a known coefficient table (for cross-checks)."""
-        d = h.as_dict()
-        tops = {max(i, j) for (i, j) in d} | {0}
-        m = max(tops)
-        exact = {}
-        for i in range(m + 1):
-            for j in range(i):
-                exact[(i, j)] = delta(h, i, j)
-        return DeltaLedger.create(exact, complete=True)
-
-    def exact_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.exact)
-
-    def entry(self, i: int, j: int) -> DeltaExpr:
-        """delta^{i,j} as an expression with constant coefficients."""
-        if i < 0 or j < 0 or i == j:
-            return DeltaExpr.zero()
-        sign = 1 if i > j else -1
-        key = (max(i, j), min(i, j))
-        known = self.exact_dict()
-        if key in known:
-            return DeltaExpr.create(DPoly.constant(sign * known[key]))
-        if self.complete:
-            return DeltaExpr.zero()
-        return DeltaExpr.create(DPoly.zero(), {opaque_symbol(*key): DPoly.constant(sign)})
-
-
-@dataclass(frozen=True)
 class DeltaExpr:
-    """Polynomial in d whose coefficients are combinations of 1 and opaque symbols.
-
-    The one asymmetry value type: a ledger entry has constant coefficients.
-    """
+    """Polynomial in d whose coefficients are combinations of 1 and opaque symbols."""
 
     exact: DPoly = field(default_factory=DPoly.zero)
     opaque: tuple[tuple[str, DPoly], ...] = ()
@@ -531,22 +468,11 @@ class DeltaExpr:
         cleaned = {s: p for s, p in (opaque or {}).items() if not p.is_zero()}
         return DeltaExpr(exact, tuple(sorted(cleaned.items())))
 
-    @staticmethod
-    def zero() -> "DeltaExpr":
-        return DeltaExpr.create(DPoly.zero())
-
     def opaque_dict(self) -> dict[str, DPoly]:
         return dict(self.opaque)
 
     def is_zero(self) -> bool:
         return self.exact.is_zero() and not self.opaque
-
-    def add_term(self, value: "DeltaExpr", coeff: DPoly | int) -> "DeltaExpr":
-        """self + value * coeff."""
-        op = self.opaque_dict()
-        for s, p in value.opaque:
-            op[s] = op.get(s, DPoly.zero()) + p * coeff
-        return DeltaExpr.create(self.exact + value.exact * coeff, op)
 
     def __neg__(self) -> "DeltaExpr":
         return DeltaExpr.create(-self.exact, {s: -p for s, p in self.opaque})

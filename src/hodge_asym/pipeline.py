@@ -20,13 +20,13 @@ from .cyclochar import invariants_rank, exterior_power
 from .hodgecalc import (
     DESCENT_SYMBOL,
     DeltaExpr,
-    DeltaLedger,
     DPoly,
     HodgePolynomial,
     NonSymmetricFactor,
     blow_up,
     iterated_blow_up,
     minimal_ambient_dims,
+    opaque_symbol,
     polarization_degree_search,
     polarization_value,
     special_fiber_fix,
@@ -102,28 +102,47 @@ def symbolic_p1_power(max_r: int) -> HodgePolynomial:
     return HodgePolynomial.create({(r, r): DPoly.binomial(r) for r in range(max_r + 1)})
 
 
-def assemble_delta(ledger: DeltaLedger, aux: HodgePolynomial, i: int, j: int) -> DeltaExpr:
+def _ledger_entry(ledger: dict, a: int, b: int) -> tuple[int, str | None]:
+    """delta^{a,b}(T) as coeff * symbol, or as the int coeff when symbol is None.
+
+    The ledger holds pairs a > b, and delta^{b,a} = -delta^{a,b}.  The entry
+    is 0 at a negative index or where a == b, and a pair the ledger does not
+    hold is its opaque symbol.
+    """
+    if a < 0 or b < 0 or a == b:
+        return 0, None
+    sign, key = (1, (a, b)) if a > b else (-1, (b, a))
+    if key in ledger:
+        return sign * ledger[key], None
+    return sign, opaque_symbol(*key)
+
+
+def assemble_delta(ledger: dict, aux: HodgePolynomial, i: int, j: int) -> DeltaExpr:
     """Product asymmetry sum(delta^{i1,j1}(T) * h^{i2,j2}(Y)) over splittings.
 
-    The auxiliary diamond Y may have int cells (a concrete d) or DPoly cells
+    ``ledger`` maps pairs i1 > j1 to the exact delta^{i1,j1}(T), as
+    QuotientData.ledger does; delta^{j1,i1} = -delta^{i1,j1}, and a pair
+    it does not hold is the opaque symbol opaque_symbol(i1, j1).  The
+    auxiliary diamond Y may have int cells (a concrete d) or DPoly cells
     (d left formal), and must be symmetric, or NonSymmetricFactor is raised.
-    Unknown cells of Y must only meet identically zero ledger entries; any
+    Unknown cells of Y must only meet exactly zero ledger entries; any
     other pairing raises StructuralViolation.
     """
     if not aux.is_symmetric():
         raise NonSymmetricFactor("the auxiliary factor must have a symmetric table")
-    expr = DeltaExpr.zero()
+    exact, opaque = DPoly.zero(), {}
     for (i2, j2), c in aux.coeffs:
-        if i2 <= i and j2 <= j:
-            expr = expr.add_term(ledger.entry(i - i2, j - j2), c)
+        coeff, symbol = _ledger_entry(ledger, i - i2, j - j2)
+        if symbol:
+            opaque[symbol] = opaque.get(symbol, DPoly.zero()) + c * coeff
+        elif coeff:
+            exact += c * coeff
     for (i2, j2) in sorted(aux.unknown):
-        if i2 <= i and j2 <= j:
-            entry = ledger.entry(i - i2, j - j2)
-            if not entry.is_zero():
-                raise StructuralViolation(
-                    f"untracked cell ({i2},{j2}) pairs with {entry.display()}"
-                )
-    return expr
+        coeff, symbol = _ledger_entry(ledger, i - i2, j - j2)
+        if coeff:
+            entry = f"{coeff}*{symbol}" if symbol else coeff
+            raise StructuralViolation(f"untracked cell ({i2},{j2}) pairs with {entry}")
+    return DeltaExpr.create(exact, opaque)
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +155,22 @@ class QuotientData:
 
     Only the edge entries h^{i,0} and h^{0,i} for i <= 3 are transparent
     through the auxiliary free-action factor; everything else is opaque.
-    The exact asymmetry ledger is pinned by the degree <= 3 relations.
     """
 
     h_i0: tuple[int, int, int, int]
     h_0j: tuple[int, int, int, int]
-    ledger: DeltaLedger
 
     @property
     def delta30(self) -> int:
-        return self.ledger.exact_dict()[(3, 0)]
+        return self.h_i0[3] - self.h_0j[3]
+
+    @property
+    def ledger(self) -> dict[tuple[int, int], int]:
+        """The exact asymmetries delta^{i,j}, i > j, that the degree <= 3
+        relations pin: degrees 1 and 2 are symmetric and
+        delta^{2,1} = -3*delta^{3,0}.  Every other entry is opaque."""
+        d30 = self.delta30
+        return {(1, 0): 0, (2, 0): 0, (2, 1): -3 * d30, (3, 0): d30}
 
     def edge_dict(self) -> dict[tuple[int, int], int]:
         out = {(0, 0): self.h_i0[0]}
@@ -158,19 +183,17 @@ class QuotientData:
 
 
 def quotient_bookkeeping(z_diamond: HodgePolynomial) -> QuotientData:
-    """Edge invariants and the exact degree <= 3 asymmetry ledger.
+    """Edge invariants of the quotient, which fix its degree <= 3 ledger.
 
     h^{i,0} and h^{0,i} of the quotient equal the invariant ranks recorded
-    in the equivariant diamond for i <= 3; the degree-3 endpoint relation
-    then pins delta^{2,1} = -3*delta^{3,0} while degrees 1 and 2 are
+    in the equivariant diamond for i <= 3; degrees 1 and 2 must be
     symmetric.
     """
     h_i0 = tuple([z_diamond.coeff(i, 0) for i in range(4)])
     h_0j = tuple([z_diamond.coeff(0, j) for j in range(4)])
     if h_i0[1] != h_0j[1] or h_i0[2] != h_0j[2]:
         raise StructuralViolation("degree 1/2 edge symmetry failed on the input diamond")
-    ledger = DeltaLedger.from_degree3(h_i0[3] - h_0j[3])
-    return QuotientData(h_i0=h_i0, h_0j=h_0j, ledger=ledger)
+    return QuotientData(h_i0=h_i0, h_0j=h_0j)
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +348,13 @@ def build_certificate(
     slice3, slice3_pre = cmbuild.degree3_slices(z, diamond)
     quot = quotient_bookkeeping(diamond)
 
-    ledger_exact = quot.ledger.exact_dict()
+    ledger = quot.ledger
     if aux.kind == "none":
-        expr = weil_restriction_delta30(ledger_exact[(big, small)])
+        expr = weil_restriction_delta30(ledger[(big, small)])
     elif aux.kind == "p1_power":
-        expr = assemble_delta(quot.ledger, symbolic_p1_power(small), big, small)
+        expr = assemble_delta(ledger, symbolic_p1_power(small), big, small)
     else:
-        expr = assemble_delta(quot.ledger, symbolic_tower(aux.n, aux.s), big, small)
+        expr = assemble_delta(ledger, symbolic_tower(aux.n, aux.s), big, small)
     if swapped:
         expr = -expr
 
@@ -343,7 +366,7 @@ def build_certificate(
             < invariants_rank(exterior_power(z.W_o, 3)),
         ),
         ("delta30-negative", quot.delta30 < 0),
-        ("ledger-degree3-relation", ledger_exact[(2, 1)] == -3 * ledger_exact[(3, 0)]),
+        ("ledger-degree3-relation", ledger[(2, 1)] == -3 * ledger[(3, 0)]),
     ]
     checks.extend(_slice_checks(diamond, z.dim))
     if z.isoclinic():
@@ -495,9 +518,7 @@ def serialize_certificate(cert: ConstructionCertificate) -> dict:
         "degree3_slice_pre_orientation": list(cert.slice3_pre),
         "degree3_slice": list(cert.slice3),
         "x_edge": {"h_i0": list(cert.quotient.h_i0), "h_0j": list(cert.quotient.h_0j)},
-        "ledger_exact": [
-            [i, j, v] for (i, j), v in cert.quotient.ledger.exact
-        ],
+        "ledger_exact": [[i, j, v] for (i, j), v in cert.quotient.ledger.items()],
         "aux_case": cert.aux_case.serialize(),
         "delta_result": {
             "variable": "d" if cert.target[0] + cert.target[1] > 3 else DESCENT_SYMBOL,

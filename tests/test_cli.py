@@ -244,10 +244,8 @@ def test_certificate_failure_report(monkeypatch, capsys):
 
     def sabotage(diamond):
         quot = real(diamond)
-        return pipeline.QuotientData(  # transposed edges: delta30 flips sign
-            h_i0=quot.h_0j, h_0j=quot.h_i0,
-            ledger=pipeline.DeltaLedger.from_degree3(-quot.delta30),
-        )
+        # transposed edges: delta30 flips sign
+        return pipeline.QuotientData(h_i0=quot.h_0j, h_0j=quot.h_i0)
 
     monkeypatch.setattr(pipeline, "quotient_bookkeeping", sabotage)
     code, out = run(capsys, "construct", "--p", "2", "--i", "3", "--j", "0")

@@ -5,7 +5,6 @@ import pytest
 
 from hodge_asym.hodgecalc import (
     DeltaExpr,
-    DeltaLedger,
     DPoly,
     HodgePolynomial,
     HodgeSeries,
@@ -26,17 +25,21 @@ from hodge_asym.hodgecalc import (
     weil_restriction_delta30,
     weil_restriction_power,
 )
-from hodge_asym.pipeline import assemble_delta
+from hodge_asym.pipeline import QuotientData, assemble_delta
 from oracles import lattice_middle_row, naive_table_product
 
 H = HodgePolynomial.create
 
 
 def value(exact: int, opaque: dict[str, int] | None = None) -> DeltaExpr:
-    """A DeltaExpr with constant coefficients, as a ledger entry is."""
+    """A DeltaExpr with constant coefficients."""
     return DeltaExpr.create(
         DPoly.constant(exact), {s: DPoly.constant(c) for s, c in (opaque or {}).items()}
     )
+
+
+# the degree <= 3 ledger of a quotient with delta^{3,0} = -1
+LEDGER = QuotientData(h_i0=(1, 0, 0, 0), h_0j=(1, 0, 0, 1)).ledger
 
 
 def test_product_examples():
@@ -257,45 +260,58 @@ def test_dpoly_basics():
 
 def test_delta_value_and_expr():
     v = value(2, {"delta(4,1)": 1})
-    w = value(-2, {"delta(4,1)": 2, "delta(5,2)": -1})
-    assert v.add_term(w, 1) == value(0, {"delta(4,1)": 3, "delta(5,2)": -1})
-    assert DeltaExpr.zero().add_term(v, -2) == value(-4, {"delta(4,1)": -2})
-    assert -v == DeltaExpr.zero().add_term(v, -1)
-    assert v.add_term(v, -1).is_zero() and not v.is_zero()
-
-    expr = DeltaExpr.zero().add_term(v, DPoly.create([0, 1]))
-    assert expr.exact == DPoly.create([0, 2])
+    assert -v == value(-2, {"delta(4,1)": -1})
+    assert value(0, {"delta(4,1)": 0}).is_zero() and not v.is_zero()
+    expr = DeltaExpr.create(DPoly.create([0, 2]), {"delta(4,1)": DPoly.create([0, 1])})
     assert expr.exact.degree >= 1
-    assert not expr.opaque_coeffs_d_independent()  # the opaque picked up a d
-    rt = DeltaExpr.deserialize(expr.serialize())
-    assert rt == expr
+    assert not expr.opaque_coeffs_d_independent()
+    assert DeltaExpr.deserialize(expr.serialize()) == expr
+
+
+def test_assemble_delta_sums_each_symbol():
+    # two cells meet delta^{1,0} and delta^{0,1} = -delta^{1,0}, which cancel
+    edges = H({(0, 0): 1, (1, 0): 1, (0, 1): 1})
+    assert assemble_delta({}, edges, 1, 1).is_zero()
+    # cell (2,0) meets -delta^{1,0} and cell (1,1) three times delta^{1,0}
+    assert assemble_delta({}, H({(2, 0): 1, (0, 2): 1, (1, 1): 3}), 2, 1) == value(
+        0, {"delta(1,0)": 2}
+    )
+    # a DPoly cell gives the opaque symbol a coefficient in d
+    d = DPoly.create([0, 1])
+    expr = assemble_delta({}, H({(0, 0): 1, (1, 1): d}), 4, 1)
+    assert expr == DeltaExpr.create(
+        DPoly.zero(), {"delta(4,1)": DPoly.constant(1), "delta(3,0)": d}
+    )
+    assert not expr.opaque_coeffs_d_independent()
 
 
 def test_ledger_lookup():
-    ledger = DeltaLedger.from_degree3(-1)
-    assert ledger.entry(3, 0) == value(-1)
-    assert ledger.entry(0, 3) == value(1)
-    assert ledger.entry(2, 1) == value(3)
-    assert ledger.entry(1, 0).is_zero() and ledger.entry(2, 0).is_zero()
-    assert ledger.entry(4, 4).is_zero()
-    assert ledger.entry(-1, 2).is_zero()
-    assert ledger.entry(4, 1) == value(0, {"delta(4,1)": 1})
-    assert ledger.entry(1, 4) == value(0, {"delta(4,1)": -1})
-    with pytest.raises(ValueError):
-        DeltaLedger.create({(1, 2): 3})
+    # with the one-cell factor the sum is the ledger entry itself
+    def entry(i, j):
+        return assemble_delta(LEDGER, HodgePolynomial.one(), i, j)
+
+    assert LEDGER == {(1, 0): 0, (2, 0): 0, (2, 1): 3, (3, 0): -1}
+    assert entry(3, 0) == value(-1)
+    assert entry(0, 3) == value(1)
+    assert entry(2, 1) == value(3)
+    assert entry(1, 2) == value(-3)
+    assert entry(1, 0).is_zero() and entry(2, 0).is_zero() and entry(0, 2).is_zero()
+    assert entry(4, 4).is_zero()
+    assert entry(-1, 2).is_zero() and entry(2, -1).is_zero()
+    assert entry(4, 1) == value(0, {"delta(4,1)": 1})
+    assert entry(1, 4) == value(0, {"delta(4,1)": -1})
 
 
 def test_product_delta_examples():
-    ledger = DeltaLedger.from_degree3(-1)
     p1 = projective_space(1)
-    got = assemble_delta(ledger, p1, 4, 1)
+    got = assemble_delta(LEDGER, p1, 4, 1)
     assert got == value(-1, {"delta(4,1)": 1})
-    assert assemble_delta(ledger, HodgePolynomial.one(), 3, 0) == value(-1)
+    assert assemble_delta(LEDGER, HodgePolynomial.one(), 3, 0) == value(-1)
     with pytest.raises(NonSymmetricFactor):
-        assemble_delta(ledger, H({(1, 0): 1}), 3, 0)
+        assemble_delta(LEDGER, H({(1, 0): 1}), 3, 0)
     # an untracked cell without its mirror may hide an asymmetry of the factor
     with pytest.raises(NonSymmetricFactor):
-        assemble_delta(ledger, H({(0, 0): 1}, unknown={(1, 0)}), 2, 0)
+        assemble_delta(LEDGER, H({(0, 0): 1}, unknown={(1, 0)}), 2, 0)
 
 
 def test_product_delta_against_direct_computation():
@@ -316,7 +332,8 @@ def test_product_delta_against_direct_computation():
             sym[(a, b)] = sym.get((a, b), 0) + c
             sym[(b, a)] = sym.get((b, a), 0) + c
         h2 = H(sym)
-        ledger = DeltaLedger.from_polynomial(h1)
+        # the full ledger of h1: no entry the sum reads is opaque
+        ledger = {(a, b): delta(h1, a, b) for a in range(6) for b in range(a)}
         prod = product(h1, h2)
         for i in range(6):
             for j in range(6):

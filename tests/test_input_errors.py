@@ -177,6 +177,16 @@ def test_hodge_product_refuses_cell_pairs_above_the_table_cap(tmp_path):
                           "--left", f"@{table}", "--right", f"@{table}")
 
 
+def test_hodge_product_text_refuses_a_grid_above_the_table_cap(capsys):
+    # one cell on each side, but the text grid would print 1,000,000,001 cells
+    argv = ["hodge", "product", "--left", '{"coeffs": [[0,0,1]]}',
+            "--right", '{"coeffs": [[1000000000,0,1]]}']
+    assert_refused_naming(f"TABLE_COST_CAP={TABLE_COST_CAP}", *argv, "--format", "text")
+    # JSON prints no grid, so the same product passes
+    assert main([*argv, "--format", "json"]) == 0
+    assert "[\n      1000000000,\n" in capsys.readouterr().out
+
+
 def coeff_table_text(rows: int, cols: int) -> str:
     return json.dumps({"coeffs": [[i, j, 1] for i in range(rows) for j in range(cols)]})
 

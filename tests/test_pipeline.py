@@ -5,7 +5,6 @@ import pytest
 from hodge_asym import cmbuild
 from hodge_asym.hodgecalc import (
     DeltaExpr,
-    DeltaLedger,
     DPoly,
     HodgePolynomial,
     blow_up_tower,
@@ -13,6 +12,7 @@ from hodge_asym.hodgecalc import (
 )
 from hodge_asym.pipeline import (
     InvalidTarget,
+    QuotientData,
     ScopeViolation,
     StructuralViolation,
     _d_policy,
@@ -41,10 +41,7 @@ def test_quotient_bookkeeping_p2():
     assert quot.h_i0 == (1, 0, 2, 0)
     assert quot.h_0j == (1, 0, 2, 1)
     assert quot.delta30 == -1
-    ledger = quot.ledger
-    assert ledger.entry(3, 0) == DeltaExpr.create(DPoly.constant(-1))
-    assert ledger.entry(2, 1) == DeltaExpr.create(DPoly.constant(3))
-    assert ledger.entry(1, 0).is_zero() and ledger.entry(2, 0).is_zero()
+    assert quot.ledger == {(1, 0): 0, (2, 0): 0, (2, 1): 3, (3, 0): -1}
 
 
 def test_quotient_bookkeeping_symmetric_input():
@@ -52,9 +49,7 @@ def test_quotient_bookkeeping_symmetric_input():
     quot = quotient_bookkeeping(sym)
     assert quot.delta30 == 0
     # every tracked (degree <= 3) ledger entry is exactly zero
-    for (i, j) in [(1, 0), (2, 0), (2, 1), (3, 0)]:
-        entry = quot.ledger.entry(i, j)
-        assert entry.is_zero(), (i, j)
+    assert quot.ledger == {(1, 0): 0, (2, 0): 0, (2, 1): 0, (3, 0): 0}
 
 
 def test_quotient_bookkeeping_rejects_low_degree_asymmetry():
@@ -169,13 +164,21 @@ def test_invalid_targets():
             build_certificate(2, i, j)
 
 
+def ledger_of(delta30: int) -> dict:
+    """The degree <= 3 ledger of a quotient with the given delta^{3,0} < 0."""
+    return QuotientData(h_i0=(1, 0, 0, 0), h_0j=(1, 0, 0, -delta30)).ledger
+
+
 def test_assemble_delta_structural_guard():
     # an unknown cell meeting a nonzero entry must raise, not silently drop
-    ledger = DeltaLedger.from_degree3(-1)
+    ledger = ledger_of(-1)
     sym = symbolic_hypersurface(3)  # unknown interior middle cells (1,2), (2,1)
-    with pytest.raises(StructuralViolation):
-        # cell (2,1) would pair with the exact nonzero delta(2,1)
+    with pytest.raises(StructuralViolation, match=r"cell \(1,2\) pairs with -1$"):
+        # cell (1,2) would pair with the exact nonzero delta(3,0)
         assemble_delta(ledger, sym, 4, 2)
+    with pytest.raises(StructuralViolation, match=r"cell \(1,2\) pairs with 1\*delta\(4,0\)$"):
+        # and with an opaque entry, which may be nonzero
+        assemble_delta(ledger, sym, 5, 2)
     # but pairings where every unknown cell meets a zero entry are fine
     expr = assemble_delta(ledger, sym, 4, 1)
     assert expr.opaque_coeffs_d_independent()
@@ -192,7 +195,7 @@ def at(expr: DeltaExpr, d: int) -> DeltaExpr:
 def test_assemble_delta_symbolic_matches_concrete():
     # one sum for both kinds of auxiliary diamond: the symbolic one at d
     # equals the concrete one built at that d
-    ledger = DeltaLedger.from_degree3(-2)
+    ledger = ledger_of(-2)
     cases = 0
     for total in range(4, 15):
         for j in range((total + 1) // 2):
@@ -317,4 +320,4 @@ def test_d_policy_scan_is_bounded():
     assert _d_policy(6, expr) == {"kind": "concrete", "d": 4, "value": "2"}
     # identically zero with no opaque terms: refused instead of scanning forever
     with pytest.raises(StructuralViolation):
-        _d_policy(6, DeltaExpr.zero())
+        _d_policy(6, DeltaExpr.create(DPoly.zero()))
