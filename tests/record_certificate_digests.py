@@ -8,9 +8,12 @@ commit before a change to the certificate path, never to make a change pass.
 
 The grid: p in {2,3,5,7,11,13}, both selectors, every target with
 3 <= i+j <= 12 in both orders, each plain and with polarization, and (3,0)
-with special-fiber; plus l in {29,53,61} at p=2 for four targets.  Its
-plain certificates alone cover every aux case (none, tower, p1_power),
-oriented or not, isoclinic or not.
+with special-fiber; plus four targets at p=2 for l in {29,53,61,37,41,101}
+and at p=3 for l in {41,101} (ord(3 mod 37) = 18, so p=3 refuses l=37);
+plus (4,2) at p=2, l=157, whose exterior-table fields take three 64-bit
+words.  Its plain certificates alone cover every aux case (none, tower,
+p1_power), oriented or not, isoclinic or not.  New entries are appended, so
+the rows recorded first keep their places.
 """
 
 import hashlib
@@ -23,6 +26,8 @@ from hodge_asym.cli import dumps
 MANIFEST = Path(__file__).resolve().parent / "certificate_digests.json"
 PRIMES = (2, 3, 5, 7, 11, 13)
 LARGE_L = (29, 53, 61)
+# (p, l) pairs appended after the first LARGE_L rows, each for LARGE_L_TARGETS
+WIDER_L = ((2, 37), (2, 41), (2, 101), (3, 41), (3, 101))
 LARGE_L_TARGETS = ((3, 0), (4, 2), (4, 1), (2, 5))
 
 
@@ -38,10 +43,11 @@ def grid() -> list[dict]:
                 for embellish in ([], ["polarization"]):
                     rows.append(dict(p=p, i=i, j=j, l=None, selector=selector, embellish=embellish))
             rows.append(dict(p=p, i=3, j=0, l=None, selector=selector, embellish=["special-fiber"]))
-    for l in LARGE_L:
+    for p, l in [(2, l) for l in LARGE_L] + list(WIDER_L):
         for selector in cmbuild.SELECTORS:
             for i, j in LARGE_L_TARGETS:
-                rows.append(dict(p=2, i=i, j=j, l=l, selector=selector, embellish=[]))
+                rows.append(dict(p=p, i=i, j=j, l=l, selector=selector, embellish=[]))
+    rows.append(dict(p=2, i=4, j=2, l=157, selector="default", embellish=[]))
     return rows
 
 
