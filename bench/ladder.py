@@ -1,6 +1,6 @@
 """Min-of-N timings of the certificate ladder and the search table, tree against tree.
 
-    python3 bench/ladder.py --out BENCH_9.json parent=../parent/src \
+    python3 bench/ladder.py --out BENCH_12.json parent=../parent/src \
         parent_again=../parent/src change=src
 
 Each ``LABEL=DIR`` names a source tree holding ``hodge_asym``. The script
@@ -46,9 +46,9 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-LADDER = (5, 13, 29, 53, 61, 101)
+LADDER = (5, 13, 29, 53, 61, 101, 157)
 SEARCH_SHAPES = ((13, 1), (13, 2), (13, 3), (17, 1), (17, 2))
-DIAMOND_LS = (61, 101)
+DIAMOND_LS = (61, 101, 157)
 POLYGON_L = 101
 CLI_TARGETS = ((4, 2), (12, 7), (20, 0))
 SMALL_TOWER = (1, 8)  # target (12, 8): dimension 17, 20 cells

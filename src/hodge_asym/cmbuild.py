@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import lshift, mul
+from itertools import repeat
+from operator import mul, sub
 
 from .cyclochar import (
     CharRep,
@@ -26,12 +27,15 @@ from .cyclochar import (
     exterior_table,
     extend_rows,
     field_width,
+    field_words,
     frobenius_twist,
     invariants_rank,
     is_prime,
     is_typical,
     multiplicative_order,
+    pack_fields,
     packed_rows,
+    unpack_fields,
 )
 from .hodgecalc import HodgePolynomial
 
@@ -348,29 +352,45 @@ def equivariant_diamond(z: CMData) -> HodgePolynomial:
 
     Computed as the constant-exponent coefficient of the product of the two
     subset generating functions, i.e. sum_e P_i[e] * Q_j[-e] where P and Q
-    are the exterior_table rows of the two modules.  W_o's table is packed
-    by column: col[e] holds Q_j[-e] for every j, one field of
-    w = bit_length(l * max P * max Q) + 1 bits per j, so no cell carries
-    into the next.  Row i of the diamond is then the single sum of l
-    multiply-adds sum_e P_i[e] * col[e], read field by field.  Every cell is
+    are the exterior_table rows of the two modules.  Each row is split at
+    its floor: P_i = m_i + r_i and Q_j = n_j + s_j with m_i = min_e P_i[e],
+    n_j = min_e Q_j[e], R_i = sum_e r_i[e] and S_j = sum_e s_j[e], so
+
+        h^{i,j} = l*m_i*n_j + m_i*S_j + n_j*R_i + sum_e r_i[e] * s_j[-e],
+
+    every term non-negative.  Only the residual sum is packed: col[e] holds
+    s_j[-e] for every j, one field per j of the fewest 64-bit words that
+    hold l * max r * max s, so no cell carries into the next.  Row i is the
+    single sum of l multiply-adds sum_e r_i[e] * col[e], read at C speed by
+    unpack_fields, and the floor terms are added per cell.  Every cell is
     computed, none is inferred from duality, so the duality check stays an
-    independent test.
+    independent test.  The cells come out in (i, j) order with the zeros
+    dropped, so the table is built without HodgePolynomial.create.
     """
+    l = z.ctx.l
     p_tab = exterior_table(z.W_omega)
     q_tab = exterior_table(z.W_o)
-    width = (z.ctx.l * max(map(max, p_tab)) * max(map(max, q_tab))).bit_length() + 1
-    field = (1 << width) - 1
-    shifts = range(0, len(q_tab) * width, width)
-    cols = [sum(map(lshift, column, shifts)) for column in zip(*q_tab)]
+    m = list(map(min, p_tab))
+    n = list(map(min, q_tab))
+    r_rows = [list(map(sub, row, repeat(f))) for row, f in zip(p_tab, m)]
+    flat: list[int] = []  # the residual rows s_j of W_o, one after another
+    for row, f in zip(q_tab, n):
+        flat += map(sub, row, repeat(f))
+    words = field_words(l * max(map(max, r_rows)) * max(flat))
+    cols = [pack_fields(flat[e::l], words) for e in range(l)]
     cols = cols[:1] + cols[:0:-1]  # col[e] packs the exponent -e of every row
-    coeffs = {}
-    for i, p_row in enumerate(p_tab):
-        packed = sum(map(mul, p_row, cols))
-        for j, s in enumerate(shifts):
-            c = (packed >> s) & field
+    # l*m_i*n_j + m_i*S_j = m_i * |Q_j|, with |Q_j| = sum_e Q_j[e]
+    q_sums = list(map(sum, q_tab))
+    count = len(q_tab)
+    cells = []
+    for i, r_row in enumerate(r_rows):
+        dots = unpack_fields(sum(map(mul, r_row, cols)), count, words)
+        m_i, r_sum = m[i], sum(r_row)
+        for j, (q_sum, n_j, dot) in enumerate(zip(q_sums, n, dots)):
+            c = m_i * q_sum + r_sum * n_j + dot
             if c:
-                coeffs[(i, j)] = c
-    return HodgePolynomial.create(coeffs)
+                cells.append(((i, j), c))
+    return HodgePolynomial(tuple(cells))
 
 
 def degree_slice(diamond: HodgePolynomial, n: int) -> tuple[int, ...]:

@@ -10,8 +10,12 @@ these exponents, so this module is the arithmetic bedrock of the package.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb
+from operator import lshift, or_
 
 # largest modulus l accepted: a CharRep holds one int per exponent, so the
 # cap bounds every length-l vector before it is allocated
@@ -250,6 +254,50 @@ def field_width(rank: int, top: int) -> int:
     return comb(rank, min(top, rank // 2)).bit_length() + 1
 
 
+WORD = 64  # bits of one array('Q') item; every unpacked field is whole words
+_SWAP = sys.byteorder == "big"  # array('Q') items are native, packed ints little-endian
+
+
+def field_words(bound: int) -> int:
+    """64-bit words per field that holds every int from 0 to bound (at least one)."""
+    return max(1, -(-bound.bit_length() // WORD))
+
+
+def pack_fields(values, words: int) -> int:
+    """One int holding the non-negative values, each in a field of `words`
+    64-bit words, value 0 lowest; the inverse of unpack_fields.
+
+    The fields are laid out as bytes at C speed: an array('Q') for one word,
+    else each value's own little-endian bytes.
+    """
+    if words == 1:
+        data = array("Q", values)
+        if _SWAP:
+            data.byteswap()
+        return int.from_bytes(data, "little")
+    return int.from_bytes(
+        b"".join(map(int.to_bytes, values, repeat(8 * words), repeat("little"))), "little"
+    )
+
+
+def unpack_fields(packed: int, count: int, words: int) -> list[int]:
+    """The `count` fields of `words` 64-bit words each in packed, field 0 first.
+
+    packed is cut into words at C speed (to_bytes and array('Q')), and a
+    multi-word field is joined from its words high to low, one map per word,
+    so no step shifts the whole packed int.
+    """
+    data = array("Q", packed.to_bytes(8 * words * count, "little"))
+    if _SWAP:
+        data.byteswap()
+    if words == 1:
+        return data.tolist()
+    fields = data[words - 1::words].tolist()
+    for t in range(words - 2, -1, -1):
+        fields = list(map(or_, map(lshift, fields, repeat(WORD)), data[t::words]))
+    return fields
+
+
 def extend_rows(rows: list[int], l: int, width: int, counts) -> None:
     """Multiply packed rows in place by the product of (1 + t*x^a)^m over the
     (a, m) pairs of counts, in Z[x]/(x^l - 1).
@@ -296,22 +344,20 @@ def exterior_table(v: CharRep, top: int | None = None) -> list[tuple[int, ...]]:
     Expands the product of (1 + t*x^a) over the rank(v) exponent instances
     in Z[x]/(x^l - 1) with extend_rows; row k is the coefficient of t^k.
     Equivalent to enumerating k-element index subsets (the test oracle).
-    top defaults to rank; rows above it are zero.
+    top defaults to rank; rows above it are zero.  The fields are
+    field_width rounded up to whole 64-bit words, so unpack_fields reads
+    each row at C speed.
     """
     l, rank = v.l, v.rank
     top = rank if top is None else top
     if top < 0:
         raise ValueError("exterior degree must be non-negative")
-    width = field_width(rank, top)
-    field = (1 << width) - 1
+    words = -(-field_width(rank, top) // WORD)
     # each tuple is built from a list, not a generator: a generator's tuple is
     # allocated at a guessed length and shrunk, and once freed it waits in the
     # free list of its final length until a full garbage collection, which a
     # run that makes little cyclic garbage seldom does; so peak RSS creeps
-    return [
-        tuple([(r >> (e * width)) & field for e in range(l)])
-        for r in packed_rows(v, top, width)
-    ]
+    return [tuple(unpack_fields(r, l, words)) for r in packed_rows(v, top, words * WORD)]
 
 
 def exterior_power(v: CharRep, k: int) -> CharRep:

@@ -7,6 +7,7 @@ import pytest
 from hodge_asym.cyclochar import (
     CharRep,
     PrimeContext,
+    WORD,
     dual,
     exterior_power,
     exterior_table,
@@ -15,7 +16,9 @@ from hodge_asym.cyclochar import (
     is_prime,
     is_typical,
     multiplicative_order,
+    pack_fields,
     tensor,
+    unpack_fields,
 )
 from oracles import pair_tensor, stepwise_order, subset_exterior, typical_by_partition
 
@@ -271,3 +274,18 @@ def test_exterior_table_rows_match_subset_oracle():
         assert exterior_table(v) == exterior_table(v, v.rank)
     with pytest.raises(ValueError):
         exterior_table(reps[1], -1)
+
+
+@pytest.mark.parametrize("words", [1, 2, 3])
+def test_pack_fields_round_trips_through_unpack_fields(words):
+    rng = random.Random(words)
+    top = 1 << (WORD * words)
+    for count in (1, 2, 5, 61):
+        # the extremes of a field, 0 and all ones, beside random values
+        values = [0, top - 1] + [rng.randrange(top) for _ in range(count)]
+        packed = pack_fields(values, words)
+        assert packed == sum(v << (i * WORD * words) for i, v in enumerate(values))
+        assert unpack_fields(packed, len(values), words) == values
+    # a value wider than its field does not fit
+    with pytest.raises(OverflowError):
+        pack_fields([top], words)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodge_asym.cmbuild import CMData, build_cm, equivariant_diamond
-from hodge_asym.cyclochar import CharRep, PrimeContext, exterior_table
+from hodge_asym.cyclochar import CharRep, PrimeContext, WORD, exterior_table, field_width
+from hodge_asym.hodgecalc import HodgePolynomial
 
 from oracles import dot_product_diamond
 
@@ -42,7 +43,12 @@ def modules(max_mult: int):
 
 def assert_matches_reference(w_omega: CharRep, w_o: CharRep) -> None:
     expected = dot_product_diamond(exterior_table(w_omega), exterior_table(w_o))
-    assert equivariant_diamond(bare_cm(w_omega, w_o)).as_dict() == expected
+    diamond = equivariant_diamond(bare_cm(w_omega, w_o))
+    assert diamond.as_dict() == expected
+    # the kernel emits its cells in (i, j) order, nonzero, as create would store them
+    keys = [key for key, _ in diamond.coeffs]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert diamond.coeffs == HodgePolynomial.create(diamond.as_dict()).coeffs
 
 
 @settings(max_examples=60, deadline=None)
@@ -67,3 +73,26 @@ def test_matches_reference_on_large_multiplicities(pair):
 ])
 def test_matches_reference_on_extreme_modules(w_omega, w_o):
     assert_matches_reference(CharRep.from_text(w_omega), CharRep.from_text(w_o))
+
+
+@pytest.mark.parametrize("w_omega,w_o", [
+    # every floor 0: each row has an empty exponent, so the residuals are the rows
+    ("l=5; 0:24", "l=5; 1:3,2:5"),
+    ("l=5; 1:3,2:5", "l=5; 0:24"),
+    ("l=5;", "l=5;"),  # both sides empty: the single cell (0, 0)
+    # a constant row: Lambda^1 is (1, 1), so its residual is 0
+    ("l=2; 0:1,1:1", "l=2; 0:1,1:1"),
+    ("l=2; 0:1,1:1", "l=2; 0:3,1:2"),
+])
+def test_matches_reference_on_floor_edge_cases(w_omega, w_o):
+    assert_matches_reference(CharRep.from_text(w_omega), CharRep.from_text(w_o))
+
+
+def test_matches_reference_with_multiword_fields():
+    w = CharRep.from_text("l=2; 0:70,1:70")
+    # table fields of 138 bits, three words; residuals of 67 bits, so every
+    # packed column and dot-product field spans words, and so do the multipliers
+    assert field_width(w.rank, w.rank) == 138
+    largest_residual = max(max(row) - min(row) for row in exterior_table(w))
+    assert largest_residual.bit_length() == 67 > WORD
+    assert_matches_reference(w, w)
