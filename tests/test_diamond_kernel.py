@@ -70,21 +70,16 @@ def test_matches_reference_on_large_multiplicities(pair):
     ("l=7; 3:20", "l=7; 4:20"),
     ("l=2; 0:1,1:30", "l=2; 1:30"),
     ("l=5;", "l=5; 1:3"),  # an empty side: only row 0
-])
-def test_matches_reference_on_extreme_modules(w_omega, w_o):
-    assert_matches_reference(CharRep.from_text(w_omega), CharRep.from_text(w_o))
-
-
-@pytest.mark.parametrize("w_omega,w_o", [
-    # every floor 0: each row has an empty exponent, so the residuals are the rows
-    ("l=5; 0:24", "l=5; 1:3,2:5"),
-    ("l=5; 1:3,2:5", "l=5; 0:24"),
+    # every floor of one side 0 (each row of l=5; 0:24 has empty exponents,
+    # so its residuals are its rows), against a side with positive floors
+    ("l=5; 0:24", "l=5; 0:2,1:3,2:4,3:1,4:2"),
+    ("l=5; 0:2,1:3,2:4,3:1,4:2", "l=5; 0:24"),
     ("l=5;", "l=5;"),  # both sides empty: the single cell (0, 0)
     # a constant row: Lambda^1 is (1, 1), so its residual is 0
     ("l=2; 0:1,1:1", "l=2; 0:1,1:1"),
     ("l=2; 0:1,1:1", "l=2; 0:3,1:2"),
 ])
-def test_matches_reference_on_floor_edge_cases(w_omega, w_o):
+def test_matches_reference_on_extreme_modules(w_omega, w_o):
     assert_matches_reference(CharRep.from_text(w_omega), CharRep.from_text(w_o))
 
 
