@@ -1,7 +1,7 @@
 """Min-of-N timings of the certificate ladder and the search table, tree against tree.
 
-    python3 bench/ladder.py --out BENCH_12.json parent=../parent/src \
-        parent_again=../parent/src change=src
+    python3 bench/ladder.py --out BENCH_13.json parent=../parent/src \
+        change=src parent_again=../parent/src
 
 Each ``LABEL=DIR`` names a source tree holding ``hodge_asym``. The script
 runs ROUNDS rounds. A round starts one fresh worker interpreter per tree,
@@ -9,7 +9,13 @@ which imports the package from its tree, and times every item below on
 every tree back to back, so a drift in machine speed reaches the trees of
 one item alike; the tree that goes first alternates between rounds. A
 worker times an item with ``time.perf_counter``: one untimed warm-up call,
-then a loop of at least MIN_LOOP_S, and the fastest call of the loop:
+then a loop of at least MIN_LOOP_S, and the fastest call of the loop, put at
+the reference machine speed of perfbench: multiplied by
+``run.REFERENCE_MS / settled_reference()``, with perfbench/reference.py's
+kernel taken just before and just after the loop.  The faster of the two
+readings is used: a stall can slow the kernel, which would make the item
+look fast, but nothing makes the kernel run faster than the machine.  The
+items:
 
 - ``pipeline.build_certificate(2, 4, 2, l)`` for ``l`` in LADDER;
 - ``cmbuild.search_table(V, ctx, layer_count)`` for the (l, layer_count)
@@ -27,12 +33,15 @@ then a loop of at least MIN_LOOP_S, and the fastest call of the loop:
 - ``cli.dumps`` of the serialized certificate ``(2, 4, 2, l)`` for ``l`` in
   DUMPS_LS;
 - ``pipeline._slice_checks`` plus ``pipeline._isoclinic_checks`` on the
-  diamond at ``l = CHECKS_L``.
+  diamond at ``l = CHECKS_L``;
+- ``hodgecalc.hypersurface(d, n)`` for (d, n) in HYPERSURFACES and
+  ``hodgecalc.blow_up_tower(d, n, s)`` for BIG_TOWER, the largest tower of
+  perfbench's tables workload.
 
-A figure is the minimum over the rounds, in milliseconds. The output (to
-``--out``, or standard output) gives the environment (Python version,
-``nproc``, rounds) and one entry per label under ``runs``. Standard
-library only.
+A figure is the minimum over the rounds, in milliseconds at reference
+speed. The output (to ``--out``, or standard output) gives the environment
+(Python version, ``nproc``, rounds) and one entry per label under ``runs``.
+Standard library only; perfbench's files are imported, never changed.
 """
 
 from __future__ import annotations
@@ -54,6 +63,8 @@ CLI_TARGETS = ((4, 2), (12, 7), (20, 0))
 SMALL_TOWER = (1, 8)  # target (12, 8): dimension 17, 20 cells
 DUMPS_LS = (61, 101)
 CHECKS_L = 61
+HYPERSURFACES = ((25, 4), (12, 3))
+BIG_TOWER = (25, 4, 6)
 ROUNDS = 5
 MIN_LOOP_S = 0.1
 ITEMS = (
@@ -65,17 +76,25 @@ ITEMS = (
     + [("symbolic_tower_ms", "n{}_s{}".format(*SMALL_TOWER))]
     + [("dumps_ms", f"l{l}") for l in DUMPS_LS]
     + [("diamond_checks_ms", f"l{CHECKS_L}")]
+    + [("hypersurface_ms", f"d{d}_n{n}") for d, n in HYPERSURFACES]
+    + [("blow_up_tower_ms", "d{}_n{}_s{}".format(*BIG_TOWER))]
 )
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def timed_ms(fn) -> float:
-    """Fastest call of fn, in milliseconds, in a loop of at least MIN_LOOP_S after a warm-up."""
+    """Fastest call of fn in milliseconds at reference speed, in a loop of at
+    least MIN_LOOP_S after a warm-up."""
+    from reference import settled_reference
+    from run import REFERENCE_MS
+
     fn()
+    before = settled_reference()
     fastest, start = float("inf"), perf_counter()
     while (t0 := perf_counter()) - start < MIN_LOOP_S:
         fn()
         fastest = min(fastest, perf_counter() - t0)
-    return fastest * 1000
+    return fastest * REFERENCE_MS / min(before, settled_reference())
 
 
 def serve() -> None:
@@ -85,7 +104,9 @@ def serve() -> None:
     import tempfile
     from fractions import Fraction
 
-    from hodge_asym import cli, cmbuild, pipeline, polygons
+    from hodge_asym import cli, cmbuild, hodgecalc, pipeline, polygons
+
+    sys.path.append(str(PERFBENCH))  # for timed_ms: reference.py and run.py
 
     calls = [lambda l=l: pipeline.build_certificate(2, 4, 2, l=l) for l in LADDER]
     for l, count in SEARCH_SHAPES:
@@ -121,6 +142,8 @@ def serve() -> None:
         calls.append(lambda diamond=diamond, dim=z.dim: (
             pipeline._slice_checks(diamond, dim), pipeline._isoclinic_checks(diamond, dim)
         ))
+        calls += [lambda d=d, n=n: hodgecalc.hypersurface(d, n) for d, n in HYPERSURFACES]
+        calls.append(lambda: hodgecalc.blow_up_tower(*BIG_TOWER))
         for line in sys.stdin:
             print(timed_ms(calls[int(line)]), flush=True)
 

@@ -124,10 +124,18 @@ def parse_newton(text: str) -> dict[Fraction, int]:
     return out
 
 
+def load_json(text: str):
+    """json.loads, with input nested too deeply to parse as a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply to parse") from None
+
+
 def parse_coeff_table(text: str):
     if text.startswith("@"):
         text = Path(text[1:]).read_text()
-    data = json.loads(text)
+    data = load_json(text)
     rows = data.get("coeffs") if isinstance(data, dict) else None
     if not isinstance(rows, list) or not all(
         isinstance(row, list) and len(row) == 3 for row in rows
@@ -387,7 +395,7 @@ def _check_certificate_inputs(stored) -> None:
 def cmd_certify(args) -> int:
     t0 = time.monotonic()
     stored_text = Path(args.certificate).read_text()
-    stored = json.loads(stored_text)
+    stored = load_json(stored_text)
     _check_certificate_inputs(stored)
     fresh = regenerate(stored)
     match = dumps(fresh) == stored_text

@@ -28,8 +28,9 @@ class NonNegativeDelta(ValueError):
 
 # largest estimated cost of a calculator table: (D+1)^2 for a table of top
 # degree D, the grid its text rendering prints, which also bounds building a
-# blow-up tower; a hypersurface adds (n+2)^3 * d^2, a bound on its middle-row
-# DP updates.  On a 2-vCPU machine, printing a 1,000,000-cell grid took 0.85 s
+# blow-up tower; a hypersurface adds (n+2)^3 * d^2, which models no work (the
+# middle row is a closed form) and is kept so that the same inputs are
+# refused.  On a 2-vCPU machine, printing a 1,000,000-cell grid took 0.85 s
 TABLE_COST_CAP = 500_000
 
 
@@ -179,21 +180,17 @@ def middle_row_count(d: int, n: int, p: int) -> int:
     """Primitive middle Hodge number of a degree-d hypersurface of dimension n.
 
     Counts integer tuples (a_0, ..., a_{n+1}) with 1 <= a_t <= d-1 and
-    sum a_t = d*(n+1-p); the count at p = n is C(d-1, n+1) identically.
+    sum a_t = d*(n+1-p), the coefficient of x^{d(n+1-p)} in
+    (x + ... + x^{d-1})^{n+2}: by inclusion-exclusion over the k entries
+    above d-1, sum_k (-1)^k C(n+2, k) C(t - k(d-1), n+1) with
+    t = d(n+1-p) - 1.  At p = n only k = 0 survives: C(d-1, n+1).
     """
-    target = d * (n + 1 - p)
-    # coefficient of x^target in (x + x^2 + ... + x^{d-1})^{n+2}
-    poly = [1]
-    for _ in range(n + 2):
-        new = [0] * (len(poly) + d - 1)
-        for e, c in enumerate(poly):
-            if c:
-                for a in range(1, d):
-                    new[e + a] += c
-        poly = new
-        if target < len(poly):
-            poly = poly[: target + 1]
-    return poly[target] if target < len(poly) else 0
+    t = d * (n + 1 - p) - 1
+    return sum(
+        (-1) ** k * comb(n + 2, k) * comb(t - k * (d - 1), n + 1)
+        for k in range(n + 3)
+        if t >= k * (d - 1)
+    )
 
 
 def hypersurface(d: int, n: int) -> HodgePolynomial:
@@ -525,14 +522,6 @@ def _edge_mul(a: dict, b: dict) -> dict[tuple[int, int], int]:
     return out
 
 
-def _series_edge(series: HodgePolynomial) -> dict[tuple[int, int], int]:
-    return {
-        (i, j): c
-        for (i, j), c in series.as_dict().items()
-        if (i == 0 or j == 0) and i <= 3 and j <= 3
-    }
-
-
 @dataclass(frozen=True)
 class SpecialFiberFix:
     l_factor: int
@@ -567,21 +556,19 @@ def special_fiber_fix(delta30: int, edge: dict | None = None) -> SpecialFiberFix
     l = -delta30 - 1
     if edge is None:
         edge = {(0, 0): 1, (0, 3): -delta30}
-    edge = {k: c for k, c in edge.items() if c}
-    h = {"h30": edge.get((3, 0), 0), "h03": edge.get((0, 3), 0),
-         "h20": edge.get((2, 0), 0), "h02": edge.get((0, 2), 0),
-         "h10": edge.get((1, 0), 0), "h01": edge.get((0, 1), 0)}
-    if h["h30"] - h["h03"] != delta30:
+    e30, e03, e20, e02 = [edge.get(k, 0) for k in ((3, 0), (0, 3), (2, 0), (0, 2))]
+    if e30 - e03 != delta30:
         raise ValueError("edge data does not realize the given delta^{3,0}")
     if edge.get((0, 0), 0) != 1:
         raise ValueError("edge data must be connected (h^{0,0} = 1)")
-    if h["h10"] or h["h01"]:
+    if edge.get((1, 0), 0) or edge.get((0, 1), 0):
         raise ValueError("edge data must have vanishing degree-1 numbers")
-    if h["h20"] != h["h02"]:
+    if e20 != e02:
         raise ValueError("edge data must be symmetric in degree 2")
 
-    aux = _series_edge(stack_series("Z_mod_p", 3))
-    aux = _edge_mul(aux, _series_edge(stack_series("mu_p", 3)))
+    # the monomials _edge_mul drops form an ideal, so its factors need no
+    # filtering of their own
+    aux = _edge_mul(stack_series("Z_mod_p", 3).as_dict(), stack_series("mu_p", 3).as_dict())
     elliptic = {(0, 0): 1, (1, 0): 1, (0, 1): 1}  # (1+x+y+xy) mod the ideal
     for _ in range(l):
         aux = _edge_mul(aux, elliptic)
@@ -591,8 +578,8 @@ def special_fiber_fix(delta30: int, edge: dict | None = None) -> SpecialFiberFix
     h30 = composed.get((3, 0), 0)
     h03 = composed.get((0, 3), 0)
     forms_ok = (
-        h30 == comb(l, 3) + comb(l, 2) + h["h03"] + (l + 1) * h["h02"]
-        and h03 == comb(l, 3) + comb(l, 2) + l + 1 + h["h30"] + (l + 1) * h["h20"]
+        h30 == comb(l, 3) + comb(l, 2) + e03 + (l + 1) * e02
+        and h03 == comb(l, 3) + comb(l, 2) + l + 1 + e30 + (l + 1) * e20
         and h03 - h30 == delta30 + l + 1
     )
     return SpecialFiberFix(

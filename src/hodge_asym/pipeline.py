@@ -303,29 +303,6 @@ def _isoclinic_checks(diamond: HodgePolynomial, dim: int) -> list[tuple[str, boo
     return checks
 
 
-def _d_policy(ij_sum: int, expr: DeltaExpr) -> dict:
-    if ij_sum == 3:
-        return {
-            "kind": "descent-degree",
-            "statement": "nonzero for every positive descent degree d_prime",
-        }
-    if not expr.opaque:
-        # a nonzero polynomial of degree k has at most k roots among 2..k+2
-        d = next(
-            (d for d in range(2, expr.exact.degree + 3) if expr.exact.eval(d) != 0), None
-        )
-        if d is None:
-            raise StructuralViolation("asymmetry expression is identically zero")
-        return {"kind": "concrete", "d": d, "value": str(expr.exact.eval_int(d))}
-    k = expr.max_exception_count()
-    return {
-        "kind": "all-but-finitely-many",
-        "max_exceptions": k,
-        "statement": f"nonzero for all but at most {k} integer values of d",
-        "exact_d_part": expr.exact.display(),
-    }
-
-
 def build_certificate(
     p: int,
     i: int,
@@ -349,14 +326,41 @@ def build_certificate(
     quot = quotient_bookkeeping(diamond)
 
     ledger = quot.ledger
+    # each branch negates back for a transposed target before its d-policy,
+    # whose exact part carries the sign
     if aux.kind == "none":
-        expr = weil_restriction_delta30(ledger[(big, small)])
-    elif aux.kind == "p1_power":
-        expr = assemble_delta(ledger, symbolic_p1_power(small), big, small)
+        delta = ledger[(big, small)]
+        expr = weil_restriction_delta30(-delta if swapped else delta)
+        opaque = expr.opaque_dict()
+        ok = (
+            expr.exact.is_zero()
+            and list(opaque) == [DESCENT_SYMBOL]
+            and opaque[DESCENT_SYMBOL].is_constant()
+            and not opaque[DESCENT_SYMBOL].is_zero()
+        )
+        closing = [("delta-descent-form", ok)]
+        d_policy = {
+            "kind": "descent-degree",
+            "statement": "nonzero for every positive descent degree d_prime",
+        }
     else:
-        expr = assemble_delta(ledger, symbolic_tower(aux.n, aux.s), big, small)
-    if swapped:
-        expr = -expr
+        factor = symbolic_tower(aux.n, aux.s) if aux.kind == "tower" else symbolic_p1_power(small)
+        expr = assemble_delta(ledger, factor, big, small)
+        if swapped:
+            expr = -expr
+        closing = [
+            ("delta-nonconstant-in-d", expr.exact.degree >= 1),
+            ("opaque-coeffs-d-independent", expr.opaque_coeffs_d_independent()),
+        ]
+        # the target's own opaque symbol delta(i,j) meets h^{0,0}(Y) = 1, so
+        # expr.opaque is never empty: the policy bounds the exceptional d
+        k = expr.max_exception_count()
+        d_policy = {
+            "kind": "all-but-finitely-many",
+            "max_exceptions": k,
+            "statement": f"nonzero for all but at most {k} integer values of d",
+            "exact_d_part": expr.exact.display(),
+        }
 
     checks: list[tuple[str, bool]] = [
         ("search-inequality", search.r0 != search.r1),
@@ -371,17 +375,7 @@ def build_certificate(
     checks.extend(_slice_checks(diamond, z.dim))
     if z.isoclinic():
         checks.extend(_isoclinic_checks(diamond, z.dim))
-    if big + small == 3:
-        ok = (
-            expr.exact.is_zero()
-            and list(expr.opaque_dict()) == [DESCENT_SYMBOL]
-            and expr.opaque_dict()[DESCENT_SYMBOL].is_constant()
-            and not expr.opaque_dict()[DESCENT_SYMBOL].is_zero()
-        )
-        checks.append(("delta-descent-form", ok))
-    else:
-        checks.append(("delta-nonconstant-in-d", expr.exact.degree >= 1))
-        checks.append(("opaque-coeffs-d-independent", expr.opaque_coeffs_d_independent()))
+    checks.extend(closing)
 
     cert = ConstructionCertificate(
         inputs={
@@ -402,7 +396,7 @@ def build_certificate(
         quotient=quot,
         aux_case=aux,
         delta_result=expr,
-        d_policy=_d_policy(big + small, expr),
+        d_policy=d_policy,
         checks=tuple(checks),
         embellishments={},
     )
@@ -424,10 +418,7 @@ def embellish(cert: ConstructionCertificate, which: str) -> ConstructionCertific
     if which == "special-fiber":
         if cert.target != (3, 0):
             raise ScopeViolation("special-fiber fix applies only to the (3,0) target")
-        delta30 = cert.quotient.delta30
-        if delta30 >= 0:
-            raise ScopeViolation("special-fiber fix needs delta^{3,0} < 0")
-        fix = special_fiber_fix(delta30, edge=cert.quotient.edge_dict())
+        fix = special_fiber_fix(cert.quotient.delta30, edge=cert.quotient.edge_dict())
         emb["special_fiber"] = {
             "l_factor": fix.l_factor,
             "composed_h30": fix.composed_h30,
@@ -521,7 +512,7 @@ def serialize_certificate(cert: ConstructionCertificate) -> dict:
         "ledger_exact": [[i, j, v] for (i, j), v in cert.quotient.ledger.items()],
         "aux_case": cert.aux_case.serialize(),
         "delta_result": {
-            "variable": "d" if cert.target[0] + cert.target[1] > 3 else DESCENT_SYMBOL,
+            "variable": DESCENT_SYMBOL if cert.aux_case.kind == "none" else "d",
             **cert.delta_result.serialize(),
             "display": cert.delta_result.display(),
         },

@@ -1,0 +1,298 @@
+"""Grammar fuzzer for the command line: no input may end in a traceback.
+
+    PYTHONPATH=src python tests/fuzz_cli.py
+
+Draws argument lists over the eight subcommands and the four ``hodge``
+operations.  Integers are log-uniform in magnitude up to 10^18, of either
+sign; JSON arguments and stored certificates are valid, mutated, malformed
+or deeply nested; every path points into a fresh temporary directory.  Each
+example runs in its own interpreter, one at a time, and must exit 0, 1 or 2,
+write no traceback, and use at most CPU_LIMIT_S of CPU time (user plus
+system, read as tests/test_input_errors.py reads it); TIMEOUT_S guards a
+hang.  Seed and example count are fixed, so a run repeats.  Each input it
+finds belongs in tests/test_input_errors.py as a plain regression case.
+The file name keeps it out of the pytest collection.
+"""
+
+import json
+import os
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
+
+import hodge_asym
+from hodge_asym import pipeline
+from hodge_asym.cli import dumps
+
+SEED = 20261019
+EXAMPLES = 600
+CPU_LIMIT_S = 2.0
+TIMEOUT_S = 20
+MEMORY_LIMIT = 1 << 30  # address space of each child, as in test_input_errors
+ENV = dict(os.environ, PYTHONPATH=str(Path(hodge_asym.__file__).resolve().parents[1]))
+ENV.pop("HODGE_ASYM_SEED", None)
+
+# ---------------------------------------------------------------------------
+# values
+
+
+def weighted(*pairs) -> st.SearchStrategy:
+    """One of the strategies, each drawn in proportion to its weight."""
+    pool = [strategy for weight, strategy in pairs for _ in range(weight)]
+    return st.integers(0, len(pool) - 1).flatmap(lambda k: pool[k])
+
+
+# magnitude log-uniform: a uniform bit length, then a uniform value below it;
+# small values, where most inputs are valid, get a branch of their own
+log_ints = weighted(
+    (3, st.integers(0, 60).flatmap(lambda b: st.integers(-(1 << b), 1 << b))
+     .map(lambda v: max(-10**18, min(10**18, v)))),
+    (1, st.integers(-2, 40)),
+)
+int_text = weighted(
+    (7, log_ints.map(str)),
+    (1, st.sampled_from(["", "x", "1.5", "0x10", "1e3", " 7", "-0", "9" * 5000])),
+)
+# primes for --p and --l, most of them small enough to get past the caps
+prime_text = weighted(
+    (2, st.sampled_from([2, 3, 5, 7, 11, 13, 17, 29, 37, 41, 53, 61, 101, 157, 173,
+                         2801, 10007, 100049, 1000003, 2147483647]).map(str)),
+    (1, int_text),
+)
+small_text = weighted((2, st.integers(-1, 12).map(str)), (1, int_text))
+json_scalars = st.one_of(
+    st.none(), st.booleans(), log_ints, st.floats(allow_nan=False), st.text(max_size=8),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+depths = st.sampled_from([1, 40, 900, 1100, 5000, 200_000])
+nested = st.one_of(
+    depths.map(lambda n: "[" * n + "]" * n),
+    depths.map(lambda n: '{"a": ' * n + "1" + "}" * n),
+    depths.map(lambda n: '{"coeffs": ' + "[" * n + "]" * n + "}"),
+)
+
+
+def splice(text: str, at: int, cut: int, junk: str) -> str:
+    at = at % (len(text) + 1)
+    return text[:at] + junk + text[at + cut:]
+
+
+def mutated(texts) -> st.SearchStrategy:
+    """Valid text from ``texts`` with a short run cut out or junk spliced in."""
+    return st.builds(splice, texts, st.integers(0, 10**6), st.integers(0, 3),
+                     st.text(alphabet='[]{}",:0123456789-.e ', max_size=3))
+
+
+coeff_rows = st.lists(st.tuples(log_ints, log_ints, log_ints), max_size=6)
+valid_tables = weighted(
+    (1, coeff_rows.map(lambda rows: json.dumps({"coeffs": [list(r) for r in rows]}))),
+    (3, st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 9)),
+                 max_size=12).map(lambda rows: json.dumps({"coeffs": [list(r) for r in rows]}))),
+)
+table_text = weighted(
+    (4, valid_tables), (1, mutated(valid_tables)), (1, nested), (1, json_values.map(json.dumps)),
+    (1, st.text(max_size=20)),
+)
+
+# ---------------------------------------------------------------------------
+# arguments: a str, or ("file", prefix, content), ("dir", prefix, {name: content})
+# or ("path", prefix, name), which run() makes inside the example's directory
+
+
+def opt(name: str, values) -> st.SearchStrategy:
+    """``--name=value``, or, one time in eight, nothing (a missing required
+    option exits 2)."""
+    return weighted((7, values.map(lambda v: [f"--{name}={v}"])), (1, st.just([])))
+
+
+def text_or_file(name: str, texts) -> st.SearchStrategy:
+    """``--name=text`` inline, or ``--name=@path`` of a file, present or not."""
+    return st.one_of(
+        # the kernel refuses a single argument above 128 KiB
+        texts.filter(lambda t: len(t) < 100_000).map(lambda t: f"--{name}={t}"),
+        texts.map(lambda t: ("file", f"--{name}=@", t)),
+        st.just(("path", f"--{name}=@", "missing.json")),
+    )
+
+
+fmt = opt("format", st.sampled_from(["text", "json"] * 4 + ["yaml"]))
+selector = opt("selector", st.sampled_from(["default", "alt"] * 4 + ["other"]))
+int_list = st.one_of(st.lists(log_ints, max_size=5).map(lambda xs: ",".join(map(str, xs))),
+                     st.text(alphabet="0123456789,-/ ", max_size=8))
+slope = st.one_of(
+    log_ints.map(str),
+    st.tuples(log_ints, log_ints).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["1.5", "3/2", "1/0", "2e1", "", "x", "-1/2", "0.000001"]),
+)
+newton = st.one_of(
+    st.lists(st.tuples(slope, int_text), max_size=4)
+    .map(lambda items: ",".join(f"{s}:{m}" for s, m in items)),
+    st.text(alphabet="0123456789/:,.-e ", max_size=10),
+)
+
+
+def consistent_polygon(hodge: list, slope: str) -> list:
+    """Options of a polygon whose Newton rank matches its Hodge rank."""
+    return [f"--n={len(hodge) - 1}", f"--hodge={','.join(map(str, hodge))}",
+            f"--newton={slope}:{sum(hodge)}"]
+
+
+polygon_args = weighted(
+    (1, st.tuples(opt("n", int_text), opt("hodge", int_list), opt("newton", newton))
+     .map(lambda ps: [a for p in ps for a in p])),
+    (1, st.builds(consistent_polygon, st.lists(log_ints.map(abs), min_size=1, max_size=6),
+                  slope)),
+)
+module_text = st.one_of(
+    st.tuples(log_ints, st.lists(st.tuples(log_ints, log_ints), max_size=4)).map(
+        lambda t: f"l={t[0]}; " + ",".join(f"{e}:{m}" for e, m in t[1])
+    ),
+    st.text(alphabet="l=;:,0123456789- ", max_size=12),
+)
+embellish = st.lists(st.sampled_from(["special-fiber", "polarization", "bogus", ""]),
+                     max_size=3).map(",".join)
+
+
+def command(name: str, *parts) -> st.SearchStrategy:
+    return st.tuples(*parts).map(lambda ps: [*name.split(), *[a for p in ps for a in p]])
+
+
+# stored certificates: valid ones, with inputs replaced or removed, or other text
+CERT_INPUTS = (
+    (2, 3, 0, ()), (2, 4, 2, ("polarization",)), (3, 4, 1, ()), (2, 3, 0, ("special-fiber",)),
+)
+CERTS = [
+    dumps(pipeline.serialize_certificate(pipeline.construct(p, i, j, embellishments=emb)))
+    for p, i, j, emb in CERT_INPUTS
+]
+INPUT_KEYS = ("p", "i", "j", "l", "selector", "max_layers", "bound", "embellish")
+_DROP = object()
+
+
+def edit_inputs(text: str, edits: list) -> str:
+    data = json.loads(text)
+    for key, value in edits:
+        if value is _DROP:
+            data["inputs"].pop(key, None)
+        else:
+            data["inputs"][key] = value
+    return dumps(data)
+
+
+input_value = st.one_of(log_ints, json_values, st.just(_DROP),
+                        st.sampled_from([["polarization"], ["special-fiber"], ["bogus"], "alt"]))
+certificate_text = st.one_of(
+    st.sampled_from(CERTS),
+    st.builds(edit_inputs, st.sampled_from(CERTS),
+              st.lists(st.tuples(st.sampled_from(INPUT_KEYS + ("extra",)), input_value),
+                       min_size=1, max_size=3)),
+    mutated(st.sampled_from(CERTS)),
+    nested.map(lambda t: '{"inputs": ' + t + "}"),
+    json_values.map(json.dumps),
+    st.text(max_size=20),
+)
+certificate_path = st.one_of(
+    certificate_text.map(lambda t: ("file", "", t)),
+    st.just(("path", "", "missing.json")),
+)
+corpus = st.one_of(
+    st.just([]),
+    st.dictionaries(st.sampled_from(["a.json", "b.json", "c.txt"]), certificate_text, max_size=2)
+    .map(lambda files: [("dir", "--corpus=", files)]),
+    st.just([("path", "--corpus=", "missing")]),
+)
+
+commands = st.one_of(
+    command("find-l", opt("p", prime_text), opt("bound", int_text), fmt),
+    command("build-cm", opt("p", prime_text), opt("l", prime_text), selector,
+            opt("max-layers", small_text), fmt),
+    command("search-typical", opt("p", prime_text), opt("l", prime_text), selector,
+            opt("V", module_text), opt("layer-count", small_text), fmt),
+    command("verify-polygon", polygon_args, fmt),
+    command("hodge hypersurface", opt("d", int_text), opt("n", small_text), fmt),
+    command("hodge blowup-tower", opt("d", int_text), opt("n", small_text),
+            opt("s", small_text), opt("ambient-dims", int_list), fmt),
+    command("hodge stack", opt("kind", st.sampled_from(["mu_p", "Z_mod_p", "bogus"])),
+            opt("bound", int_text), fmt),
+    command("hodge product", text_or_file("left", table_text).map(lambda a: [a]),
+            text_or_file("right", table_text).map(lambda a: [a]), fmt),
+    command("construct", opt("p", prime_text), opt("i", small_text), opt("j", small_text),
+            opt("l", prime_text), selector, opt("max-layers", small_text),
+            opt("embellish", embellish),
+            st.one_of(st.just([]), st.sampled_from([("path", "--out=", "cert.json"),
+                                                    ("path", "--out=", ""),
+                                                    ("path", "--out=", "no/such/dir.json")])
+                      .map(lambda a: [a])),
+            fmt),
+    command("certify", certificate_path.map(lambda a: [a]), fmt),
+    command("golden", corpus),
+)
+
+
+# ---------------------------------------------------------------------------
+# running
+
+
+def materialize(arg, tmp: Path, index: int) -> str:
+    if isinstance(arg, str):
+        return arg
+    kind, prefix, payload = arg
+    if kind == "file":
+        path = tmp / f"arg{index}.json"
+        path.write_text(payload)
+    elif kind == "dir":
+        path = tmp / f"dir{index}"
+        path.mkdir()
+        for name, content in payload.items():
+            (path / name).write_text(content)
+    else:
+        path = tmp / payload
+    return prefix + str(path)
+
+
+def limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+def children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def run(argv: list) -> tuple[int, str, float]:
+    """Exit code, stderr and CPU seconds of one CLI run in a fresh directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        args = [materialize(a, Path(tmp), k) for k, a in enumerate(argv)]
+        cpu0 = children_cpu_s()
+        proc = subprocess.run(
+            [sys.executable, "-m", "hodge_asym", *args], cwd=tmp, env=ENV,
+            capture_output=True, text=True, timeout=TIMEOUT_S, preexec_fn=limit_memory,
+        )
+        return proc.returncode, proc.stderr, children_cpu_s() - cpu0
+
+
+@seed(SEED)
+@settings(max_examples=EXAMPLES, deadline=None, database=None,
+          suppress_health_check=list(HealthCheck))
+@given(commands)
+def fuzz(argv):
+    code, err, cpu = run(argv)
+    assert code in (0, 1, 2), (code, err[-2000:])
+    assert "Traceback" not in err, err[-2000:]
+    assert cpu <= CPU_LIMIT_S, f"{cpu:.2f} s of CPU"
+
+
+if __name__ == "__main__":
+    t0 = time.monotonic()
+    fuzz()
+    print(f"{EXAMPLES} examples, seed {SEED}: no finding in {time.monotonic() - t0:.0f} s")

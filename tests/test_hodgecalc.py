@@ -137,16 +137,21 @@ def test_hypersurface_paper_values():
 
 
 def test_hypersurface_middle_row_against_lattice_oracle():
-    for d, n in [(4, 2), (3, 2), (5, 2), (3, 3), (2, 4)]:
-        h = hypersurface(d, n)
-        for p in range(n + 1):
-            expected = lattice_middle_row(d, n, p)
-            assert middle_row_count(d, n, p) == expected
-            got = h.coeff(p, n - p)
-            if 2 * p == n:
-                assert got == expected + 1
-            else:
-                assert got == expected + (1 if p == n - p else 0)
+    # d in {1, 2} has no lattice points: every primitive count is 0
+    for d in range(1, 8):
+        for n in range(1, 5):
+            h = hypersurface(d, n)
+            for p in range(n + 1):
+                expected = lattice_middle_row(d, n, p)
+                assert middle_row_count(d, n, p) == expected, (d, n, p)
+                assert h.coeff(p, n - p) == expected + (1 if 2 * p == n else 0), (d, n, p)
+
+
+def test_quintic_threefold():
+    h = hypersurface(5, 3)
+    assert (h.coeff(2, 1), h.coeff(1, 2)) == (101, 101)
+    assert (h.coeff(3, 0), h.coeff(0, 3)) == (1, 1)
+    assert h.coeff(1, 1) == h.coeff(2, 2) == 1
 
 
 def test_hypersurface_sweep_identities():

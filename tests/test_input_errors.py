@@ -122,11 +122,12 @@ def children_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def assert_refused_naming(cap: str, *argv: str) -> None:
+def assert_refused_naming(cap: str, *argv: str) -> str:
     """Run the CLI in a fresh interpreter under limit_memory: exit 2 within
     1 s of the child's CPU time, no output and no traceback, and an error
-    that names the cap.  CPU time, not wall-clock time, so that a loaded
-    machine does not fail a refusal that does no work; timeout guards a hang."""
+    that names the cap (or holds the given text); returns the error.  CPU
+    time, not wall-clock time, so that a loaded machine does not fail a
+    refusal that does no work; timeout guards a hang."""
     env = dict(os.environ, PYTHONPATH=str(Path(hodge_asym.__file__).resolve().parents[1]))
     cpu0 = children_cpu_s()
     proc = subprocess.run(
@@ -138,6 +139,7 @@ def assert_refused_naming(cap: str, *argv: str) -> None:
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:") and cap in proc.stderr
+    return proc.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -193,6 +195,20 @@ def test_hodge_product_text_refuses_a_grid_above_the_table_cap(capsys):
     # JSON prints no grid, so the same product passes
     assert main([*argv, "--format", "json"]) == 0
     assert "[\n      1000000000,\n" in capsys.readouterr().out
+
+
+def test_deeply_nested_json_exits_2(tmp_path):
+    # json.loads raises RecursionError on this nesting, which is bad input, not a fault
+    nested = "[" * 200_000 + "]" * 200_000
+    table = tmp_path / "table.json"
+    table.write_text(nested)
+    err = assert_refused_naming("nested too deeply", "hodge", "product",
+                                "--left", f"@{table}", "--right", '{"coeffs": [[0,0,1]]}')
+    assert err.count("\n") == 1
+    cert = tmp_path / "cert.json"
+    cert.write_text('{"inputs": ' + nested + "}")
+    err = assert_refused_naming("nested too deeply", "certify", str(cert))
+    assert err.count("\n") == 1
 
 
 def coeff_table_text(rows: int, cols: int) -> str:

@@ -15,7 +15,6 @@ from hodge_asym.pipeline import (
     QuotientData,
     ScopeViolation,
     StructuralViolation,
-    _d_policy,
     assemble_delta,
     choose_aux_case,
     construct,
@@ -312,12 +311,3 @@ def test_symbolic_p1_power():
         concrete = projective_space(1) ** d
         for (r, _), poly in sym.coeffs:
             assert poly.eval_int(d) == concrete.coeff(r, r)
-
-
-def test_d_policy_scan_is_bounded():
-    # (d - 2)(d - 3) vanishes at the first two candidates
-    expr = DeltaExpr.create(DPoly.create([6, -5, 1]))
-    assert _d_policy(6, expr) == {"kind": "concrete", "d": 4, "value": "2"}
-    # identically zero with no opaque terms: refused instead of scanning forever
-    with pytest.raises(StructuralViolation):
-        _d_policy(6, DeltaExpr.create(DPoly.zero()))
