@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, zip_longest
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -355,20 +355,9 @@ def cmd_construct(args) -> int:
         _print(f"degree-3 slice: {tuple(cert.slice3)}   oriented={cert.cm.oriented}")
         _print(f"aux case: {aux_text}")
         _print(f"delta result: {cert.delta_result.display()}")
-        if "statement" in cert.d_policy:
-            _print(f"d policy: {cert.d_policy['statement']}")
+        _print(f"d policy: {cert.d_policy['statement']}")
         _print(render_checks(payload["checks"]))
     return 0
-
-
-def regenerate(stored: dict) -> dict:
-    """Re-run the pipeline from a certificate's recorded inputs."""
-    inp = stored["inputs"]
-    options = {k: inp[k] for k in ("l", "selector", "max_layers") if k in inp}
-    cert = pipeline.construct(
-        inp["p"], inp["i"], inp["j"], embellishments=inp.get("embellish", []), **options
-    )
-    return pipeline.serialize_certificate(cert)
 
 
 def _check_certificate_inputs(stored) -> None:
@@ -392,12 +381,21 @@ def _check_certificate_inputs(stored) -> None:
         )
 
 
+def regenerate(stored) -> dict:
+    """Re-run the pipeline from a certificate's recorded inputs, checked first."""
+    _check_certificate_inputs(stored)
+    inp = stored["inputs"]
+    options = {k: inp[k] for k in ("l", "selector", "max_layers") if k in inp}
+    cert = pipeline.construct(
+        inp["p"], inp["i"], inp["j"], embellishments=inp.get("embellish", []), **options
+    )
+    return pipeline.serialize_certificate(cert)
+
+
 def cmd_certify(args) -> int:
     t0 = time.monotonic()
     stored_text = Path(args.certificate).read_text()
-    stored = load_json(stored_text)
-    _check_certificate_inputs(stored)
-    fresh = regenerate(stored)
+    fresh = regenerate(load_json(stored_text))
     match = dumps(fresh) == stored_text
     checks = [dict(c) for c in fresh["checks"]]
     checks.append({"name": "stored-matches-recomputation", "passed": match})
@@ -407,6 +405,40 @@ def cmd_certify(args) -> int:
     else:
         _print(render_checks(checks))
     return 0 if rep["passed"] else 1
+
+
+_ABSENT = object()
+
+
+def _shown(value) -> str:
+    """A short display of one JSON value: containers as their brackets."""
+    if value is _ABSENT:
+        return "absent"
+    if value and isinstance(value, (dict, list)):
+        return "{...}" if isinstance(value, dict) else "[...]"
+    text = json.dumps(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def first_difference(stored, fresh) -> str | None:
+    """'path: stored X, regenerated Y' at the first place, in document order,
+    where two parsed JSON documents differ; None when they are equal.  The
+    walk keeps its own stack, so no nesting depth can exhaust Python's."""
+    stack = [("", stored, fresh)]
+    while stack:
+        path, a, b = stack.pop()
+        if type(a) is type(b) is dict:
+            keys = [*a, *(k for k in b if k not in a)]
+            stack.extend(
+                (f"{path}.{k}" if path else k, a.get(k, _ABSENT), b.get(k, _ABSENT))
+                for k in reversed(keys)
+            )
+        elif type(a) is type(b) is list:
+            pairs = list(enumerate(zip_longest(a, b, fillvalue=_ABSENT)))
+            stack.extend((f"{path}[{t}]", x, y) for t, (x, y) in reversed(pairs))
+        elif type(a) is not type(b) or a != b:
+            return f"{path or '(root)'}: stored {_shown(a)}, regenerated {_shown(b)}"
+    return None
 
 
 def cmd_golden(args) -> int:
@@ -422,17 +454,21 @@ def cmd_golden(args) -> int:
     for path in files:
         stored_text = path.read_text()
         try:
-            fresh_text = dumps(regenerate(json.loads(stored_text)))
+            stored = load_json(stored_text)
+            fresh_text = dumps(regenerate(stored))
         except Exception as e:  # regeneration itself failed
             failures.append((path.name, f"regeneration error: {e}"))
             continue
         if fresh_text != stored_text:
-            old, new = stored_text.splitlines(), fresh_text.splitlines()
-            line = next(
-                (t for t, (a, b) in enumerate(zip(old, new)) if a != b),
-                min(len(old), len(new)),
-            )
-            failures.append((path.name, f"first difference at line {line + 1}"))
+            why = first_difference(stored, load_json(fresh_text))
+            if why is None:  # the same data, laid out differently
+                old, new = stored_text.splitlines(), fresh_text.splitlines()
+                line = next(
+                    (t for t, (a, b) in enumerate(zip(old, new)) if a != b),
+                    min(len(old), len(new)),
+                )
+                why = f"first difference at line {line + 1}"
+            failures.append((path.name, why))
     for name, why in failures:
         _print(f"MISMATCH {name}: {why}")
     _print(f"golden: {len(files) - len(failures)}/{len(files)} certificates match")

@@ -28,9 +28,9 @@ class NonNegativeDelta(ValueError):
 
 # largest estimated cost of a calculator table: (D+1)^2 for a table of top
 # degree D, the grid its text rendering prints, which also bounds building a
-# blow-up tower; a hypersurface adds (n+2)^3 * d^2, which models no work (the
-# middle row is a closed form) and is kept so that the same inputs are
-# refused.  On a 2-vCPU machine, printing a 1,000,000-cell grid took 0.85 s
+# blow-up tower; a hypersurface adds (n+2)^3 * d^2 for its closed-form middle
+# row, whose binomials grow with n and d (d = 10^300, n = 100 took 14-22 s on a
+# 2-vCPU machine).  Printing a 1,000,000-cell grid there took 0.85 s
 TABLE_COST_CAP = 500_000
 
 

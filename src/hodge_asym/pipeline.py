@@ -175,10 +175,8 @@ class QuotientData:
     def edge_dict(self) -> dict[tuple[int, int], int]:
         out = {(0, 0): self.h_i0[0]}
         for i in range(1, 4):
-            if self.h_i0[i]:
-                out[(i, 0)] = self.h_i0[i]
-            if self.h_0j[i]:
-                out[(0, i)] = self.h_0j[i]
+            out[(i, 0)] = self.h_i0[i]
+            out[(0, i)] = self.h_0j[i]
         return out
 
 
@@ -186,13 +184,12 @@ def quotient_bookkeeping(z_diamond: HodgePolynomial) -> QuotientData:
     """Edge invariants of the quotient, which fix its degree <= 3 ledger.
 
     h^{i,0} and h^{0,i} of the quotient equal the invariant ranks recorded
-    in the equivariant diamond for i <= 3; degrees 1 and 2 must be
-    symmetric.
+    in the equivariant diamond for i <= 3.  The ledger assumes degrees 1
+    and 2 symmetric, as it assumes delta^{2,1} = -3*delta^{3,0}; the
+    certificate's degree1-symmetry and degree2-symmetry checks test that.
     """
     h_i0 = tuple([z_diamond.coeff(i, 0) for i in range(4)])
     h_0j = tuple([z_diamond.coeff(0, j) for j in range(4)])
-    if h_i0[1] != h_0j[1] or h_i0[2] != h_0j[2]:
-        raise StructuralViolation("degree 1/2 edge symmetry failed on the input diamond")
     return QuotientData(h_i0=h_i0, h_0j=h_0j)
 
 
@@ -264,6 +261,11 @@ class ConstructionCertificate:
     def target(self) -> tuple[int, int]:
         return (self.inputs["i"], self.inputs["j"])
 
+    def __post_init__(self):
+        # a certificate exists only with every check passed
+        if not self.all_passed():
+            raise CertificateFailure(serialize_certificate(self))
+
     def all_passed(self) -> bool:
         return all(ok for _, ok in self.checks)
 
@@ -313,11 +315,10 @@ def build_certificate(
 ) -> ConstructionCertificate:
     """Certificate for an object with h^{i,j} != h^{j,i}.
 
-    The target is normalized to i > j internally (the recorded asymmetry
-    expression is negated back for transposed inputs).
+    The auxiliary factor is chosen for the ordered pair; a transposed target
+    takes its sign from the ledger, where delta^{j,i} = -delta^{i,j}.
     """
-    swapped = i < j
-    big, small = (j, i) if swapped else (i, j)
+    big, small = max(i, j), min(i, j)
     aux = choose_aux_case(big, small)
 
     z, search = cmbuild.build_cm(p, l=l, selector=selector, max_layers=max_layers)
@@ -326,11 +327,8 @@ def build_certificate(
     quot = quotient_bookkeeping(diamond)
 
     ledger = quot.ledger
-    # each branch negates back for a transposed target before its d-policy,
-    # whose exact part carries the sign
     if aux.kind == "none":
-        delta = ledger[(big, small)]
-        expr = weil_restriction_delta30(-delta if swapped else delta)
+        expr = weil_restriction_delta30(_ledger_entry(ledger, i, j)[0])
         opaque = expr.opaque_dict()
         ok = (
             expr.exact.is_zero()
@@ -345,9 +343,7 @@ def build_certificate(
         }
     else:
         factor = symbolic_tower(aux.n, aux.s) if aux.kind == "tower" else symbolic_p1_power(small)
-        expr = assemble_delta(ledger, factor, big, small)
-        if swapped:
-            expr = -expr
+        expr = assemble_delta(ledger, factor, i, j)
         closing = [
             ("delta-nonconstant-in-d", expr.exact.degree >= 1),
             ("opaque-coeffs-d-independent", expr.opaque_coeffs_d_independent()),
@@ -377,7 +373,7 @@ def build_certificate(
         checks.extend(_isoclinic_checks(diamond, z.dim))
     checks.extend(closing)
 
-    cert = ConstructionCertificate(
+    return ConstructionCertificate(
         inputs={
             "p": p,
             "i": i,
@@ -400,9 +396,6 @@ def build_certificate(
         checks=tuple(checks),
         embellishments={},
     )
-    if not cert.all_passed():
-        raise CertificateFailure(serialize_certificate(cert))
-    return cert
 
 
 EMBELLISHMENTS = ("special-fiber", "polarization")
@@ -454,15 +447,12 @@ def embellish(cert: ConstructionCertificate, which: str) -> ConstructionCertific
     emb_list = list(cert.inputs["embellish"])
     if which not in emb_list:
         emb_list.append(which)
-    out = replace(
+    return replace(
         cert,
         inputs={**cert.inputs, "embellish": emb_list},
         checks=tuple(checks),
         embellishments=emb,
     )
-    if not out.all_passed():
-        raise CertificateFailure(serialize_certificate(out))
-    return out
 
 
 def construct(p: int, i: int, j: int, embellishments=(), **options) -> ConstructionCertificate:

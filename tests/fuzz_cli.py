@@ -4,12 +4,16 @@
 
 Draws argument lists over the eight subcommands and the four ``hodge``
 operations.  Integers are log-uniform in magnitude up to 10^18, of either
-sign; JSON arguments and stored certificates are valid, mutated, malformed
-or deeply nested; every path points into a fresh temporary directory.  Each
-example runs in its own interpreter, one at a time, and must exit 0, 1 or 2,
-write no traceback, and use at most CPU_LIMIT_S of CPU time (user plus
-system, read as tests/test_input_errors.py reads it); TIMEOUT_S guards a
-hang.  Seed and example count are fixed, so a run repeats.  Each input it
+sign; JSON arguments and stored certificates are valid, mutated, malformed,
+deeply nested or wrongly typed; every path points into a fresh temporary
+directory.  So that valid input is common too, build-cm and search-typical
+have a second branch over (p, l) pairs with 4 | ord(p mod l), and
+verify-polygon draws symmetric Hodge vectors, about half with the passing slope
+n/2.  Each example runs in its own interpreter, one at a time, and must exit
+0, 1 or 2, write no traceback, and use at most CPU_LIMIT_S of CPU time (user
+plus system, read as tests/test_input_errors.py reads it); TIMEOUT_S guards
+a hang.  Seed and example count are fixed, so a run repeats; it ends by
+printing how often each subcommand exited with each code.  Each input it
 finds belongs in tests/test_input_errors.py as a plain regression case.
 The file name keeps it out of the pytest collection.
 """
@@ -21,6 +25,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
@@ -28,6 +33,7 @@ from hypothesis import HealthCheck, given, seed, settings, strategies as st
 import hodge_asym
 from hodge_asym import pipeline
 from hodge_asym.cli import dumps
+from hodge_asym.cyclochar import is_prime, multiplicative_order
 
 SEED = 20261019
 EXAMPLES = 600
@@ -115,6 +121,15 @@ def opt(name: str, values) -> st.SearchStrategy:
     return weighted((7, values.map(lambda v: [f"--{name}={v}"])), (1, st.just([])))
 
 
+# (p, l) pairs that PrimeContext accepts, 4 | ord(p mod l), with l small enough
+# for build-cm and search-typical to get past their caps and build
+PRIME_PAIRS = [
+    (p, l) for p in range(2, 60) if is_prime(p)
+    for l in range(5, 102) if is_prime(l) and l != p and multiplicative_order(p, l) % 4 == 0
+]
+prime_pair = st.sampled_from(PRIME_PAIRS).map(lambda pl: [f"--p={pl[0]}", f"--l={pl[1]}"])
+
+
 def text_or_file(name: str, texts) -> st.SearchStrategy:
     """``--name=text`` inline, or ``--name=@path`` of a file, present or not."""
     return st.one_of(
@@ -147,11 +162,22 @@ def consistent_polygon(hodge: list, slope: str) -> list:
             f"--newton={slope}:{sum(hodge)}"]
 
 
+def symmetric_polygon(half: list, middle: list, newton_slope: str | None) -> list:
+    """Options of a polygon with the symmetric Hodge vector half + middle +
+    reversed(half); without a drawn slope, its Newton slope is n/2, with
+    which every check passes."""
+    hodge = [*half, *middle, *reversed(half)]
+    return consistent_polygon(hodge, newton_slope or f"{len(hodge) - 1}/2")
+
+
+hodge_entries = st.integers(0, 60)
 polygon_args = weighted(
     (1, st.tuples(opt("n", int_text), opt("hodge", int_list), opt("newton", newton))
      .map(lambda ps: [a for p in ps for a in p])),
     (1, st.builds(consistent_polygon, st.lists(log_ints.map(abs), min_size=1, max_size=6),
                   slope)),
+    (2, st.builds(symmetric_polygon, st.lists(hodge_entries, min_size=1, max_size=4),
+                  st.lists(hodge_entries, max_size=1), st.none() | slope)),
 )
 module_text = st.one_of(
     st.tuples(log_ints, st.lists(st.tuples(log_ints, log_ints), max_size=4)).map(
@@ -191,8 +217,15 @@ def edit_inputs(text: str, edits: list) -> str:
 
 input_value = st.one_of(log_ints, json_values, st.just(_DROP),
                         st.sampled_from([["polarization"], ["special-fiber"], ["bogus"], "alt"]))
+WRONG_TYPES = ("2", 2.0, 1e308, [3], {"p": 2}, True, "polarization", ["polarization", 1])
+wrongly_typed = st.builds(
+    edit_inputs, st.sampled_from(CERTS),
+    st.lists(st.tuples(st.sampled_from(INPUT_KEYS), st.sampled_from(WRONG_TYPES)),
+             min_size=1, max_size=3),
+)
 certificate_text = st.one_of(
     st.sampled_from(CERTS),
+    wrongly_typed,
     st.builds(edit_inputs, st.sampled_from(CERTS),
               st.lists(st.tuples(st.sampled_from(INPUT_KEYS + ("extra",)), input_value),
                        min_size=1, max_size=3)),
@@ -207,6 +240,9 @@ certificate_path = st.one_of(
 )
 corpus = st.one_of(
     st.just([]),
+    # a corpus file is input too: wrongly typed inputs beside a valid certificate
+    st.tuples(wrongly_typed, st.sampled_from(CERTS))
+    .map(lambda texts: [("dir", "--corpus=", {"bad.json": texts[0], "good.json": texts[1]})]),
     st.dictionaries(st.sampled_from(["a.json", "b.json", "c.txt"]), certificate_text, max_size=2)
     .map(lambda files: [("dir", "--corpus=", files)]),
     st.just([("path", "--corpus=", "missing")]),
@@ -216,8 +252,11 @@ commands = st.one_of(
     command("find-l", opt("p", prime_text), opt("bound", int_text), fmt),
     command("build-cm", opt("p", prime_text), opt("l", prime_text), selector,
             opt("max-layers", small_text), fmt),
+    command("build-cm", prime_pair, selector, opt("max-layers", small_text), fmt),
     command("search-typical", opt("p", prime_text), opt("l", prime_text), selector,
             opt("V", module_text), opt("layer-count", small_text), fmt),
+    command("search-typical", prime_pair, selector,
+            opt("layer-count", st.integers(0, 3).map(str)), fmt),
     command("verify-polygon", polygon_args, fmt),
     command("hodge hypersurface", opt("d", int_text), opt("n", small_text), fmt),
     command("hodge blowup-tower", opt("d", int_text), opt("n", small_text),
@@ -281,12 +320,17 @@ def run(argv: list) -> tuple[int, str, float]:
         return proc.returncode, proc.stderr, children_cpu_s() - cpu0
 
 
+# (subcommand, exit code) of every example run, printed at the end
+EXITS = Counter()
+
+
 @seed(SEED)
 @settings(max_examples=EXAMPLES, deadline=None, database=None,
           suppress_health_check=list(HealthCheck))
 @given(commands)
 def fuzz(argv):
     code, err, cpu = run(argv)
+    EXITS[" ".join(argv[:2] if argv[0] == "hodge" else argv[:1]), code] += 1
     assert code in (0, 1, 2), (code, err[-2000:])
     assert "Traceback" not in err, err[-2000:]
     assert cpu <= CPU_LIMIT_S, f"{cpu:.2f} s of CPU"
@@ -296,3 +340,5 @@ if __name__ == "__main__":
     t0 = time.monotonic()
     fuzz()
     print(f"{EXAMPLES} examples, seed {SEED}: no finding in {time.monotonic() - t0:.0f} s")
+    for (name, code), count in sorted(EXITS.items()):
+        print(f"  {name:<20} exit {code}: {count}")

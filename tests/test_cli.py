@@ -12,6 +12,7 @@ from hodge_asym import cmbuild
 from hodge_asym.cli import (
     GOLDEN_DIR,
     dumps,
+    first_difference,
     main,
     parse_hodge_vector,
     parse_newton,
@@ -220,9 +221,32 @@ def test_golden_corrupted_and_empty(tmp_path, capsys):
     data["degree3_slice"] = [9, 9, 9, 9]
     target.write_text(dumps(data))
     code, out = run(capsys, "golden", "--corpus", str(corpus))
-    assert code == 1 and "MISMATCH" in out
+    assert code == 1
+    assert f"MISMATCH {src.name}: degree3_slice[0]: stored 9, regenerated 0\n" in out
+    # the same data laid out differently has no differing path: the line is named
+    target.write_text(json.dumps(json.loads(src.read_text()), indent=3) + "\n")
+    code, out = run(capsys, "golden", "--corpus", str(corpus))
+    assert code == 1
+    assert f"MISMATCH {src.name}: first difference at line 2\n" in out
     code, _ = run(capsys, "golden", "--corpus", str(tmp_path / "missing"))
     assert code == 2
+
+
+def test_first_difference_names_the_path_and_both_values():
+    assert first_difference({"a": [1, {"b": 2}]}, {"a": [1, {"b": 2}]}) is None
+    assert first_difference({"a": 1, "b": 2}, {"b": 2, "a": 1}) is None
+    assert first_difference({"a": [1, {"b": 2}]}, {"a": [1, {"b": 3}]}) == (
+        "a[1].b: stored 2, regenerated 3"
+    )
+    assert first_difference({"a": [1]}, {"a": [1, 2]}) == "a[1]: stored absent, regenerated 2"
+    assert first_difference({"a": 1, "c": [0]}, {"a": 1}) == "c: stored [...], regenerated absent"
+    assert first_difference({"a": 1}, {"a": True}) == "a: stored 1, regenerated true"
+    assert first_difference([], {}) == "(root): stored [], regenerated {}"
+    # nesting far deeper than Python's recursion limit
+    deep = []
+    for _ in range(10_000):
+        deep = [deep]
+    assert first_difference(deep, [[]]) == "[0][0]: stored [...], regenerated absent"
 
 
 def test_construct_embellished(tmp_path, capsys):
@@ -254,6 +278,32 @@ def test_certificate_failure_report(monkeypatch, capsys):
     assert data["schema"] == "hodge-asym/failure/v1"
     failed = [c["name"] for c in data["certificate"]["checks"] if not c["passed"]]
     assert "delta30-negative" in failed
+
+
+def test_low_degree_asymmetry_fails_the_certificate(monkeypatch, capsys):
+    # the certificate's own degree1-symmetry check reports an asymmetric
+    # degree 1, with a failure report and exit 1, not a traceback
+    from hodge_asym import hodgecalc, pipeline
+
+    real = cmbuild.equivariant_diamond
+
+    def sabotage(z):
+        diamond = real(z)
+        return hodgecalc.HodgePolynomial.create(
+            {**diamond.as_dict(), (1, 0): diamond.coeff(1, 0) + 1}
+        )
+
+    monkeypatch.setattr(cmbuild, "equivariant_diamond", sabotage)
+    with pytest.raises(pipeline.CertificateFailure):
+        pipeline.build_certificate(2, 4, 2)
+    code = main(["construct", "--p", "2", "--i", "4", "--j", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    data = json.loads(captured.out)
+    assert data["schema"] == "hodge-asym/failure/v1"
+    failed = [c["name"] for c in data["certificate"]["checks"] if not c["passed"]]
+    assert "degree1-symmetry" in failed
+    assert "Traceback" not in captured.err
 
 
 def test_text_outputs(capsys):

@@ -174,6 +174,10 @@ def test_search_typical_refuses_a_modulus_above_the_cap(argv):
      f"TARGET_DEGREE_CAP={TARGET_DEGREE_CAP}"),
     (["construct", "--p", "2", "--i", "1000", "--j", "998"],
      f"TARGET_DEGREE_CAP={TARGET_DEGREE_CAP}"),
+    # the grid alone, 10,201 cells, is under the cap, but the closed-form middle
+    # row's binomials of ~1000-bit numbers took 14-22 s on a 2-vCPU machine
+    (["hodge", "hypersurface", "--d", str(10**300), "--n", "100"],
+     f"TABLE_COST_CAP={TABLE_COST_CAP}"),
 ])
 def test_costly_inputs_exit_2_naming_the_cap(argv, cap):
     assert_refused_naming(cap, *argv)

@@ -51,11 +51,6 @@ def test_quotient_bookkeeping_symmetric_input():
     assert quot.ledger == {(1, 0): 0, (2, 0): 0, (2, 1): 0, (3, 0): 0}
 
 
-def test_quotient_bookkeeping_rejects_low_degree_asymmetry():
-    with pytest.raises(StructuralViolation):
-        quotient_bookkeeping(H({(0, 0): 1, (1, 0): 1}))
-
-
 def test_symbolic_hypersurface_matches_concrete():
     from hodge_asym.hodgecalc import hypersurface
 
