@@ -20,7 +20,7 @@ items:
 - ``pipeline.build_certificate(2, 4, 2, l)`` for ``l`` in LADDER;
 - ``cmbuild.search_table(V, ctx, layer_count)`` for the (l, layer_count)
   shapes in SEARCH_SHAPES, with ``p = 2`` and the default ``V``;
-- ``cmbuild.equivariant_diamond(z)`` for ``z, _ = cmbuild.build_cm(2, l=l)``,
+- ``cmbuild.equivariant_diamond(z)`` for ``z = cmbuild.build_cm(2, l=l)``,
   ``l`` in DIAMOND_LS;
 - ``polygons.newton_above_hodge`` on the certificate's degree-3 slice at
   ``l = POLYGON_L``: the slice as Hodge vector, the single slope 3/2 at its
@@ -42,6 +42,8 @@ A figure is the minimum over the rounds, in milliseconds at reference
 speed. The output (to ``--out``, or standard output) gives the environment
 (Python version, ``nproc``, rounds) and one entry per label under ``runs``.
 Standard library only; perfbench's files are imported, never changed.
+Every tree must have ``build_cm`` return the ``CMData`` alone, which holds
+its search; a tree whose ``build_cm`` returns a pair cannot be timed.
 """
 
 from __future__ import annotations
@@ -114,9 +116,9 @@ def serve() -> None:
         v = cmbuild.build_V(ctx)
         calls.append(lambda v=v, ctx=ctx, count=count: cmbuild.search_table(v, ctx, count))
     for l in DIAMOND_LS:
-        z, _ = cmbuild.build_cm(2, l=l)
+        z = cmbuild.build_cm(2, l=l)
         calls.append(lambda z=z: cmbuild.equivariant_diamond(z))
-    z, _ = cmbuild.build_cm(2, l=POLYGON_L)
+    z = cmbuild.build_cm(2, l=POLYGON_L)
     slice3 = cmbuild.degree_slice(cmbuild.equivariant_diamond(z), 3)
     pd = polygons.PolygonData.create(3, slice3, {Fraction(3, 2): sum(slice3)})
     calls.append(lambda: polygons.newton_above_hodge(pd))
@@ -137,7 +139,7 @@ def serve() -> None:
         for l in DUMPS_LS:
             payload = pipeline.serialize_certificate(pipeline.build_certificate(2, 4, 2, l=l))
             calls.append(lambda payload=payload: cli.dumps(payload))
-        z, _ = cmbuild.build_cm(2, l=CHECKS_L)
+        z = cmbuild.build_cm(2, l=CHECKS_L)
         diamond = cmbuild.equivariant_diamond(z)
         calls.append(lambda diamond=diamond, dim=z.dim: (
             pipeline._slice_checks(diamond, dim), pipeline._isoclinic_checks(diamond, dim)

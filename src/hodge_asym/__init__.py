@@ -4,18 +4,15 @@ products with asymmetric Hodge numbers."""
 
 from .cyclochar import CharRep, PrimeContext
 from .polygons import PolygonData
-from .hodgecalc import DeltaExpr, DPoly, HodgePolynomial, HodgeSeries
+from .hodgecalc import DeltaExpr, DPoly, HodgePolynomial
 from .cmbuild import CMData
-from .pipeline import ConstructionCertificate
-
-__version__ = "1.0.0"
+from .pipeline import TOOL_VERSION as __version__, ConstructionCertificate
 
 __all__ = [
     "CharRep",
     "PrimeContext",
     "PolygonData",
     "HodgePolynomial",
-    "HodgeSeries",
     "DPoly",
     "DeltaExpr",
     "CMData",

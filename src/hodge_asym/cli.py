@@ -206,7 +206,7 @@ def cmd_find_l(args) -> int:
     return 0
 
 
-def _cm_payload(z: cmbuild.CMData, search) -> dict:
+def _cm_payload(z: cmbuild.CMData) -> dict:
     slice3, slice3_pre = cmbuild.degree3_slices(z, cmbuild.equivariant_diamond(z))
     return {
         "p": z.ctx.p,
@@ -220,15 +220,13 @@ def _cm_payload(z: cmbuild.CMData, search) -> dict:
         "oriented": z.oriented,
         "degree3_slice": list(slice3),
         "degree3_slice_pre_orientation": list(slice3_pre),
-        "search": search.serialize(),
+        "search": z.search.serialize(),
     }
 
 
 def cmd_build_cm(args) -> int:
-    z, search = cmbuild.build_cm(
-        args.p, l=args.l, selector=args.selector, max_layers=args.max_layers
-    )
-    payload = _cm_payload(z, search)
+    z = cmbuild.build_cm(args.p, l=args.l, selector=args.selector, max_layers=args.max_layers)
+    payload = _cm_payload(z)
     if args.format == "json":
         _print(dumps(payload))
     else:
@@ -555,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selector", choices=cmbuild.SELECTORS, default="default")
     p.add_argument("--max-layers", type=int, default=3)
     p.add_argument("--embellish", type=str, default="",
-                   help="comma-separated: special-fiber,polarization")
+                   help="comma-separated: " + ",".join(pipeline.EMBELLISHMENTS))
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--format", choices=("text", "json"), default="json")
     p.set_defaults(func=cmd_construct)

@@ -304,11 +304,12 @@ def candidate_walk(v: CharRep, ctx: PrimeContext, layer_count: int):
 
 @dataclass(frozen=True)
 class CMData:
-    """The assembled character data of the oriented product."""
+    """The assembled character data of the oriented product, with the
+    typical search whose U it is built from."""
 
     ctx: PrimeContext
     V: CharRep
-    U: CharRep
+    search: TypicalSearchResult
     W_omega: CharRep
     W_o: CharRep
     oriented: bool
@@ -321,7 +322,7 @@ class CMData:
         return frobenius_twist(self.V, self.ctx.p)
 
     def U_layers(self) -> list[CharRep]:
-        return split_layers(self.U)
+        return split_layers(self.search.U)
 
     def phi_per_layer(self) -> list[frozenset[int]]:
         return [cm_type(layer) for layer in self.U_layers()]
@@ -344,7 +345,7 @@ def assemble_Z(v: CharRep, search: TypicalSearchResult, ctx: PrimeContext) -> CM
     oriented = search.r0 > search.r1
     if oriented:
         w_omega, w_o = dual(w_o), dual(w_omega)
-    return CMData(ctx=ctx, V=v, U=search.U, W_omega=w_omega, W_o=w_o, oriented=oriented)
+    return CMData(ctx=ctx, V=v, search=search, W_omega=w_omega, W_o=w_o, oriented=oriented)
 
 
 def equivariant_diamond(z: CMData) -> HodgePolynomial:
@@ -410,7 +411,7 @@ def build_cm(
     l: int | None = None,
     selector: str = "default",
     max_layers: int = 3,
-) -> tuple[CMData, TypicalSearchResult]:
+) -> CMData:
     """End-to-end: companion prime, V, typical search, oriented assembly.
 
     Refuses a product whose diamond would cost dim^2 * l above
@@ -425,4 +426,4 @@ def build_cm(
             f"diamond cost dim^2*l = {dim}^2*{ctx.l} is above the cap "
             f"DIAMOND_COST_CAP={DIAMOND_COST_CAP}"
         )
-    return assemble_Z(v, result, ctx), result
+    return assemble_Z(v, result, ctx)

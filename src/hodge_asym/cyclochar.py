@@ -230,21 +230,6 @@ def frobenius_twist(v: CharRep, p: int) -> CharRep:
     return CharRep(l, tuple(vec))
 
 
-def tensor(v: CharRep, w: CharRep) -> CharRep:
-    """Tensor product: cyclic convolution of multiplicity vectors."""
-    if v.l != w.l:
-        raise ValueError(f"modulus mismatch: {v.l} != {w.l}")
-    l = v.l
-    vec = [0] * l
-    for a, ma in enumerate(v.mult):
-        if ma == 0:
-            continue
-        for b, mb in enumerate(w.mult):
-            if mb:
-                vec[(a + b) % l] += ma * mb
-    return CharRep(l, tuple(vec))
-
-
 def field_width(rank: int, top: int) -> int:
     """Bits per exponent field of the packed rows 0..top of a rank-`rank` module.
 

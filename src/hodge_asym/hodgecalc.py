@@ -122,10 +122,6 @@ class HodgePolynomial:
         return out
 
 
-# a truncated series is a table with a bound
-HodgeSeries = HodgePolynomial
-
-
 def _convolve(a: dict, b: dict) -> dict[tuple[int, int], int]:
     out: dict[tuple[int, int], int] = {}
     for (i1, j1), c1 in a.items():
@@ -389,10 +385,6 @@ class DPoly:
                 out[a + b] += ca * cb
         return DPoly._reduced(out, self.den * other.den)
 
-    def scale(self, c) -> "DPoly":
-        num, den = c.as_integer_ratio()
-        return DPoly._reduced([x * num for x in self.nums], self.den * den)
-
     def eval(self, d: int) -> Fraction:
         total = 0
         for c in reversed(self.nums):
@@ -470,9 +462,6 @@ class DeltaExpr:
 
     def is_zero(self) -> bool:
         return self.exact.is_zero() and not self.opaque
-
-    def __neg__(self) -> "DeltaExpr":
-        return DeltaExpr.create(-self.exact, {s: -p for s, p in self.opaque})
 
     def opaque_coeffs_d_independent(self) -> bool:
         return all(p.is_constant() for _, p in self.opaque)

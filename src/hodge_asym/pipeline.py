@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import cmbuild, polygons
-from .cmbuild import CMData, TypicalSearchResult, degree_slice
+from .cmbuild import CMData, degree_slice
 from .cyclochar import invariants_rank, exterior_power
 from .hodgecalc import (
     DESCENT_SYMBOL,
@@ -85,7 +85,7 @@ def symbolic_hypersurface(n: int) -> HodgePolynomial:
     known[(n, 0)] = extreme
     known[(0, n)] = extreme
     if n == 2:
-        prim = DPoly.binomial_linear(3, 2, -1) - DPoly.binomial(3).scale(4)
+        prim = DPoly.binomial_linear(3, 2, -1) - DPoly.binomial(3) * 4
         known[(1, 1)] = DPoly.constant(1) + prim
     elif n >= 3:
         unknown.update((a, n - a) for a in range(1, n))
@@ -246,7 +246,6 @@ def choose_aux_case(i: int, j: int) -> AuxCase:
 class ConstructionCertificate:
     inputs: dict
     cm: CMData
-    search: TypicalSearchResult
     z_diamond: HodgePolynomial
     slice3_pre: tuple[int, ...]
     slice3: tuple[int, ...]
@@ -321,7 +320,7 @@ def build_certificate(
     big, small = max(i, j), min(i, j)
     aux = choose_aux_case(big, small)
 
-    z, search = cmbuild.build_cm(p, l=l, selector=selector, max_layers=max_layers)
+    z = cmbuild.build_cm(p, l=l, selector=selector, max_layers=max_layers)
     diamond = cmbuild.equivariant_diamond(z)
     slice3, slice3_pre = cmbuild.degree3_slices(z, diamond)
     quot = quotient_bookkeeping(diamond)
@@ -359,7 +358,7 @@ def build_certificate(
         }
 
     checks: list[tuple[str, bool]] = [
-        ("search-inequality", search.r0 != search.r1),
+        ("search-inequality", z.search.r0 != z.search.r1),
         (
             "orientation-strict",
             invariants_rank(exterior_power(z.W_omega, 3))
@@ -385,7 +384,6 @@ def build_certificate(
             "embellish": [],
         },
         cm=z,
-        search=search,
         z_diamond=diamond,
         slice3_pre=slice3_pre,
         slice3=slice3,
@@ -478,7 +476,7 @@ def serialize_certificate(cert: ConstructionCertificate) -> dict:
         "cm": {
             "V": z.V.to_text(),
             "tau_V": z.tau_V().to_text(),
-            "U": z.U.to_text(),
+            "U": z.search.U.to_text(),
             "U_layers": [u.to_text() for u in z.U_layers()],
             "phi_per_layer": [sorted(phi) for phi in z.phi_per_layer()],
             "st_slopes_per_layer": [
@@ -490,7 +488,7 @@ def serialize_certificate(cert: ConstructionCertificate) -> dict:
             "W_omega": z.W_omega.to_text(),
             "W_o": z.W_o.to_text(),
             "oriented": z.oriented,
-            "search": cert.search.serialize(),
+            "search": z.search.serialize(),
         },
         "z_diamond": {
             "dim": z.dim,

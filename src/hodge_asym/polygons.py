@@ -24,9 +24,6 @@ class RelationViolated(ValueError):
     """Hodge vector fails the degree-n endpoint relation 2*t_H = n*rank."""
 
 
-SlopeMultiset = dict[Fraction, int]
-
-
 def _normalize_newton(newton) -> dict[Fraction, int]:
     out: dict[Fraction, int] = {}
     for slope, m in dict(newton).items():
@@ -105,11 +102,6 @@ def check_slope_symmetry(pd: PolygonData) -> bool:
     """Slope multiset invariant under s -> n - s."""
     ns = pd.newton_dict()
     return all(ns.get(pd.n - s, 0) == m for s, m in ns.items())
-
-
-def check_slope_symmetry_scalar(pd: PolygonData) -> bool:
-    """The weaker endpoint consequence 2*t_N = n*rank."""
-    return 2 * t_N(pd.newton_dict()) == pd.n * pd.rank
 
 
 def degree_relation(hodge) -> bool:

@@ -33,7 +33,7 @@ from hodge_asym.cyclochar import (
     invariants_rank,
     is_typical,
 )
-from oracles import subset_exterior, triple_invariants
+from oracles import pair_tensor, subset_exterior, triple_invariants
 
 
 def rep(l, mults):
@@ -47,7 +47,7 @@ def test_caps_on_p_and_on_the_diamond():
         with pytest.raises(ValueError, match=f"P_CAP={P_CAP}"):
             refused()
     # one layer: dim = l - 1, so l=157 costs 3.8e6 and l=173 costs 5.1e6
-    z, _ = build_cm(2, l=157)
+    z = build_cm(2, l=157)
     assert z.dim ** 2 * 157 <= DIAMOND_COST_CAP < 172 ** 2 * 173
     with pytest.raises(ValueError, match=f"DIAMOND_COST_CAP={DIAMOND_COST_CAP}"):
         build_cm(2, l=173)
@@ -232,7 +232,7 @@ def test_assemble_examples():
 
 
 def test_equivariant_diamond_paper_slice():
-    z, _ = build_cm(2)
+    z = build_cm(2)
     diamond = equivariant_diamond(z)
     assert degree_slice(diamond, 3) == (0, 5, 2, 1)
     assert diamond.coeff(0, 0) == 1
@@ -245,7 +245,7 @@ def test_equivariant_diamond_paper_slice():
 
 def test_diamond_dualities():
     for p, l in [(2, 5), (3, 5), (11, 13), (2, 17)]:
-        z, _ = build_cm(p, l=l)
+        z = build_cm(p, l=l)
         diamond = equivariant_diamond(z)
         dim = z.dim
         table = diamond.as_dict()
@@ -260,7 +260,7 @@ def test_diamond_total_against_subset_enumeration():
     import itertools
 
     for p, l in [(2, 5), (3, 5)]:
-        z, _ = build_cm(p, l=l)
+        z = build_cm(p, l=l)
         diamond = equivariant_diamond(z)
         w1, w2 = z.W_omega.exponents(), z.W_o.exponents()
         count = 0
@@ -274,7 +274,7 @@ def test_diamond_total_against_subset_enumeration():
 
 
 def test_diamond_cells_l13_oracle():
-    z, _ = build_cm(11)
+    z = build_cm(11)
     assert z.ctx.l == 13
     diamond = equivariant_diamond(z)
     w1, w2 = z.W_omega.exponents(), z.W_o.exponents()
@@ -308,12 +308,11 @@ def test_slice_sweep_small_primes():
 
 
 def CMData_like_slice(w_omega, w_o):
-    from hodge_asym.cyclochar import exterior_power, tensor
 
     out = []
     for t in range(4):
         i = 3 - t
-        prod = tensor(exterior_power(w_omega, i), exterior_power(w_o, t))
+        prod = pair_tensor(exterior_power(w_omega, i), exterior_power(w_o, t))
         out.append(invariants_rank(prod))
     return tuple(out)
 

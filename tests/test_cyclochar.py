@@ -17,7 +17,6 @@ from hodge_asym.cyclochar import (
     is_typical,
     multiplicative_order,
     pack_fields,
-    tensor,
     unpack_fields,
 )
 from oracles import pair_tensor, stepwise_order, subset_exterior, typical_by_partition
@@ -90,18 +89,6 @@ def test_frobenius_twist_examples():
         frobenius_twist(rep(5, {1: 1}), 10)
 
 
-def test_tensor_examples():
-    assert tensor(rep(5, {1: 1}), rep(5, {4: 1})) == rep(5, {0: 1})
-    assert tensor(rep(5, {1: 2}), rep(5, {2: 1})) == rep(5, {3: 2})
-    # frozen from the pair-enumeration oracle
-    v = rep(5, {1: 1, 4: 1})
-    expected = rep(5, {2: 1, 0: 2, 3: 1})
-    assert pair_tensor(v, v) == expected
-    assert tensor(v, v) == expected
-    with pytest.raises(ValueError):
-        tensor(rep(5, {1: 1}), rep(13, {1: 1}))
-
-
 def test_exterior_power_examples():
     # frozen from the subset-enumeration oracle
     v = rep(5, {1: 2, 2: 1, 4: 1})
@@ -161,7 +148,6 @@ def test_algebraic_identities():
     for _ in range(60):
         l = rng.choice([5, 13, 17])
         v = random_rep(rng, l)
-        w = random_rep(rng, l)
         p = rng.choice([2, 3, 7, 11])
         if p % l == 0:
             continue
@@ -171,8 +157,6 @@ def test_algebraic_identities():
         for _ in range(multiplicative_order(p, l)):
             t = frobenius_twist(t, p)
         assert t == v
-        assert tensor(v, w).rank == v.rank * w.rank
-        assert invariants_rank(tensor(v, dual(v))) == sum(m * m for m in v.mult)
         assert invariants_rank(dual(v)) == invariants_rank(v)
 
 
@@ -202,8 +186,8 @@ def test_exterior_power_of_direct_sum_decomposes():
         lhs = exterior_power(total, 3)
         parts = [
             exterior_power(v, 3),
-            tensor(exterior_power(v, 2), u),
-            tensor(v, exterior_power(u, 2)),
+            pair_tensor(exterior_power(v, 2), u),
+            pair_tensor(v, exterior_power(u, 2)),
             exterior_power(u, 3),
         ]
         rhs = CharRep(l, tuple(sum(p.mult[a] for p in parts) for a in range(l)))

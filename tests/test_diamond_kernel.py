@@ -20,7 +20,7 @@ from oracles import dot_product_diamond
 def test_large_diamond_digest_is_pinned(l, cells, digest):
     # sha256 of the sorted cells, recorded with the cell-by-cell dot products;
     # the golden corpus stops at dimension 28, these are dimension 60 and 100
-    z, _ = build_cm(2, l=l)
+    z = build_cm(2, l=l)
     coeffs = sorted(equivariant_diamond(z).coeffs)
     assert len(coeffs) == cells
     assert hashlib.sha256(repr(coeffs).encode()).hexdigest() == digest
@@ -29,7 +29,7 @@ def test_large_diamond_digest_is_pinned(l, cells, digest):
 def bare_cm(w_omega: CharRep, w_o: CharRep) -> CMData:
     """A CMData holding only the two modules: equivariant_diamond reads nothing else."""
     ctx = PrimeContext(p=0, l=w_omega.l, ord=0, half_ord_group=frozenset())
-    return CMData(ctx=ctx, V=w_omega, U=w_o, W_omega=w_omega, W_o=w_o, oriented=False)
+    return CMData(ctx=ctx, V=w_omega, search=None, W_omega=w_omega, W_o=w_o, oriented=False)
 
 
 def modules(max_mult: int):

@@ -48,7 +48,7 @@ def test_arithmetic_agrees_with_the_fraction_reference(a, b, c):
     same(p - q, pr - qr)
     same(-p, -pr)
     same(p * q, pr * qr)
-    same(p.scale(c), pr.scale(c))
+    same(p * DPoly.constant(c), pr.scale(c))
     same(DPoly.constant(c), FractionDPoly.constant(c))
     same(p + 3, pr + 3)
     same(3 + p, 3 + pr)
@@ -104,7 +104,7 @@ def test_equal_polynomials_have_equal_fields_and_hashes(a, b, m):
         q + p,
         DPoly.create(summed),
         p - (-q),
-        total.scale(m).scale(Fraction(1, m)),
+        total * m * DPoly.constant(Fraction(1, m)),
         total * DPoly.constant(1),
         DPoly.deserialize(total.serialize()),
     ):

@@ -12,7 +12,6 @@ from hodge_asym.polygons import (
     check_degree_relation,
     check_parity,
     check_slope_symmetry,
-    check_slope_symmetry_scalar,
     check_weak_admissibility_endpoints,
     construct_weakly_admissible,
     newton_above_hodge,
@@ -192,17 +191,17 @@ def test_symmetric_multiset_implies_scalar():
         hodge[0] = rank
         data = pd(n, hodge, slopes)
         assert check_slope_symmetry(data)
-        assert check_slope_symmetry_scalar(data)
+        assert 2 * t_N(data.newton_dict()) == n * data.rank
 
 
 def test_three_scalar_identities_pairwise_derivable():
-    # (degree relation AND endpoints) <=> (scalar slope symmetry AND endpoints)
+    # (degree relation AND endpoints) <=> (2*t_N = n*rank AND endpoints)
     rng = random.Random(21)
     for _ in range(200):
         data = random_polygon(rng)
         endpoints = check_weak_admissibility_endpoints(data)
         left = check_degree_relation(data) and endpoints
-        right = check_slope_symmetry_scalar(data) and endpoints
+        right = 2 * t_N(data.newton_dict()) == data.n * data.rank and endpoints
         assert left == right
 
 
