@@ -10,6 +10,7 @@ byte-deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -28,6 +29,10 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 # largest rank verify-polygon accepts: an input limit, since every check costs
 # O(distinct slopes) and none grows with the rank
 POLYGON_RANK_CAP = 100_000
+# largest file certify, golden and hodge product read: the largest certificate
+# under DIAMOND_COST_CAP (l=157) is 2.8 MB, and a 500,000-cell table, which
+# hodge product can write and read back under TABLE_COST_CAP, 21 MB as written
+INPUT_BYTES_CAP = 32 * 1024 * 1024
 
 
 def dumps(obj: dict) -> str:
@@ -124,6 +129,16 @@ def parse_newton(text: str) -> dict[Fraction, int]:
     return out
 
 
+def read_input(path) -> str:
+    """The file's text, as Path.read_text gives it, refused above
+    INPUT_BYTES_CAP bytes after reading at most one byte more."""
+    with open(path, "rb") as f:
+        data = f.read(INPUT_BYTES_CAP + 1)
+    if len(data) > INPUT_BYTES_CAP:
+        raise ValueError(f"{path} is above the cap INPUT_BYTES_CAP={INPUT_BYTES_CAP} bytes")
+    return io.TextIOWrapper(io.BytesIO(data)).read()
+
+
 def load_json(text: str):
     """json.loads, with input nested too deeply to parse as a ValueError."""
     try:
@@ -134,7 +149,7 @@ def load_json(text: str):
 
 def parse_coeff_table(text: str):
     if text.startswith("@"):
-        text = Path(text[1:]).read_text()
+        text = read_input(text[1:])
     data = load_json(text)
     rows = data.get("coeffs") if isinstance(data, dict) else None
     if not isinstance(rows, list) or not all(
@@ -392,7 +407,7 @@ def regenerate(stored) -> dict:
 
 def cmd_certify(args) -> int:
     t0 = time.monotonic()
-    stored_text = Path(args.certificate).read_text()
+    stored_text = read_input(args.certificate)
     fresh = regenerate(load_json(stored_text))
     match = dumps(fresh) == stored_text
     checks = [dict(c) for c in fresh["checks"]]
@@ -450,7 +465,7 @@ def cmd_golden(args) -> int:
         return 0
     failures = []
     for path in files:
-        stored_text = path.read_text()
+        stored_text = read_input(path)
         try:
             stored = load_json(stored_text)
             fresh_text = dumps(regenerate(stored))

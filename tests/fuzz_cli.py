@@ -6,8 +6,10 @@ Draws argument lists over the eight subcommands and the four ``hodge``
 operations.  Integers are log-uniform in magnitude up to 10^18, of either
 sign; JSON arguments and stored certificates are valid, mutated, malformed,
 deeply nested or wrongly typed; every path points into a fresh temporary
-directory.  So that valid input is common too, build-cm and search-typical
-have a second branch over (p, l) pairs with 4 | ord(p mod l), and
+directory, and every file the CLI reads may also be /dev/zero or a sparse
+file one byte over cli.INPUT_BYTES_CAP.  So that valid input is common too,
+build-cm, search-typical and construct have a second branch over (p, l) pairs
+with 4 | ord(p mod l) (construct with a target of degree 3 to 12), and
 verify-polygon draws symmetric Hodge vectors, about half with the passing slope
 n/2.  Each example runs in its own interpreter, one at a time, and must exit
 0, 1 or 2, write no traceback, and use at most CPU_LIMIT_S of CPU time (user
@@ -32,7 +34,7 @@ from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 import hodge_asym
 from hodge_asym import pipeline
-from hodge_asym.cli import dumps
+from hodge_asym.cli import INPUT_BYTES_CAP, dumps
 from hodge_asym.cyclochar import is_prime, multiplicative_order
 
 SEED = 20261019
@@ -112,7 +114,11 @@ table_text = weighted(
 
 # ---------------------------------------------------------------------------
 # arguments: a str, or ("file", prefix, content), ("dir", prefix, {name: content})
-# or ("path", prefix, name), which run() makes inside the example's directory
+# or ("path", prefix, name), which run() makes inside the example's directory;
+# a file's content is text, or ZERO (a link to /dev/zero) or OVER_CAP (a sparse
+# file one byte over the input cap)
+ZERO, OVER_CAP = object(), object()
+endless = st.sampled_from([ZERO, OVER_CAP])
 
 
 def opt(name: str, values) -> st.SearchStrategy:
@@ -135,7 +141,7 @@ def text_or_file(name: str, texts) -> st.SearchStrategy:
     return st.one_of(
         # the kernel refuses a single argument above 128 KiB
         texts.filter(lambda t: len(t) < 100_000).map(lambda t: f"--{name}={t}"),
-        texts.map(lambda t: ("file", f"--{name}=@", t)),
+        st.one_of(texts, endless).map(lambda t: ("file", f"--{name}=@", t)),
         st.just(("path", f"--{name}=@", "missing.json")),
     )
 
@@ -187,6 +193,12 @@ module_text = st.one_of(
 )
 embellish = st.lists(st.sampled_from(["special-fiber", "polarization", "bogus", ""]),
                      max_size=3).map(",".join)
+valid_embellish = st.sampled_from(["", "polarization", "special-fiber"])
+# i != j, 3 <= i + j <= 12, in either order
+target = st.integers(3, 12).flatmap(
+    lambda s: st.integers(0, s).filter(lambda i: 2 * i != s)
+    .map(lambda i: [f"--i={i}", f"--j={s - i}"])
+)
 
 
 def command(name: str, *parts) -> st.SearchStrategy:
@@ -235,7 +247,7 @@ certificate_text = st.one_of(
     st.text(max_size=20),
 )
 certificate_path = st.one_of(
-    certificate_text.map(lambda t: ("file", "", t)),
+    st.one_of(certificate_text, endless).map(lambda t: ("file", "", t)),
     st.just(("path", "", "missing.json")),
 )
 corpus = st.one_of(
@@ -246,6 +258,7 @@ corpus = st.one_of(
     st.dictionaries(st.sampled_from(["a.json", "b.json", "c.txt"]), certificate_text, max_size=2)
     .map(lambda files: [("dir", "--corpus=", files)]),
     st.just([("path", "--corpus=", "missing")]),
+    endless.map(lambda content: [("dir", "--corpus=", {"big.json": content})]),
 )
 
 commands = st.one_of(
@@ -273,6 +286,8 @@ commands = st.one_of(
                                                     ("path", "--out=", "no/such/dir.json")])
                       .map(lambda a: [a])),
             fmt),
+    command("construct", prime_pair, target, selector, opt("embellish", valid_embellish),
+            fmt),
     command("certify", certificate_path.map(lambda a: [a]), fmt),
     command("golden", corpus),
 )
@@ -282,18 +297,28 @@ commands = st.one_of(
 # running
 
 
+def write_file(path: Path, content) -> None:
+    if content is ZERO:
+        path.symlink_to("/dev/zero")
+    elif content is OVER_CAP:
+        path.touch()
+        os.truncate(path, INPUT_BYTES_CAP + 1)
+    else:
+        path.write_text(content)
+
+
 def materialize(arg, tmp: Path, index: int) -> str:
     if isinstance(arg, str):
         return arg
     kind, prefix, payload = arg
     if kind == "file":
         path = tmp / f"arg{index}.json"
-        path.write_text(payload)
+        write_file(path, payload)
     elif kind == "dir":
         path = tmp / f"dir{index}"
         path.mkdir()
         for name, content in payload.items():
-            (path / name).write_text(content)
+            write_file(path / name, content)
     else:
         path = tmp / payload
     return prefix + str(path)

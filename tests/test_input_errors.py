@@ -16,7 +16,7 @@ import pytest
 
 import hodge_asym
 from hodge_asym import cmbuild, hodgecalc, pipeline
-from hodge_asym.cli import dumps, main, parse_newton
+from hodge_asym.cli import INPUT_BYTES_CAP, dumps, main, parse_newton, read_input
 from hodge_asym.cmbuild import DIAMOND_COST_CAP, WALK_COST_CAP
 from hodge_asym.cyclochar import MODULUS_CAP, P_CAP
 from hodge_asym.hodgecalc import TABLE_COST_CAP
@@ -178,6 +178,10 @@ def test_search_typical_refuses_a_modulus_above_the_cap(argv):
     # row's binomials of ~1000-bit numbers took 14-22 s on a 2-vCPU machine
     (["hodge", "hypersurface", "--d", str(10**300), "--n", "100"],
      f"TABLE_COST_CAP={TABLE_COST_CAP}"),
+    # an endless file: without the cap the read runs out of memory
+    (["certify", "/dev/zero"], f"INPUT_BYTES_CAP={INPUT_BYTES_CAP}"),
+    (["hodge", "product", "--left", "@/dev/zero", "--right", '{"coeffs": []}'],
+     f"INPUT_BYTES_CAP={INPUT_BYTES_CAP}"),
 ])
 def test_costly_inputs_exit_2_naming_the_cap(argv, cap):
     assert_refused_naming(cap, *argv)
@@ -213,6 +217,19 @@ def test_deeply_nested_json_exits_2(tmp_path):
     cert.write_text('{"inputs": ' + nested + "}")
     err = assert_refused_naming("nested too deeply", "certify", str(cert))
     assert err.count("\n") == 1
+
+
+def test_files_one_byte_over_the_input_cap_exit_2(tmp_path):
+    big = tmp_path / "corpus" / "big.json"
+    big.parent.mkdir()
+    big.touch()
+    os.truncate(big, INPUT_BYTES_CAP)  # sparse: no disk blocks written
+    assert len(read_input(big)) == INPUT_BYTES_CAP
+    os.truncate(big, INPUT_BYTES_CAP + 1)
+    cap = f"INPUT_BYTES_CAP={INPUT_BYTES_CAP}"
+    assert_refused_naming(cap, "certify", str(big))
+    assert_refused_naming(cap, "hodge", "product", "--left", f"@{big}", "--right", '{"coeffs": []}')
+    assert_refused_naming(cap, "golden", "--corpus", str(big.parent))
 
 
 def coeff_table_text(rows: int, cols: int) -> str:
