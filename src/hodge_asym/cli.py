@@ -408,15 +408,20 @@ def regenerate(stored) -> dict:
 def cmd_certify(args) -> int:
     t0 = time.monotonic()
     stored_text = read_input(args.certificate)
-    fresh = regenerate(load_json(stored_text))
-    match = dumps(fresh) == stored_text
+    stored = load_json(stored_text)
+    fresh = regenerate(stored)
+    fresh_text = dumps(fresh)
+    match = fresh_text == stored_text
     checks = [dict(c) for c in fresh["checks"]]
     checks.append({"name": "stored-matches-recomputation", "passed": match})
-    rep = report("certify", {"certificate": args.certificate}, {}, checks, t0)
+    results = {} if match else {"first_difference": mismatch(stored, stored_text, fresh_text)}
+    rep = report("certify", {"certificate": args.certificate}, results, checks, t0)
     if args.format == "json":
         _print(dumps(rep))
     else:
         _print(render_checks(checks))
+        if not match:  # under the failed check
+            _print(f"    {results['first_difference']}")
     return 0 if rep["passed"] else 1
 
 
@@ -454,6 +459,21 @@ def first_difference(stored, fresh) -> str | None:
     return None
 
 
+def mismatch(stored, stored_text: str, fresh_text: str) -> str:
+    """Where a regenerated certificate's text departs from the stored text:
+    their first_difference, or the first differing line when both hold the
+    same data laid out differently."""
+    why = first_difference(stored, load_json(fresh_text))
+    if why is None:
+        old, new = stored_text.splitlines(), fresh_text.splitlines()
+        line = next(
+            (t for t, (a, b) in enumerate(zip(old, new)) if a != b),
+            min(len(old), len(new)),
+        )
+        why = f"first difference at line {line + 1}"
+    return why
+
+
 def cmd_golden(args) -> int:
     corpus = Path(args.corpus) if args.corpus else GOLDEN_DIR
     if not corpus.is_dir():
@@ -473,15 +493,7 @@ def cmd_golden(args) -> int:
             failures.append((path.name, f"regeneration error: {e}"))
             continue
         if fresh_text != stored_text:
-            why = first_difference(stored, load_json(fresh_text))
-            if why is None:  # the same data, laid out differently
-                old, new = stored_text.splitlines(), fresh_text.splitlines()
-                line = next(
-                    (t for t, (a, b) in enumerate(zip(old, new)) if a != b),
-                    min(len(old), len(new)),
-                )
-                why = f"first difference at line {line + 1}"
-            failures.append((path.name, why))
+            failures.append((path.name, mismatch(stored, stored_text, fresh_text)))
     for name, why in failures:
         _print(f"MISMATCH {name}: {why}")
     _print(f"golden: {len(files) - len(failures)}/{len(files)} certificates match")

@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from math import comb
 from operator import mul, sub
 
 from .cyclochar import (
@@ -59,8 +60,9 @@ SEARCH_TABLE_CAP = 100_000  # candidates search_table lists at most
 # machine the diamond took 0.40 s at l=157 (dim 156, 3.8e6), 0.64 s at l=173
 DIAMOND_COST_CAP = 4_000_000
 # largest walk cost estimate l*(l-1)/2 that a candidate walk accepts: its first
-# candidate extends the packed rows over every inverse pair, O(l^2) in all; the
-# typical search, p=3, took 0.21 s at l=2801 (3.9e6) and 1.2 s at l=5009 (1.3e7)
+# prefix extends the packed rows over every inverse pair but the last, O(l^2)
+# in all; the typical search, p=3, took 0.21 s at l=2801 (3.9e6) and 1.2 s at
+# l=5009 (1.3e7)
 WALK_COST_CAP = 4_000_000
 
 
@@ -268,38 +270,71 @@ def candidate_walk(v: CharRep, ctx: PrimeContext, layer_count: int):
     candidate order, where (r0, r1) are the degree3_ranks of module_pair(V, U).
 
     Pairs {a, l-a} are ordered by a, the last pair changing fastest; a
-    candidate's digit b for a pair puts c - b at a and b at l - a (U* the
+    candidate's digit b for a pair puts s = c - b at a and b at l - a (U* the
     reverse), so the first candidate takes the smaller member everywhere.
-    One depth-first walk over the pairs: stack[k] holds the packed
-    Lambda^0..Lambda^3 rows of V + U and tau(V) + U* over the first k pairs,
-    so a candidate extends only the pairs after the prefix it shares with
-    the previous one.  One field width, for rank(V) + c(l-1)/2, serves every
-    node, and field 0 of row 3 is the invariant rank.
+    One depth-first walk over the pairs but the last: stack[k] holds the
+    packed Lambda^0..Lambda^3 rows W of V + U and tau(V) + U* over the first
+    k pairs, so a prefix extends only the pairs after the one it shares with
+    the previous prefix.  The last pair a = (l-1)/2 is read off its prefix's
+    rows: with W_i[e] the field of exponent e in row i,
+
+        r0 = W_3[0] + s W_2[-a] + b W_2[a]
+             + C(s,2) W_1[-2a] + s b W_1[0] + C(b,2) W_1[2a]
+
+    plus the Lambda^0 term C(s,3) + C(b,3) where 3a = 0 mod l (l = 3), and
+    r1 the same on the tau(V) + U* rows with a and -a exchanged.  Six fields
+    per module and prefix serve its c + 1 candidates.  One field width, for
+    rank(V) + c(l-1)/2, serves every prefix.
     """
     l, c = ctx.l, layer_count
     half = (l - 1) // 2
     width = field_width(v.rank + c * half, 3)
     field = (1 << width) - 1
-    stack = [(packed_rows(v, 3, width), packed_rows(frobenius_twist(v, ctx.p), 3, width))]
-    stack += [None] * half
+    w, o = packed_rows(v, 3, width), packed_rows(frobenius_twist(v, ctx.p), 3, width)
+    if not half:  # l = 2: no pair, the one candidate is U = 0
+        yield CharRep(l, (0,) * l), w[3] & field, o[3] & field
+        return
+    a = half
+    # (row, bit offset) of W_3[0], W_2[a], W_2[-a], W_1[2a], W_1[-2a], W_1[0]
+    six = [
+        (i, e % l * width)
+        for i, e in ((3, 0), (2, a), (2, -a), (1, 2 * a), (1, -2 * a), (1, 0))
+    ]
+    # (s, C(s,2), s b, C(b,2), the Lambda^0 term) of each leaf digit b
+    leaves = [
+        (c - b, comb(c - b, 2), (c - b) * b, comb(b, 2),
+         comb(c - b, 3) + comb(b, 3) if 3 * a % l == 0 else 0)
+        for b in range(c + 1)
+    ]
+    stack = [(w, o)] + [None] * (half - 1)
     mult = [0] * l
     prev = (-1,) * half
     for digits in layer_digits(l, c):
-        start = 0  # the pairs before the first changed digit keep their rows
-        while start < half and digits[start] == prev[start]:
-            start += 1
-        prev = digits
-        for k in range(start, half):
-            a, big = k + 1, digits[k]
-            mult[a] = small = c - big
-            mult[l - a] = big
-            w, o = stack[k]
-            w, o = w[:], o[:]
-            extend_rows(w, l, width, ((a, small), (l - a, big)))
-            extend_rows(o, l, width, ((l - a, small), (a, big)))
-            stack[k + 1] = (w, o)
-        w, o = stack[half]
-        yield CharRep(l, tuple(mult)), w[3] & field, o[3] & field
+        b = digits[-1]
+        if not b:  # a new prefix: extend the pairs after the shared one, read six fields
+            start = 0
+            while start < half - 1 and digits[start] == prev[start]:
+                start += 1
+            prev = digits
+            for k in range(start, half - 1):
+                e, big = k + 1, digits[k]
+                mult[e] = small = c - big
+                mult[l - e] = big
+                w, o = stack[k]
+                w, o = w[:], o[:]
+                extend_rows(w, l, width, ((e, small), (l - e, big)))
+                extend_rows(o, l, width, ((l - e, small), (e, big)))
+                stack[k + 1] = (w, o)
+            w, o = stack[half - 1]
+            w3, w2p, w2m, w1p, w1m, w10 = [(w[i] >> t) & field for i, t in six]
+            o3, o2p, o2m, o1p, o1m, o10 = [(o[i] >> t) & field for i, t in six]
+        s, s2, sb, b2, t3 = leaves[b]
+        mult[a], mult[l - a] = s, b
+        yield (
+            CharRep(l, tuple(mult)),
+            w3 + s * w2m + b * w2p + s2 * w1m + sb * w10 + b2 * w1p + t3,
+            o3 + s * o2p + b * o2m + s2 * o1p + sb * o10 + b2 * o1m + t3,
+        )
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,7 @@ class CharRep:
             raise ValueError(f"modulus l={self.l} must be prime")
         if len(self.mult) != self.l:
             raise ValueError("multiplicity vector must have length l")
-        if any(m < 0 for m in self.mult):
+        if min(self.mult) < 0:
             raise ValueError("multiplicities must be non-negative")
 
     @staticmethod

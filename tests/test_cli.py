@@ -354,6 +354,24 @@ def test_certify_compares_bytes(tmp_path, capsys):
     assert checks["stored-matches-recomputation"] is False
 
 
+def test_certify_names_the_first_difference(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    assert main(["construct", "--p", "2", "--i", "3", "--j", "0",
+                 "--out", str(cert_path)]) == 0
+    stored = json.loads(cert_path.read_text())
+    was = stored["degree3_slice"][0]
+    stored["degree3_slice"][0] = was + 1
+    cert_path.write_text(dumps(stored))
+    capsys.readouterr()
+    why = f"degree3_slice[0]: stored {was + 1}, regenerated {was}"
+    code, out = run(capsys, "certify", str(cert_path))
+    assert code == 1
+    assert f"[FAIL] stored-matches-recomputation\n    {why}\n" in out
+    code, out = run(capsys, "certify", str(cert_path), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["results"] == {"first_difference": why}
+
+
 def test_main_is_reentrant_on_its_one_parser(tmp_path, monkeypatch, capsys):
     # main parses every call with the one parser it builds per process; each
     # call here must print and return what a fresh interpreter does

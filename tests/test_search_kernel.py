@@ -73,12 +73,27 @@ def test_matches_reference_on_overrides(text, layer_count):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_matches_reference_on_random_modules(data):
-    l = data.draw(st.sampled_from([5, 7, 11, 13]), label="l")
+    # l = 3 makes the leaf's Lambda^0 term live; 3 and 4 layers reach C(., 3)
+    # at the leaf and extend_rows' binomial step in the prefix
+    l = data.draw(st.sampled_from([3, 5, 7, 11, 13]), label="l")
     p = data.draw(st.sampled_from([q for q in (2, 3, 5, 7, 11, 13) if q != l]), label="p")
     mult = data.draw(st.lists(st.integers(0, 2), min_size=l, max_size=l), label="mult")
-    layer_count = data.draw(st.integers(0, 2), label="layer_count")
+    layer_count = data.draw(st.integers(0, 4 if l <= 7 else 2), label="layer_count")
     v = CharRep(l, tuple(mult))
     ctx = bare_context(p, l)
+    assert search_table(v, ctx, layer_count) == list(reference(v, ctx, layer_count))
+
+
+@pytest.mark.parametrize("layer_count", range(6))
+@pytest.mark.parametrize("text", [
+    # a = 1 and 3a = 0 mod 3: the leaf adds C(s,3) + C(b,3) from Lambda^0
+    "l=3;", "l=3; 1:1,2:1", "l=3; 0:2,1:3", "l=3; 0:1,1:1,2:2",
+    # no inverse pair: the one candidate U = 0 is ranked on V's own rows
+    "l=2;", "l=2; 0:3,1:2",
+])
+def test_matches_reference_below_five(text, layer_count):
+    v = CharRep.from_text(text)
+    ctx = bare_context(5, v.l)
     assert search_table(v, ctx, layer_count) == list(reference(v, ctx, layer_count))
 
 
