@@ -223,19 +223,15 @@ def cmd_find_l(args) -> int:
 
 def _cm_payload(z: cmbuild.CMData) -> dict:
     slice3, slice3_pre = cmbuild.degree3_slices(z, cmbuild.equivariant_diamond(z))
+    cm = z.serialize()
     return {
         "p": z.ctx.p,
         "l": z.ctx.l,
         "ord": z.ctx.ord,
-        "V": z.V.to_text(),
-        "U_layers": [u.to_text() for u in z.U_layers()],
-        "phi_per_layer": [sorted(phi) for phi in z.phi_per_layer()],
-        "W_omega": z.W_omega.to_text(),
-        "W_o": z.W_o.to_text(),
-        "oriented": z.oriented,
+        **{k: cm[k] for k in ("V", "U_layers", "phi_per_layer", "W_omega", "W_o", "oriented")},
         "degree3_slice": list(slice3),
         "degree3_slice_pre_orientation": list(slice3_pre),
-        "search": z.search.serialize(),
+        "search": cm["search"],
     }
 
 

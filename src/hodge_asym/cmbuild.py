@@ -353,14 +353,25 @@ class CMData:
     def dim(self) -> int:
         return self.W_omega.rank
 
-    def tau_V(self) -> CharRep:
-        return frobenius_twist(self.V, self.ctx.p)
-
-    def U_layers(self) -> list[CharRep]:
-        return split_layers(self.search.U)
-
-    def phi_per_layer(self) -> list[frozenset[int]]:
-        return [cm_type(layer) for layer in self.U_layers()]
+    def serialize(self) -> dict:
+        """The cm record of certificates; build-cm reports pick their keys from it."""
+        layers = split_layers(self.search.U)
+        phis = [cm_type(layer) for layer in layers]
+        return {
+            "V": self.V.to_text(),
+            "tau_V": frobenius_twist(self.V, self.ctx.p).to_text(),
+            "U": self.search.U.to_text(),
+            "U_layers": [u.to_text() for u in layers],
+            "phi_per_layer": [sorted(phi) for phi in phis],
+            "st_slopes_per_layer": [
+                [[f"{s.numerator}/{s.denominator}", m] for s, m in sorted(slopes.items())]
+                for slopes in (st_slopes(phi, self.ctx) for phi in phis)
+            ],
+            "W_omega": self.W_omega.to_text(),
+            "W_o": self.W_o.to_text(),
+            "oriented": self.oriented,
+            "search": self.search.serialize(),
+        }
 
     def isoclinic(self) -> bool:
         """Single Frobenius orbit on the nonzero residues: every slope is 1/2."""

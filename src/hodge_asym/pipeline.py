@@ -473,23 +473,7 @@ def serialize_certificate(cert: ConstructionCertificate) -> dict:
         "version": TOOL_VERSION,
         "inputs": dict(cert.inputs),
         "prime_context": {"p": z.ctx.p, "l": z.ctx.l, "ord": z.ctx.ord},
-        "cm": {
-            "V": z.V.to_text(),
-            "tau_V": z.tau_V().to_text(),
-            "U": z.search.U.to_text(),
-            "U_layers": [u.to_text() for u in z.U_layers()],
-            "phi_per_layer": [sorted(phi) for phi in z.phi_per_layer()],
-            "st_slopes_per_layer": [
-                [[f"{s.numerator}/{s.denominator}", m] for s, m in sorted(sl.items())]
-                for sl in (
-                    cmbuild.st_slopes(phi, z.ctx) for phi in z.phi_per_layer()
-                )
-            ],
-            "W_omega": z.W_omega.to_text(),
-            "W_o": z.W_o.to_text(),
-            "oriented": z.oriented,
-            "search": z.search.serialize(),
-        },
+        "cm": z.serialize(),
         "z_diamond": {
             "dim": z.dim,
             "coeffs": [[i, j, c] for (i, j), c in cert.z_diamond.coeffs],
