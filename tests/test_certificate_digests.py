@@ -1,27 +1,15 @@
-"""Every certificate of the recorded grid keeps its bytes.
+"""Every pinned certificate keeps its bytes.
 
-tests/certificate_digests.json holds the SHA-256 of each certificate,
-keyed by its inputs; tests/record_certificate_digests.py wrote it.
+These are the `construct` rows of tests/output_pins.json, replayed by the
+harness in tests/test_output_pins.py against their stored texts.
 """
 
-import json
-
-from record_certificate_digests import MANIFEST, certificate_digest, grid
+from test_output_pins import assert_replayed, certificate_grid, certificate_pins
 
 
 def test_manifest_covers_the_grid():
-    stored = [
-        {k: v for k, v in entry.items() if k != "sha256"}
-        for entry in json.loads(MANIFEST.read_text())
-    ]
-    assert stored == grid()
+    assert [argv for argv, _, _ in certificate_pins()] == certificate_grid()
 
 
 def test_every_certificate_matches_its_recorded_digest():
-    mismatches = []
-    for entry in json.loads(MANIFEST.read_text()):
-        inputs = {k: v for k, v in entry.items() if k != "sha256"}
-        digest = certificate_digest(inputs)
-        if digest != entry["sha256"]:
-            mismatches.append(f"{inputs}: recorded {entry['sha256'][:16]}, now {digest[:16]}")
-    assert not mismatches, f"{len(mismatches)} certificates changed:\n" + "\n".join(mismatches[:20])
+    assert_replayed(certificate_pins())
