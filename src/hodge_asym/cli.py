@@ -236,7 +236,7 @@ def _cm_payload(z: cmbuild.CMData) -> dict:
 
 
 def cmd_build_cm(args) -> int:
-    z = cmbuild.build_cm(args.p, l=args.l, selector=args.selector, max_layers=args.max_layers)
+    z = cmbuild.build_cm(args.p, l=args.l, selector=args.selector)
     payload = _cm_payload(z)
     if args.format == "json":
         _print(dumps(payload))
@@ -251,6 +251,8 @@ def cmd_build_cm(args) -> int:
 
 def cmd_search_typical(args) -> int:
     if args.V is not None:
+        if args.l is not None or args.selector != "default":
+            raise ValueError("--V fixes l and the module: it takes no --l or --selector")
         v = CharRep.from_text(args.V)
         ctx = cmbuild.PrimeContext.create(args.p, v.l)
     else:
@@ -286,7 +288,7 @@ def cmd_verify_polygon(args) -> int:
     newton = parse_newton(args.newton)
     rank = max(sum(hodge), sum(newton.values()))
     if rank > POLYGON_RANK_CAP:
-        raise ValueError(f"rank {rank} is above the verify-polygon cap {POLYGON_RANK_CAP}")
+        raise ValueError(f"rank {rank} is above the cap POLYGON_RANK_CAP={POLYGON_RANK_CAP}")
     pd = polygons.PolygonData.create(args.n, hodge, newton)
     checks = [
         {"name": "degree-relation", "passed": polygons.check_degree_relation(pd)},
@@ -347,7 +349,7 @@ def cmd_construct(args) -> int:
     cert = pipeline.construct(
         args.p, args.i, args.j,
         embellishments=embellishments,
-        l=args.l, selector=args.selector, max_layers=args.max_layers,
+        l=args.l, selector=args.selector,
     )
     payload = pipeline.serialize_certificate(cert)
     text = dumps(payload)
@@ -394,7 +396,7 @@ def regenerate(stored) -> dict:
     """Re-run the pipeline from a certificate's recorded inputs, checked first."""
     _check_certificate_inputs(stored)
     inp = stored["inputs"]
-    options = {k: inp[k] for k in ("l", "selector", "max_layers") if k in inp}
+    options = {k: inp[k] for k in ("l", "selector") if k in inp}
     cert = pipeline.construct(
         inp["p"], inp["i"], inp["j"], embellishments=inp.get("embellish", []), **options
     )
@@ -522,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--selector", choices=cmbuild.SELECTORS, default="default")
-    p.add_argument("--max-layers", type=int, default=3)
     p.add_argument("--format", choices=("text", "json"), default="json")
     p.set_defaults(func=cmd_build_cm)
 
@@ -574,7 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--selector", choices=cmbuild.SELECTORS, default="default")
-    p.add_argument("--max-layers", type=int, default=3)
     p.add_argument("--embellish", type=str, default="",
                    help="comma-separated: " + ",".join(pipeline.EMBELLISHMENTS))
     p.add_argument("--out", type=str, default=None)

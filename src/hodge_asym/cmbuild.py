@@ -55,6 +55,7 @@ class EqualRanks(Exception):
 
 SELECTORS = ("default", "alt")
 FIND_L_BOUND = 1000
+MAX_LAYERS = 3  # layer counts search_typical_U tries; every admissible input stops at layer 1
 SEARCH_TABLE_CAP = 100_000  # candidates search_table lists at most
 # largest diamond cost estimate dim^2 * l that build_cm accepts: on a 2-vCPU
 # machine the diamond took 0.40 s at l=157 (dim 156, 3.8e6), 0.64 s at l=173
@@ -211,27 +212,23 @@ class TypicalSearchResult:
         }
 
 
-def search_typical_U(
-    v: CharRep, ctx: PrimeContext, max_layers: int = 3
-) -> TypicalSearchResult:
+def search_typical_U(v: CharRep, ctx: PrimeContext) -> TypicalSearchResult:
     """First typical U (by layer count, then candidate order) with r0 != r1.
 
     Existence is guaranteed for any self-dual V not isomorphic to its twist,
-    but without an a-priori layer bound; the limit actually tried is
-    reported on failure.
+    but without an a-priori layer bound; the search tries MAX_LAYERS layer
+    counts and names that limit on failure.
     """
     if dual(v) != v:
         raise ValueError("V must be self-dual")
     if frobenius_twist(v, ctx.p) == v:
         raise ValueError("V must differ from its twist")
-    if max_layers < 1:
-        raise ValueError("max_layers must be positive")
     check_walk_cost(ctx.l)
-    for layer_count in range(1, max_layers + 1):
+    for layer_count in range(1, MAX_LAYERS + 1):
         for idx, (u, r0, r1) in enumerate(candidate_walk(v, ctx, layer_count)):
             if r0 != r1:
                 return TypicalSearchResult(u, r0, r1, layer_count, idx)
-    raise SearchExhausted(f"no asymmetric typical U with at most {max_layers} layers")
+    raise SearchExhausted(f"no asymmetric typical U with at most MAX_LAYERS={MAX_LAYERS} layers")
 
 
 def check_walk_cost(l: int) -> None:
@@ -254,7 +251,7 @@ def table_size(l: int, layer_count: int) -> int:
     # (c+1)^half >= 2^half once c >= 1, so a capped exponent decides the comparison
     if (c + 1) ** min(half, SEARCH_TABLE_CAP.bit_length()) > SEARCH_TABLE_CAP:
         raise ValueError(
-            f"{c + 1}^{half} candidates exceed the search table cap {SEARCH_TABLE_CAP}"
+            f"{c + 1}^{half} candidates exceed the cap SEARCH_TABLE_CAP={SEARCH_TABLE_CAP}"
         )
     return (c + 1) ** half
 
@@ -452,12 +449,7 @@ def degree3_slices(z: CMData, diamond: HodgePolynomial) -> tuple[tuple[int, ...]
     return slice3, (tuple(reversed(slice3)) if z.oriented else slice3)
 
 
-def build_cm(
-    p: int,
-    l: int | None = None,
-    selector: str = "default",
-    max_layers: int = 3,
-) -> CMData:
+def build_cm(p: int, l: int | None = None, selector: str = "default") -> CMData:
     """End-to-end: companion prime, V, typical search, oriented assembly.
 
     Refuses a product whose diamond would cost dim^2 * l above
@@ -465,7 +457,7 @@ def build_cm(
     """
     ctx = PrimeContext.create(p, l) if l is not None else find_l(p)
     v = build_V(ctx, selector)
-    result = search_typical_U(v, ctx, max_layers)
+    result = search_typical_U(v, ctx)
     dim = v.rank + result.U.rank
     if dim * dim * ctx.l > DIAMOND_COST_CAP:
         raise ValueError(

@@ -305,12 +305,7 @@ def _isoclinic_checks(diamond: HodgePolynomial, dim: int) -> list[tuple[str, boo
 
 
 def build_certificate(
-    p: int,
-    i: int,
-    j: int,
-    l: int | None = None,
-    selector: str = "default",
-    max_layers: int = 3,
+    p: int, i: int, j: int, l: int | None = None, selector: str = "default"
 ) -> ConstructionCertificate:
     """Certificate for an object with h^{i,j} != h^{j,i}.
 
@@ -320,7 +315,7 @@ def build_certificate(
     big, small = max(i, j), min(i, j)
     aux = choose_aux_case(big, small)
 
-    z = cmbuild.build_cm(p, l=l, selector=selector, max_layers=max_layers)
+    z = cmbuild.build_cm(p, l=l, selector=selector)
     diamond = cmbuild.equivariant_diamond(z)
     slice3, slice3_pre = cmbuild.degree3_slices(z, diamond)
     quot = quotient_bookkeeping(diamond)
@@ -379,7 +374,7 @@ def build_certificate(
             "j": j,
             "l": l,
             "selector": selector,
-            "max_layers": max_layers,
+            "max_layers": cmbuild.MAX_LAYERS,
             "bound": cmbuild.FIND_L_BOUND,
             "embellish": [],
         },

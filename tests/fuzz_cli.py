@@ -263,9 +263,8 @@ corpus = st.one_of(
 
 commands = st.one_of(
     command("find-l", opt("p", prime_text), opt("bound", int_text), fmt),
-    command("build-cm", opt("p", prime_text), opt("l", prime_text), selector,
-            opt("max-layers", small_text), fmt),
-    command("build-cm", prime_pair, selector, opt("max-layers", small_text), fmt),
+    command("build-cm", opt("p", prime_text), opt("l", prime_text), selector, fmt),
+    command("build-cm", prime_pair, selector, fmt),
     command("search-typical", opt("p", prime_text), opt("l", prime_text), selector,
             opt("V", module_text), opt("layer-count", small_text), fmt),
     command("search-typical", prime_pair, selector,
@@ -279,8 +278,7 @@ commands = st.one_of(
     command("hodge product", text_or_file("left", table_text).map(lambda a: [a]),
             text_or_file("right", table_text).map(lambda a: [a]), fmt),
     command("construct", opt("p", prime_text), opt("i", small_text), opt("j", small_text),
-            opt("l", prime_text), selector, opt("max-layers", small_text),
-            opt("embellish", embellish),
+            opt("l", prime_text), selector, opt("embellish", embellish),
             st.one_of(st.just([]), st.sampled_from([("path", "--out=", "cert.json"),
                                                     ("path", "--out=", ""),
                                                     ("path", "--out=", "no/such/dir.json")])

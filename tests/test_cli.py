@@ -372,6 +372,29 @@ def test_certify_names_the_first_difference(tmp_path, capsys):
     assert json.loads(out)["results"] == {"first_difference": why}
 
 
+def test_the_layer_limit_is_not_an_option(capsys):
+    assert main(["construct", "--p", "2", "--i", "3", "--j", "0", "--max-layers", "3"]) == 2
+    assert main(["build-cm", "--p", "2", "--max-layers", "3"]) == 2
+    assert "--max-layers" in capsys.readouterr().err
+
+
+def test_certify_refuses_a_stored_layer_limit_other_than_the_constant(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    assert main(["construct", "--p", "2", "--i", "3", "--j", "0",
+                 "--out", str(cert_path)]) == 0
+    stored = json.loads(cert_path.read_text())
+    stored["inputs"]["max_layers"] = 5
+    cert_path.write_text(dumps(stored))
+    capsys.readouterr()
+    why = f"inputs.max_layers: stored 5, regenerated {cmbuild.MAX_LAYERS}"
+    code, out = run(capsys, "certify", str(cert_path))
+    assert code == 1
+    assert f"[FAIL] stored-matches-recomputation\n    {why}\n" in out
+    code, out = run(capsys, "certify", str(cert_path), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["results"] == {"first_difference": why}
+
+
 def test_main_is_reentrant_on_its_one_parser(tmp_path, monkeypatch, capsys):
     # main parses every call with the one parser it builds per process; each
     # call here must print and return what a fresh interpreter does

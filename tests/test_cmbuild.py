@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from hodge_asym import cmbuild
 from hodge_asym.cmbuild import (
     DIAMOND_COST_CAP,
+    MAX_LAYERS,
+    SELECTORS,
     EqualRanks,
     NotFoundWithinBound,
     SearchExhausted,
@@ -12,6 +15,7 @@ from hodge_asym.cmbuild import (
     assemble_Z,
     build_V,
     build_cm,
+    candidate_walk,
     cm_type,
     degree_slice,
     equivariant_diamond,
@@ -31,7 +35,9 @@ from hodge_asym.cyclochar import (
     exterior_power,
     frobenius_twist,
     invariants_rank,
+    is_prime,
     is_typical,
+    multiplicative_order,
 )
 from oracles import pair_tensor, subset_exterior, triple_invariants
 
@@ -320,8 +326,6 @@ def CMData_like_slice(w_omega, w_o):
 def test_search_exhausted(monkeypatch):
     ctx = PrimeContext.create(2, 5)
     v = build_V(ctx)
-    with pytest.raises(ValueError):
-        search_typical_U(v, ctx, max_layers=0)
     # no natural failure exists at l=5 (the first candidate already wins),
     # so exhaust the search with a walk whose every rank pair is symmetric
     walk = cmbuild.candidate_walk
@@ -330,5 +334,24 @@ def test_search_exhausted(monkeypatch):
         lambda *a: ((u, 0, 0) for u, _, _ in walk(*a)),
     )
     with pytest.raises(SearchExhausted) as err:
-        search_typical_U(v, ctx, max_layers=2)
-    assert "at most 2 layers" in str(err.value)
+        search_typical_U(v, ctx)
+    assert f"at most MAX_LAYERS={MAX_LAYERS} layers" in str(err.value)
+
+
+def test_every_admissible_input_stops_at_the_first_candidate():
+    # the walk depends on p only mod l, so one prime per residue with 4 | ord
+    # covers every p; 157 is the largest modulus DIAMOND_COST_CAP admits
+    # (dim = l - 1). Candidate 0 of layer 1 wins for each, which is why the
+    # search's MAX_LAYERS limit is never reached from a certificate.
+    assert 156 ** 2 * 157 <= DIAMOND_COST_CAP < 162 ** 2 * 163
+    cases = 0
+    for l in filter(is_prime, range(5, 158)):
+        for r in range(2, l):
+            if multiplicative_order(r, l) % 4 != 0:
+                continue
+            ctx = PrimeContext.create(next(filter(is_prime, itertools.count(r, l))), l)
+            for selector in SELECTORS:
+                _, r0, r1 = next(candidate_walk(build_V(ctx, selector), ctx, 1))
+                assert r0 != r1, (ctx.p, l, selector)
+                cases += 1
+    assert cases == 1612

@@ -16,8 +16,15 @@ import pytest
 
 import hodge_asym
 from hodge_asym import cmbuild, hodgecalc, pipeline
-from hodge_asym.cli import INPUT_BYTES_CAP, dumps, main, parse_newton, read_input
-from hodge_asym.cmbuild import DIAMOND_COST_CAP, WALK_COST_CAP
+from hodge_asym.cli import (
+    INPUT_BYTES_CAP,
+    POLYGON_RANK_CAP,
+    dumps,
+    main,
+    parse_newton,
+    read_input,
+)
+from hodge_asym.cmbuild import DIAMOND_COST_CAP, SEARCH_TABLE_CAP, WALK_COST_CAP
 from hodge_asym.cyclochar import MODULUS_CAP, P_CAP
 from hodge_asym.hodgecalc import TABLE_COST_CAP
 from hodge_asym.pipeline import TARGET_DEGREE_CAP
@@ -182,9 +189,23 @@ def test_search_typical_refuses_a_modulus_above_the_cap(argv):
     (["certify", "/dev/zero"], f"INPUT_BYTES_CAP={INPUT_BYTES_CAP}"),
     (["hodge", "product", "--left", "@/dev/zero", "--right", '{"coeffs": []}'],
      f"INPUT_BYTES_CAP={INPUT_BYTES_CAP}"),
+    (["search-typical", "--p", "2", "--l", "37"], f"SEARCH_TABLE_CAP={SEARCH_TABLE_CAP}"),
+    (["verify-polygon", "--n", "1", "--hodge", "50001,50000", "--newton", "1/2:100001"],
+     f"POLYGON_RANK_CAP={POLYGON_RANK_CAP}"),
 ])
 def test_costly_inputs_exit_2_naming_the_cap(argv, cap):
     assert_refused_naming(cap, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--l", "13", "--selector", "alt"],
+    ["--l", "5"],
+    ["--selector", "alt"],
+])
+def test_search_typical_V_refuses_the_flags_it_would_ignore(argv):
+    # --V fixes l and the module, so --l and --selector would be dropped unread
+    assert_refused_naming("--l or --selector", "search-typical", "--p", "2", *argv,
+                          "--V", "l=5; 1:1,4:1")
 
 
 def test_hodge_product_refuses_cell_pairs_above_the_table_cap(tmp_path):

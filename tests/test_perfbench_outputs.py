@@ -10,7 +10,7 @@ path, and compare their digests:
   stack products, Weil restrictions and special-fiber fixes);
 - the search shapes at p = 2;
 - every small-certs construct + certify pair at p = 2, most of them with
-  i + j above the digest manifest's range.
+  i + j above the range of the certificates pinned in tests/output_pins.json.
 """
 
 import importlib.util
