@@ -255,14 +255,13 @@ def cmd_search_typical(args) -> int:
             raise ValueError("--V fixes l and the module: it takes no --l or --selector")
         v = CharRep.from_text(args.V)
         ctx = cmbuild.PrimeContext.create(args.p, v.l)
+    elif args.l is None:
+        ctx = cmbuild.find_l(args.p)
     else:
-        ctx = (
-            cmbuild.find_l(args.p)
-            if args.l is None
-            else cmbuild.PrimeContext.create(args.p, args.l)
-        )
+        ctx = cmbuild.PrimeContext.create(args.p, args.l)
+    count = cmbuild.table_size(ctx.l, args.layer_count)  # refused before V and any output
+    if args.V is None:
         v = cmbuild.build_V(ctx, args.selector)
-    count = cmbuild.table_size(ctx.l, args.layer_count)  # refused before any output
     rows = cmbuild.candidate_walk(v, ctx, args.layer_count)
     if args.format == "json":
         # the layout of dumps, written one row at a time as the walk yields it

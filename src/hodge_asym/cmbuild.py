@@ -84,8 +84,8 @@ def find_l(p: int, bound: int = FIND_L_BOUND) -> PrimeContext:
     raise NotFoundWithinBound(f"no companion prime for p={p} up to {bound}")
 
 
-def _p_cosets(ctx: PrimeContext) -> list[list[int]]:
-    """Orbits of multiplication by p on the nonzero residues, sorted by minimum."""
+def _p_orbits(ctx: PrimeContext) -> list[list[int]]:
+    """Orbits of multiplication by p on (Z/l)^x by minimum a, each listed a, ap, ap^2, ..."""
     l, p = ctx.l, ctx.p
     seen: set[int] = set()
     orbits = []
@@ -97,29 +97,25 @@ def _p_cosets(ctx: PrimeContext) -> list[list[int]]:
             seen.add(x)
             orbit.append(x)
             x = (x * p) % l
-        orbits.append(sorted(orbit))
-    return sorted(orbits)
+        orbits.append(orbit)
+    return orbits
 
 
 def build_V(ctx: PrimeContext, selector: str = "default") -> CharRep:
-    """One square-subgroup coset from each Frobenius orbit, multiplicity one.
+    """Half of each Frobenius orbit a, ap, ap^2, ..., multiplicity one.
 
-    Each orbit of multiplication by p splits into the two cosets {C, pC} of
-    the subgroup generated by p^2; "default" takes the coset containing the
-    orbit's smallest residue, "alt" the other one.  The result is self-dual
-    (since -1 is a square power of p) and disjoint from its twist.
+    "default" takes the even places, the coset aH of H = <p^2> with a the
+    orbit's minimum, "alt" the odd places apH.  -1 = p^(ord/2) lies in H as
+    4 | ord, so the result is self-dual, and p swaps the two halves, so it
+    is disjoint from its twist.
     """
     if selector not in SELECTORS:
         raise ValueError(f"selector must be one of {SELECTORS}")
-    l, p = ctx.l, ctx.p
+    start = 0 if selector == "default" else 1
     chosen: list[int] = []
-    for orbit in _p_cosets(ctx):
-        smallest = orbit[0]
-        coset = sorted((smallest * h) % l for h in ctx.half_ord_group)
-        if selector == "alt":
-            coset = sorted((p * a) % l for a in coset)
-        chosen.extend(coset)
-    return CharRep.from_exponents(l, chosen)
+    for orbit in _p_orbits(ctx):
+        chosen += orbit[start::2]
+    return CharRep.from_exponents(ctx.l, chosen)
 
 
 def cm_type(u_layer: CharRep) -> frozenset[int]:
@@ -150,7 +146,7 @@ def st_slopes(phi, ctx: PrimeContext) -> dict[Fraction, int]:
     if 0 in phi or (phi | neg) != frozenset(range(1, l)) or phi & neg:
         raise ValueError("phi and -phi must partition the nonzero residues")
     slopes: dict[Fraction, int] = {}
-    for orbit in _p_cosets(ctx):
+    for orbit in _p_orbits(ctx):
         s = Fraction(len(phi.intersection(orbit)), len(orbit))
         slopes[s] = slopes.get(s, 0) + len(orbit)
     return slopes
@@ -278,31 +274,26 @@ def candidate_walk(v: CharRep, ctx: PrimeContext, layer_count: int):
         r0 = W_3[0] + s W_2[-a] + b W_2[a]
              + C(s,2) W_1[-2a] + s b W_1[0] + C(b,2) W_1[2a]
 
-    plus the Lambda^0 term C(s,3) + C(b,3) where 3a = 0 mod l (l = 3), and
-    r1 the same on the tau(V) + U* rows with a and -a exchanged.  Six fields
-    per module and prefix serve its c + 1 candidates.  One field width, for
-    rank(V) + c(l-1)/2, serves every prefix.
+    and r1 the same on the tau(V) + U* rows with a and -a exchanged.  Six
+    fields per module and prefix serve its c + 1 candidates.  One field
+    width, for rank(V) + c(l-1)/2, serves every prefix.  Refuses l < 5, which
+    no PrimeContext admits and where 3a = 0 would add a Lambda^0 term.
     """
     l, c = ctx.l, layer_count
+    if l < 5:
+        raise ValueError(f"the candidate walk needs l >= 5, got l={l}")
     half = (l - 1) // 2
     width = field_width(v.rank + c * half, 3)
     field = (1 << width) - 1
     w, o = packed_rows(v, 3, width), packed_rows(frobenius_twist(v, ctx.p), 3, width)
-    if not half:  # l = 2: no pair, the one candidate is U = 0
-        yield CharRep(l, (0,) * l), w[3] & field, o[3] & field
-        return
     a = half
     # (row, bit offset) of W_3[0], W_2[a], W_2[-a], W_1[2a], W_1[-2a], W_1[0]
     six = [
         (i, e % l * width)
         for i, e in ((3, 0), (2, a), (2, -a), (1, 2 * a), (1, -2 * a), (1, 0))
     ]
-    # (s, C(s,2), s b, C(b,2), the Lambda^0 term) of each leaf digit b
-    leaves = [
-        (c - b, comb(c - b, 2), (c - b) * b, comb(b, 2),
-         comb(c - b, 3) + comb(b, 3) if 3 * a % l == 0 else 0)
-        for b in range(c + 1)
-    ]
+    # (s, C(s,2), s b, C(b,2)) of each leaf digit b
+    leaves = [(c - b, comb(c - b, 2), (c - b) * b, comb(b, 2)) for b in range(c + 1)]
     stack = [(w, o)] + [None] * (half - 1)
     mult = [0] * l
     prev = (-1,) * half
@@ -325,12 +316,12 @@ def candidate_walk(v: CharRep, ctx: PrimeContext, layer_count: int):
             w, o = stack[half - 1]
             w3, w2p, w2m, w1p, w1m, w10 = [(w[i] >> t) & field for i, t in six]
             o3, o2p, o2m, o1p, o1m, o10 = [(o[i] >> t) & field for i, t in six]
-        s, s2, sb, b2, t3 = leaves[b]
+        s, s2, sb, b2 = leaves[b]
         mult[a], mult[l - a] = s, b
         yield (
             CharRep(l, tuple(mult)),
-            w3 + s * w2m + b * w2p + s2 * w1m + sb * w10 + b2 * w1p + t3,
-            o3 + s * o2p + b * o2m + s2 * o1p + sb * o10 + b2 * o1m + t3,
+            w3 + s * w2m + b * w2p + s2 * w1m + sb * w10 + b2 * w1p,
+            o3 + s * o2p + b * o2m + s2 * o1p + sb * o10 + b2 * o1m,
         )
 
 
@@ -452,10 +443,11 @@ def degree3_slices(z: CMData, diamond: HodgePolynomial) -> tuple[tuple[int, ...]
 def build_cm(p: int, l: int | None = None, selector: str = "default") -> CMData:
     """End-to-end: companion prime, V, typical search, oriented assembly.
 
-    Refuses a product whose diamond would cost dim^2 * l above
-    DIAMOND_COST_CAP, before the assembly and the diamond.
+    Refuses an l above WALK_COST_CAP before V is built, and a diamond cost
+    dim^2 * l above DIAMOND_COST_CAP before the assembly and the diamond.
     """
     ctx = PrimeContext.create(p, l) if l is not None else find_l(p)
+    check_walk_cost(ctx.l)
     v = build_V(ctx, selector)
     result = search_typical_U(v, ctx)
     dim = v.rank + result.U.rank

@@ -97,15 +97,15 @@ def _check_modulus_size(l: int) -> None:
 class PrimeContext:
     """The pair of distinct primes (p, l) with ord(p mod l) divisible by 4.
 
-    half_ord_group is the subgroup generated by p^2 in (Z/l)^x; because
-    ord/2 is even, -1 = p^(ord/2) lies in it, which forces self-duality of
-    the coset representations built in cmbuild.
+    Then -1 = p^(ord/2) is an even power of p, so negation keeps the even
+    places of each Frobenius orbit a, ap, ap^2, ... together, which makes the
+    half-orbit representations of cmbuild self-dual; and ord | l - 1 gives
+    l = 1 mod 4, so l >= 5.
     """
 
     p: int
     l: int
     ord: int
-    half_ord_group: frozenset[int]
 
     @staticmethod
     def create(p: int, l: int) -> "PrimeContext":
@@ -120,15 +120,7 @@ class PrimeContext:
             raise ValueError(
                 f"ord({p} mod {l}) = {order} is not divisible by 4"
             )
-        sq = (p * p) % l
-        group = {1}
-        x = sq
-        while x != 1:
-            group.add(x)
-            x = (x * sq) % l
-        ctx = PrimeContext(p=p, l=l, ord=order, half_ord_group=frozenset(group))
-        assert (l - 1) % l in ctx.half_ord_group  # -1 = p^(ord/2), ord/2 even
-        return ctx
+        return PrimeContext(p=p, l=l, ord=order)
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,26 @@ def expanded_newton_above_hodge(hodge, newton: dict) -> bool:
     return newt[-1] == hodg[-1] and all(a >= b for a, b in zip(newt, hodg))
 
 
+def subgroup_coset_V(ctx, selector: str) -> CharRep:
+    """V as one coset of H = <p^2> per Frobenius orbit a<p> = aH + apH, with
+    a the orbit's smallest residue: aH for "default", apH for "alt"."""
+    l, p = ctx.l, ctx.p
+    group, x = {1}, p * p % l
+    while x != 1:
+        group.add(x)
+        x = x * p * p % l
+    chosen: list[int] = []
+    seen: set[int] = set()
+    for a in range(1, l):
+        if a in seen:
+            continue
+        even = {a * h % l for h in group}
+        odd = {a * p * h % l for h in group}
+        seen |= even | odd
+        chosen += even if selector == "default" else odd
+    return CharRep.from_exponents(l, chosen)
+
+
 def stepwise_order(a: int, l: int) -> int:
     """Smallest k >= 1 with a^k = 1 mod l, by stepping through the powers."""
     k, x = 1, a % l

@@ -39,7 +39,7 @@ from hodge_asym.cyclochar import (
     is_typical,
     multiplicative_order,
 )
-from oracles import pair_tensor, subset_exterior, triple_invariants
+from oracles import pair_tensor, subgroup_coset_V, subset_exterior, triple_invariants
 
 
 def rep(l, mults):
@@ -351,7 +351,9 @@ def test_every_admissible_input_stops_at_the_first_candidate():
                 continue
             ctx = PrimeContext.create(next(filter(is_prime, itertools.count(r, l))), l)
             for selector in SELECTORS:
-                _, r0, r1 = next(candidate_walk(build_V(ctx, selector), ctx, 1))
+                v = build_V(ctx, selector)
+                assert v == subgroup_coset_V(ctx, selector), (ctx.p, l, selector)
+                _, r0, r1 = next(candidate_walk(v, ctx, 1))
                 assert r0 != r1, (ctx.p, l, selector)
                 cases += 1
     assert cases == 1612

@@ -28,7 +28,7 @@ def test_large_diamond_digest_is_pinned(l, cells, digest):
 
 def bare_cm(w_omega: CharRep, w_o: CharRep) -> CMData:
     """A CMData holding only the two modules: equivariant_diamond reads nothing else."""
-    ctx = PrimeContext(p=0, l=w_omega.l, ord=0, half_ord_group=frozenset())
+    ctx = PrimeContext(p=0, l=w_omega.l, ord=0)
     return CMData(ctx=ctx, V=w_omega, search=None, W_omega=w_omega, W_o=w_o, oriented=False)
 
 

@@ -129,19 +129,19 @@ def children_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def assert_refused_naming(cap: str, *argv: str) -> str:
+def assert_refused_naming(cap: str, *argv: str, cpu_s: float = 1.0) -> str:
     """Run the CLI in a fresh interpreter under limit_memory: exit 2 within
-    1 s of the child's CPU time, no output and no traceback, and an error
-    that names the cap (or holds the given text); returns the error.  CPU
-    time, not wall-clock time, so that a loaded machine does not fail a
-    refusal that does no work; timeout guards a hang."""
+    cpu_s seconds of the child's CPU time, no output and no traceback, and
+    an error that names the cap (or holds the given text); returns the
+    error.  CPU time, not wall-clock time, so that a loaded machine does not
+    fail a refusal that does no work; timeout guards a hang."""
     env = dict(os.environ, PYTHONPATH=str(Path(hodge_asym.__file__).resolve().parents[1]))
     cpu0 = children_cpu_s()
     proc = subprocess.run(
         [sys.executable, "-m", "hodge_asym", *argv],
         capture_output=True, text=True, env=env, timeout=10, preexec_fn=limit_memory,
     )
-    assert children_cpu_s() - cpu0 < 1.0
+    assert children_cpu_s() - cpu0 < cpu_s
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -195,6 +195,17 @@ def test_search_typical_refuses_a_modulus_above_the_cap(argv):
 ])
 def test_costly_inputs_exit_2_naming_the_cap(argv, cap):
     assert_refused_naming(cap, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["search-typical", "--p", "2", "--l", "999961"],
+    ["build-cm", "--p", "2", "--l", "999961"],
+    ["construct", "--p", "2", "--i", "4", "--j", "2", "--l", "999961"],
+])
+def test_walk_cap_is_refused_before_V_is_built(argv):
+    # building V and its dual and twist at l = 999,961 took 0.5-0.6 s of the
+    # child's CPU on a 2-vCPU machine; start-up and the refusal take ~0.07 s
+    assert_refused_naming(f"WALK_COST_CAP={WALK_COST_CAP}", *argv, cpu_s=0.3)
 
 
 @pytest.mark.parametrize("argv", [
