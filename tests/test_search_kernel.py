@@ -83,6 +83,25 @@ def test_matches_reference_on_random_modules(data):
     assert search_table(v, ctx, layer_count) == list(reference(v, ctx, layer_count))
 
 
+@pytest.mark.parametrize("layer_count", range(6))
+@pytest.mark.parametrize("text", [
+    # a = 1 and 3a = 0 mod 3: Lambda^3 has a Lambda^0 term C(s,3) + C(b,3)
+    "l=3;", "l=3; 1:1,2:1", "l=3; 0:2,1:3", "l=3; 0:1,1:1,2:2",
+    # no inverse pair: the one candidate U = 0 is ranked on V's own rows
+    "l=2;", "l=2; 0:3,1:2",
+])
+def test_matches_reference_below_five(text, layer_count):
+    # the walk refuses l < 5; the per-candidate reference still ranks there
+    v = CharRep.from_text(text)
+    ctx = bare_context(5, v.l)
+    with pytest.raises(ValueError, match="l >= 5"):
+        search_table(v, ctx, layer_count)
+    for u, r0, r1 in reference(v, ctx, layer_count):
+        w_omega, w_o = module_pair(v, u, ctx.p)
+        assert r0 == invariants_rank(subset_exterior(w_omega, 3))
+        assert r1 == invariants_rank(subset_exterior(w_o, 3))
+
+
 @pytest.mark.parametrize("l", [2, 3])
 def test_refuses_a_modulus_below_five(l):
     # no admissible context has l < 5: 4 | ord(p mod l) gives l = 1 mod 4
