@@ -36,7 +36,13 @@ items:
   diamond at ``l = CHECKS_L``;
 - ``hodgecalc.hypersurface(d, n)`` for (d, n) in HYPERSURFACES and
   ``hodgecalc.blow_up_tower(d, n, s)`` for BIG_TOWER, the largest tower of
-  perfbench's tables workload.
+  perfbench's tables workload;
+- ``hodgecalc.product`` of two ``stack_series(kind, SERIES_BOUND)`` for
+  every ordered pair of SERIES_KINDS, the dearest products of the tables
+  workload;
+- ``hodgecalc.special_fiber_fix(FIBER_DELTA)``;
+- ``cli._cm_payload(z)``, the diamond and slices behind ``build-cm``, for
+  ``z = cmbuild.build_cm(2, l=CM_PAYLOAD_L)``.
 
 A figure is the minimum over the rounds, in milliseconds at reference
 speed. The output (to ``--out``, or standard output) gives the environment
@@ -67,6 +73,10 @@ DUMPS_LS = (61, 101)
 CHECKS_L = 61
 HYPERSURFACES = ((25, 4), (12, 3))
 BIG_TOWER = (25, 4, 6)
+SERIES_KINDS = ("mu_p", "Z_mod_p")
+SERIES_BOUND = 200
+FIBER_DELTA = -200
+CM_PAYLOAD_L = 157
 ROUNDS = 5
 MIN_LOOP_S = 0.1
 ITEMS = (
@@ -80,6 +90,9 @@ ITEMS = (
     + [("diamond_checks_ms", f"l{CHECKS_L}")]
     + [("hypersurface_ms", f"d{d}_n{n}") for d, n in HYPERSURFACES]
     + [("blow_up_tower_ms", "d{}_n{}_s{}".format(*BIG_TOWER))]
+    + [("product_ms", f"{a}_x_{b}") for a in SERIES_KINDS for b in SERIES_KINDS]
+    + [("special_fiber_fix_ms", f"delta{FIBER_DELTA}")]
+    + [("cm_payload_ms", f"l{CM_PAYLOAD_L}")]
 )
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -146,6 +159,14 @@ def serve() -> None:
         ))
         calls += [lambda d=d, n=n: hodgecalc.hypersurface(d, n) for d, n in HYPERSURFACES]
         calls.append(lambda: hodgecalc.blow_up_tower(*BIG_TOWER))
+        for a in SERIES_KINDS:
+            for b in SERIES_KINDS:
+                left = hodgecalc.stack_series(a, SERIES_BOUND)
+                right = hodgecalc.stack_series(b, SERIES_BOUND)
+                calls.append(lambda left=left, right=right: hodgecalc.product(left, right))
+        calls.append(lambda: hodgecalc.special_fiber_fix(FIBER_DELTA))
+        z = cmbuild.build_cm(2, l=CM_PAYLOAD_L)
+        calls.append(lambda z=z: cli._cm_payload(z))
         for line in sys.stdin:
             print(timed_ms(calls[int(line)]), flush=True)
 

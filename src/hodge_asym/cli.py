@@ -222,7 +222,8 @@ def cmd_find_l(args) -> int:
 
 
 def _cm_payload(z: cmbuild.CMData) -> dict:
-    slice3, slice3_pre = cmbuild.degree3_slices(z, cmbuild.equivariant_diamond(z))
+    # the slices read only Lambda^0..Lambda^3 of either module
+    slice3, slice3_pre = cmbuild.degree3_slices(z, cmbuild.equivariant_diamond(z, top=3))
     cm = z.serialize()
     return {
         "p": z.ctx.p,
@@ -333,7 +334,7 @@ def cmd_hodge(args) -> int:
         table = hodgecalc.stack_series(args.kind, args.bound)
     else:  # product
         left, right = parse_coeff_table(args.left), parse_coeff_table(args.right)
-        # the convolution visits every pair of cells
+        # |left|*|right| is an upper bound on the pairs the convolution visits
         hodgecalc.check_table_cost(len(left.coeffs) * len(right.coeffs), "hodge product")
         table = hodgecalc.product(left, right)
     if args.format == "json":

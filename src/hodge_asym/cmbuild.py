@@ -382,7 +382,7 @@ def assemble_Z(v: CharRep, search: TypicalSearchResult, ctx: PrimeContext) -> CM
     return CMData(ctx=ctx, V=v, search=search, W_omega=w_omega, W_o=w_o, oriented=oriented)
 
 
-def equivariant_diamond(z: CMData) -> HodgePolynomial:
+def equivariant_diamond(z: CMData, top: int | None = None) -> HodgePolynomial:
     """Invariant ranks h^{i,j} = rk(Lambda^i W_omega x Lambda^j W_o)^G.
 
     Computed as the constant-exponent coefficient of the product of the two
@@ -400,11 +400,12 @@ def equivariant_diamond(z: CMData) -> HodgePolynomial:
     unpack_fields, and the floor terms are added per cell.  Every cell is
     computed, none is inferred from duality, so the duality check stays an
     independent test.  The cells come out in (i, j) order with the zeros
-    dropped, so the table is built without HodgePolynomial.create.
+    dropped, so the table is built without HodgePolynomial.create.  ``top``
+    keeps only the cells with i, j <= top (default: every cell).
     """
     l = z.ctx.l
-    p_tab = exterior_table(z.W_omega)
-    q_tab = exterior_table(z.W_o)
+    p_tab = exterior_table(z.W_omega, top)
+    q_tab = exterior_table(z.W_o, top)
     m = list(map(min, p_tab))
     n = list(map(min, q_tab))
     r_rows = [list(map(sub, row, repeat(f))) for row, f in zip(p_tab, m)]

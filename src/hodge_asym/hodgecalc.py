@@ -12,10 +12,12 @@ combine 1 with opaque symbols for asymmetries that are not known exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, gcd, lcm
+from operator import itemgetter
 
 
 class NonSymmetricFactor(ValueError):
@@ -122,21 +124,32 @@ class HodgePolynomial:
         return out
 
 
-def _convolve(a: dict, b: dict) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            k = (i1 + i2, j1 + j2)
-            out[k] = out.get(k, 0) + c1 * c2
-    return out
-
-
 def product(h1: HodgePolynomial, h2: HodgePolynomial) -> HodgePolynomial:
-    """Coefficient convolution, truncated at the smaller bound of a series factor."""
+    """Coefficient convolution, truncated at the smaller bound of a series factor.
+
+    Each cell of h1 meets only the prefix of h2's cells, sorted by total
+    degree, that stays within the bound.  A product of valid tables is valid,
+    so it is built without create; only the zero cells that symbolic cells can
+    sum to are dropped.  A factor with untracked cells is refused.
+    """
+    if h1.unknown or h2.unknown:
+        raise ValueError(
+            f"product of tables with untracked cells {sorted(h1.unknown | h2.unknown)}"
+        )
     bounds = [h.bound for h in (h1, h2) if h.bound is not None]
-    return HodgePolynomial.create(
-        _convolve(h1.as_dict(), h2.as_dict()), min(bounds, default=None)
-    )
+    bound = min(bounds, default=None)
+    right = sorted(h2.coeffs, key=lambda cell: cell[0][0] + cell[0][1])
+    degrees = [i + j for (i, j), _ in right]
+    out: dict[tuple[int, int], int | DPoly] = {}
+    get = out.get
+    for (i1, j1), c1 in h1.coeffs:
+        end = len(right) if bound is None else bisect_right(degrees, bound - i1 - j1)
+        for (i2, j2), c2 in right[:end]:
+            k = (i1 + i2, j1 + j2)
+            out[k] = get(k, 0) + c1 * c2
+    # sorted by key alone: comparing whole (key, cell) items costs twice as much
+    cells = sorted(filter(itemgetter(1), out.items()), key=itemgetter(0))
+    return HodgePolynomial(tuple(cells), bound)
 
 
 def delta(h, i: int, j: int) -> int:
@@ -385,6 +398,8 @@ class DPoly:
                 out[a + b] += ca * cb
         return DPoly._reduced(out, self.den * other.den)
 
+    __rmul__ = __mul__
+
     def eval(self, d: int) -> Fraction:
         total = 0
         for c in reversed(self.nums):
@@ -533,8 +548,10 @@ def special_fiber_fix(delta30: int, edge: dict | None = None) -> SpecialFiberFix
     OPPOSITE (dual) orientation of the given one: with l = -delta30 - 1 the
     product of the transposed fiber with the auxiliary satisfies
     delta^{3,0} = -delta30 - (l+1) = 0, equivalently the composed
-    delta^{0,3} reproduces delta30 + l + 1 = 0 exactly.  The edge closed
-    forms (binomial sums in l) are re-derived and checked along the way.
+    delta^{0,3} reproduces delta30 + l + 1 = 0 exactly.  The quotient is a
+    ring, so the l-th power is taken by square-and-multiply; it is multiplied
+    out, not read off the edge closed forms (binomial sums in l), so those
+    are re-derived independently and checked along the way.
 
     ``edge`` holds the known special fiber's edge coefficients
     {(i,0): h^{i,0}, (0,j): h^{0,j}} with symmetric degrees 1 and 2 and
@@ -558,9 +575,13 @@ def special_fiber_fix(delta30: int, edge: dict | None = None) -> SpecialFiberFix
     # the monomials _edge_mul drops form an ideal, so its factors need no
     # filtering of their own
     aux = _edge_mul(stack_series("Z_mod_p", 3).as_dict(), stack_series("mu_p", 3).as_dict())
-    elliptic = {(0, 0): 1, (1, 0): 1, (0, 1): 1}  # (1+x+y+xy) mod the ideal
-    for _ in range(l):
-        aux = _edge_mul(aux, elliptic)
+    power, m = {(0, 0): 1, (1, 0): 1, (0, 1): 1}, l  # (1+x+y+xy) mod the ideal
+    while m:
+        if m & 1:
+            aux = _edge_mul(aux, power)
+        m >>= 1
+        if m:
+            power = _edge_mul(power, power)
     transposed = {(j, i): c for (i, j), c in edge.items()}  # dual orientation
     composed = _edge_mul(transposed, aux)
 

@@ -95,6 +95,23 @@ def naive_table_product(a: dict, b: dict, bound: int | None = None) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
+def edge_product(a: dict, b: dict) -> dict:
+    """a * b modulo (xy, x^4, y^4): only the diamond's degree <= 3 edges survive."""
+    return {(i, j): c for (i, j), c in naive_table_product(a, b, 3).items() if i == 0 or j == 0}
+
+
+def stepwise_fiber_aux(l_max: int) -> list[dict]:
+    """The special fibre's auxiliary edges (1/(1-y)) * ((1+x)/(1-xy)) *
+    (1+x+y+xy)^l for l = 0..l_max, multiplied in one elliptic factor at a time."""
+    z_mod_p = {(0, k): 1 for k in range(4)}
+    mu_p = {(0, 0): 1, (1, 0): 1, (1, 1): 1, (2, 1): 1}
+    elliptic = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
+    auxes = [edge_product(z_mod_p, mu_p)]
+    for _ in range(l_max):
+        auxes.append(edge_product(auxes[-1], elliptic))
+    return auxes
+
+
 def triple_invariants(exps_a: list[int], exps_b: list[int], l: int, *, wedge_a: int) -> int:
     """rk(Lambda^{wedge_a} A x Lambda^{3-wedge_a} B)^G by direct enumeration."""
     total = 0

@@ -49,6 +49,9 @@ def assert_matches_reference(w_omega: CharRep, w_o: CharRep) -> None:
     keys = [key for key, _ in diamond.coeffs]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert diamond.coeffs == HodgePolynomial.create(diamond.as_dict()).coeffs
+    # top=3, as build-cm asks for, keeps exactly the cells with i, j <= 3
+    low = equivariant_diamond(bare_cm(w_omega, w_o), top=3)
+    assert low.coeffs == tuple((k, c) for k, c in diamond.coeffs if max(k) <= 3)
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,6 +9,7 @@ from hodge_asym.hodgecalc import (
     HodgePolynomial,
     NonNegativeDelta,
     NonSymmetricFactor,
+    SpecialFiberFix,
     blow_up,
     blow_up_tower,
     delta,
@@ -24,8 +25,8 @@ from hodge_asym.hodgecalc import (
     weil_restriction_delta30,
     weil_restriction_power,
 )
-from hodge_asym.pipeline import QuotientData, assemble_delta
-from oracles import lattice_middle_row, naive_table_product
+from hodge_asym.pipeline import QuotientData, assemble_delta, symbolic_hypersurface
+from oracles import edge_product, lattice_middle_row, naive_table_product, stepwise_fiber_aux
 
 H = HodgePolynomial.create
 
@@ -66,6 +67,60 @@ def test_product_algebra_properties():
         assert product(product(a, b), c) == product(a, product(b, c))
         assert product(a, HodgePolynomial.one()) == a
         assert product(a, b).as_dict() == naive_table_product(a.as_dict(), b.as_dict())
+
+
+def test_product_against_naive_convolution_with_bounds():
+    rng = random.Random(20)
+
+    def rand_table():
+        bound = rng.choice([None, None, 0, rng.randint(1, 10)])
+        cells = {
+            (rng.randint(0, 7), rng.randint(0, 7)): rng.randint(1, 5)
+            for _ in range(rng.randint(0, 8))
+        }
+        return H(cells, bound)
+
+    cases = [(rand_table(), rand_table()) for _ in range(400)]
+    cases += [
+        (H({}), H({(0, 0): 1, (2, 3): 4})),  # an empty factor
+        (H({}, 0), H({})),
+        (H({(0, 0): 2, (1, 0): 1}, 0), H({(0, 0): 3, (0, 1): 5})),  # bound 0
+        # cells on both sides of the bound: only the pairs summing to <= 4 stay
+        (H({(0, 0): 1, (1, 1): 2, (3, 1): 1}, 4), H({(0, 0): 1, (0, 2): 3, (2, 2): 1, (5, 5): 1})),
+    ]
+    for a, b in cases:
+        bound = min([h.bound for h in (a, b) if h.bound is not None], default=None)
+        want = naive_table_product(a.as_dict(), b.as_dict(), bound)
+        got = product(a, b)
+        assert got.as_dict() == want and got.bound == bound
+        # built without create, yet stored as create would store it
+        assert got == H(want, bound) == product(b, a)
+
+
+def test_product_stays_sparse_at_huge_bidegrees():
+    # a kernel that sized anything by bidegree would not finish here
+    far = H({(10**9, 0): 1})
+    assert product(far, far) == H({(2 * 10**9, 0): 1})
+    assert product(far, H({(0, 0): 1}, 10**9)) == H({(10**9, 0): 1}, 10**9)
+    assert product(far, H({(0, 1): 1}, 10**9)).coeffs == ()
+
+
+def test_symbolic_product_in_either_order():
+    surface, line = symbolic_hypersurface(2), projective_space(1)
+    assert product(surface, line) == product(line, surface)
+    assert product(line, surface).coeff(3, 1) == surface.coeff(2, 0)
+    assert 3 * DPoly.binomial(2) == DPoly.binomial(2) * 3
+    # (1 + d*x) * (d - d^2*x): the x terms cancel, and the zero cell is dropped
+    d = DPoly.create([0, 1])
+    a, b = H({(0, 0): 1, (1, 0): d}), H({(0, 0): d, (1, 0): -(d * d)})
+    assert product(a, b).coeffs == (((0, 0), d), ((2, 0), -(d * d * d)))
+
+
+def test_product_refuses_untracked_cells():
+    threefold = symbolic_hypersurface(3)  # its interior middle cells are untracked
+    for a, b in ((threefold, projective_space(1)), (projective_space(1), threefold)):
+        with pytest.raises(ValueError, match=r"untracked cells \[\(1, 2\), \(2, 1\)\]"):
+            product(a, b)
 
 
 def test_projective_space():
@@ -372,6 +427,19 @@ def test_special_fiber_fix_range():
         special_fiber_fix(-1, edge={(0, 0): 1, (3, 0): 1})  # wrong delta
     with pytest.raises(ValueError):
         special_fiber_fix(-1, edge={(0, 0): 1, (0, 3): 1, (1, 0): 1})  # asymmetric
+
+
+def test_special_fiber_fix_matches_stepwise_oracle():
+    auxes = stepwise_fiber_aux(299)
+    for d30 in range(-300, 0):
+        l = -d30 - 1
+        # the minimal edge, and the realistic one with degree-2 entries
+        for edge in ({(0, 0): 1, (0, 3): -d30}, {(0, 0): 1, (2, 0): 2, (0, 2): 2, (0, 3): -d30}):
+            composed = edge_product({(j, i): c for (i, j), c in edge.items()}, auxes[l])
+            h30, h03 = composed.get((3, 0), 0), composed.get((0, 3), 0)
+            want = SpecialFiberFix(l, h30, h03, h30 - h03, closed_forms_ok=True)
+            assert special_fiber_fix(d30, edge=edge) == want
+        assert special_fiber_fix(d30) == special_fiber_fix(d30, edge={(0, 0): 1, (0, 3): -d30})
 
 
 def test_polarization_examples():
