@@ -32,8 +32,8 @@ items:
   blow-ups and cells among the small-certs targets (``i + j <= 20``);
 - ``cli.dumps`` of the serialized certificate ``(2, 4, 2, l)`` for ``l`` in
   DUMPS_LS;
-- ``pipeline._slice_checks`` plus ``pipeline._isoclinic_checks`` on the
-  diamond at ``l = CHECKS_L``;
+- ``pipeline._diamond_checks`` with the isoclinic checks on the diamond at
+  ``l = CHECKS_L``;
 - ``hodgecalc.hypersurface(d, n)`` for (d, n) in HYPERSURFACES and
   ``hodgecalc.blow_up_tower(d, n, s)`` for BIG_TOWER, the largest tower of
   perfbench's tables workload;
@@ -49,7 +49,10 @@ speed. The output (to ``--out``, or standard output) gives the environment
 (Python version, ``nproc``, rounds) and one entry per label under ``runs``.
 Standard library only; perfbench's files are imported, never changed.
 Every tree must have ``build_cm`` return the ``CMData`` alone, which holds
-its search; a tree whose ``build_cm`` returns a pair cannot be timed.
+its search; a tree whose ``build_cm`` returns a pair cannot be timed.  Every
+tree must also have ``pipeline._diamond_checks``; a tree that splits the
+diamond checks into ``_slice_checks`` and ``_isoclinic_checks`` cannot run
+that item.
 """
 
 from __future__ import annotations
@@ -154,9 +157,7 @@ def serve() -> None:
             calls.append(lambda payload=payload: cli.dumps(payload))
         z = cmbuild.build_cm(2, l=CHECKS_L)
         diamond = cmbuild.equivariant_diamond(z)
-        calls.append(lambda diamond=diamond, dim=z.dim: (
-            pipeline._slice_checks(diamond, dim), pipeline._isoclinic_checks(diamond, dim)
-        ))
+        calls.append(lambda d=diamond, dim=z.dim: pipeline._diamond_checks(d, dim, True))
         calls += [lambda d=d, n=n: hodgecalc.hypersurface(d, n) for d, n in HYPERSURFACES]
         calls.append(lambda: hodgecalc.blow_up_tower(*BIG_TOWER))
         for a in SERIES_KINDS:

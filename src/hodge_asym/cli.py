@@ -158,7 +158,12 @@ def parse_coeff_table(text: str):
         raise ValueError('a coefficient table is {"coeffs": [[i, j, c], ...]}')
     if not all(type(x) is int for row in rows for x in row):
         raise ValueError("coefficient table entries i, j and c must be integers")
-    return hodgecalc.HodgePolynomial.create({(i, j): c for i, j, c in rows})
+    cells = {}
+    for i, j, c in rows:
+        if (i, j) in cells:
+            raise ValueError(f"coefficient table repeats the cell ({i},{j})")
+        cells[(i, j)] = c
+    return hodgecalc.HodgePolynomial.create(cells)
 
 
 def coeff_list(table) -> list:

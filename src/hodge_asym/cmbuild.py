@@ -58,7 +58,7 @@ FIND_L_BOUND = 1000
 MAX_LAYERS = 3  # layer counts search_typical_U tries; every admissible input stops at layer 1
 SEARCH_TABLE_CAP = 100_000  # candidates search_table lists at most
 # largest diamond cost estimate dim^2 * l that build_cm accepts: on a 2-vCPU
-# machine the diamond took 0.40 s at l=157 (dim 156, 3.8e6), 0.64 s at l=173
+# machine the diamond took 0.10 s at l=157 (dim 156, 3.8e6), 0.16 s at l=173
 DIAMOND_COST_CAP = 4_000_000
 # largest walk cost estimate l*(l-1)/2 that a candidate walk accepts: its first
 # prefix extends the packed rows over every inverse pair but the last, O(l^2)

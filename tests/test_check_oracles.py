@@ -1,15 +1,25 @@
 """The one-pass diamond checks against the expressions they replaced (tests/oracles.py).
 
-``isoclinic-th-all-degrees`` sums ``(i - j) * h^{i,j}`` per degree in one pass,
-and ``antidiagonal-duality`` reads the sorted cells against their reversal.
-Both must give the reference's verdict on every table, passing or not.
+``_diamond_checks`` sums ``(i - j) * h^{i,j}`` per degree in one pass and reads
+every degree verdict off those sums: the two symmetry checks, the slice
+relations, ``isoclinic-th-all-degrees`` and both degree-3 Newton checks.
+``antidiagonal-duality`` reads the sorted cells against their reversal.  Each
+must give the reference's verdict on every table, passing or not.
 """
 
-from hypothesis import given, settings, strategies as st
+from fractions import Fraction
 
+from hypothesis import example, given, settings, strategies as st
+
+from hodge_asym import polygons
+from hodge_asym.cmbuild import degree_slice
 from hodge_asym.hodgecalc import HodgePolynomial
-from hodge_asym.pipeline import _isoclinic_checks, _slice_checks
-from oracles import lookup_antidiagonal_duality, slicewise_degree_relations
+from hodge_asym.pipeline import _diamond_checks
+from oracles import (
+    expanded_newton_above_hodge,
+    lookup_antidiagonal_duality,
+    slicewise_degree_relations,
+)
 
 EXAMPLES = settings(max_examples=300, deadline=None)
 SLICE_NAMES = [
@@ -55,14 +65,28 @@ def tables(draw):
 
 @EXAMPLES
 @given(tables())
+# at dim 1 the all-degrees relation stops at degree 2, and the Newton checks still
+# read degree 3
+@example((HodgePolynomial.create({(2, 1): 1}), 1))
 def test_one_pass_checks_agree_with_the_slicewise_reference(case):
     table, dim = case
-    slice_checks = _slice_checks(table, dim)
-    isoclinic_checks = _isoclinic_checks(table, dim)
+    checks = _diamond_checks(table, dim, True)
+    slice_checks, isoclinic_checks = checks[:len(SLICE_NAMES)], checks[len(SLICE_NAMES):]
+    assert _diamond_checks(table, dim, False) == slice_checks
     assert [name for name, _ in slice_checks] == SLICE_NAMES
     assert [name for name, _ in isoclinic_checks] == ISOCLINIC_NAMES
-    assert dict(slice_checks)["antidiagonal-duality"] == lookup_antidiagonal_duality(table, dim)
-    assert dict(isoclinic_checks)["isoclinic-th-all-degrees"] == slicewise_degree_relations(
-        table, dim
-    )
-
+    verdicts = dict(checks)
+    assert verdicts["antidiagonal-duality"] == lookup_antidiagonal_duality(table, dim)
+    assert verdicts["isoclinic-th-all-degrees"] == slicewise_degree_relations(table, dim)
+    relations = {n: polygons.degree_relation(degree_slice(table, n)) for n in (1, 2, 3)}
+    assert verdicts["degree1-symmetry"] == verdicts["degree-relation-n1"] == relations[1]
+    assert verdicts["degree2-symmetry"] == verdicts["degree-relation-n2"] == relations[2]
+    assert verdicts["degree-relation-n3"] == relations[3]
+    # the polygon checks the certificate ran before: every isoclinic slope is 3/2
+    sl3 = degree_slice(table, 3)
+    pd = polygons.PolygonData.create(3, sl3, {Fraction(3, 2): sum(sl3)})
+    endpoint = polygons.check_weak_admissibility_endpoints(pd)
+    assert verdicts["newton-endpoint-degree3"] == endpoint
+    above = polygons.newton_above_hodge(pd)
+    assert above == expanded_newton_above_hodge(sl3, {Fraction(3, 2): sum(sl3)})
+    assert verdicts["newton-above-hodge-degree3"] == above

@@ -237,6 +237,24 @@ def test_hodge_product_text_refuses_a_grid_above_the_table_cap(capsys):
     assert "[\n      1000000000,\n" in capsys.readouterr().out
 
 
+REPEATED_CELL = '{"coeffs": [[0,0,1],[1,2,3],[0,0,2]]}'
+ONE_CELL = '{"coeffs": [[0,0,1]]}'
+
+
+@pytest.mark.parametrize("left,right", [
+    (REPEATED_CELL, ONE_CELL), (ONE_CELL, REPEATED_CELL), ("@file", ONE_CELL),
+])
+def test_hodge_product_refuses_a_repeated_cell(left, right, tmp_path, capsys):
+    # a dict of cells kept the last copy only: [[0,0,1],[0,0,2]] printed [[0,0,2]]
+    if left == "@file":
+        table = tmp_path / "table.json"
+        table.write_text(REPEATED_CELL)
+        left = f"@{table}"
+    assert main(["hodge", "product", "--left", left, "--right", right]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: coefficient table repeats the cell (0,0)\n"
+
+
 def test_deeply_nested_json_exits_2(tmp_path):
     # json.loads raises RecursionError on this nesting, which is bad input, not a fault
     nested = "[" * 200_000 + "]" * 200_000

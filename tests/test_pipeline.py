@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import pytest
 
-from hodge_asym import cmbuild
+from hodge_asym import cmbuild, pipeline
+from hodge_asym.cyclochar import is_prime, multiplicative_order
 from hodge_asym.hodgecalc import (
     DeltaExpr,
     DPoly,
@@ -11,10 +13,12 @@ from hodge_asym.hodgecalc import (
     projective_space,
 )
 from hodge_asym.pipeline import (
+    CertificateFailure,
     InvalidTarget,
     QuotientData,
     ScopeViolation,
     StructuralViolation,
+    _diamond_checks,
     assemble_delta,
     choose_aux_case,
     construct,
@@ -287,6 +291,24 @@ def test_embellish_polarization():
     assert out.all_passed()
 
 
+def test_polarization_fails_when_the_blow_up_moves_an_off_diagonal_cell(monkeypatch):
+    cert = build_certificate(2, 4, 1)
+    real_blow_up = pipeline.blow_up
+
+    def moving_blow_up(*args):
+        cells = real_blow_up(*args).as_dict()
+        (a, b), c = next(cell for cell in cells.items() if cell[0][0] != cell[0][1])
+        del cells[(a, b)]
+        cells[(b, a)] = cells.get((b, a), 0) + c
+        return HodgePolynomial.create(cells)
+
+    monkeypatch.setattr(pipeline, "blow_up", moving_blow_up)
+    with pytest.raises(CertificateFailure) as err:
+        embellish(cert, "polarization")
+    failed = [c["name"] for c in err.value.report["checks"] if not c["passed"]]
+    assert failed == ["polarization-offdiagonal-invariance"]
+
+
 def test_construct_with_embellishments():
     cert = construct(2, 3, 0, embellishments=("special-fiber", "polarization"))
     assert set(cert.embellishments) == {"special_fiber", "polarization"}
@@ -306,3 +328,24 @@ def test_symbolic_p1_power():
         concrete = projective_space(1) ** d
         for (r, _), poly in sym.coeffs:
             assert poly.eval_int(d) == concrete.coeff(r, r)
+
+
+def test_every_class_up_to_l61_passes_the_diamond_checks():
+    # with l given the pipeline reads p only mod l, so one prime per residue with
+    # 4 | ord covers every p; each class (l, p mod l, selector) has delta30 < 0 and
+    # passes every diamond check
+    cases = 0
+    for l in filter(is_prime, range(5, 62)):
+        for r in range(2, l):
+            if multiplicative_order(r, l) % 4 != 0:
+                continue
+            ctx = cmbuild.PrimeContext.create(next(filter(is_prime, itertools.count(r, l))), l)
+            for selector in cmbuild.SELECTORS:
+                v = cmbuild.build_V(ctx, selector)
+                z = cmbuild.assemble_Z(v, cmbuild.search_typical_U(v, ctx), ctx)
+                diamond = cmbuild.equivariant_diamond(z)
+                assert quotient_bookkeeping(diamond).delta30 < 0, (ctx.p, l, selector)
+                checks = _diamond_checks(diamond, z.dim, z.isoclinic())
+                assert all(ok for _, ok in checks), (ctx.p, l, selector, checks)
+                cases += 1
+    assert cases == 280
