@@ -29,7 +29,8 @@ items:
   then ``certify F`` (``l = 5``), for the targets in CLI_TARGETS, with
   standard output discarded;
 - ``pipeline.symbolic_tower(n, s)`` for SMALL_TOWER, the tower with the most
-  blow-ups and cells among the small-certs targets (``i + j <= 20``);
+  blow-ups and cells among the small-certs targets (``i + j <= 20``), and for
+  CAP_TOWER, the tower with the most blow-ups under ``TARGET_DEGREE_CAP``;
 - ``cli.dumps`` of the serialized certificate ``(2, 4, 2, l)`` for ``l`` in
   DUMPS_LS;
 - ``pipeline._diamond_checks`` with the isoclinic checks on the diamond at
@@ -52,7 +53,9 @@ Every tree must have ``build_cm`` return the ``CMData`` alone, which holds
 its search; a tree whose ``build_cm`` returns a pair cannot be timed.  Every
 tree must also have ``pipeline._diamond_checks``; a tree that splits the
 diamond checks into ``_slice_checks`` and ``_isoclinic_checks`` cannot run
-that item.
+that item. When a tree lacks a function an item calls, its worker answers
+that item with ``missing`` and the error, and the script names the tree and
+the item and exits 1 without writing a result.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ DIAMOND_LS = (61, 101, 157)
 POLYGON_L = 101
 CLI_TARGETS = ((4, 2), (12, 7), (20, 0))
 SMALL_TOWER = (1, 8)  # target (12, 8): dimension 17, 20 cells
+CAP_TOWER = (1, 198)  # target (201, 199): dimension 397, 400 cells
 DUMPS_LS = (61, 101)
 CHECKS_L = 61
 HYPERSURFACES = ((25, 4), (12, 3))
@@ -88,7 +92,7 @@ ITEMS = (
     + [("equivariant_diamond_ms", f"l{l}") for l in DIAMOND_LS]
     + [("newton_above_hodge_ms", f"l{POLYGON_L}")]
     + [("cli_pair_ms", f"i{i}_j{j}") for i, j in CLI_TARGETS]
-    + [("symbolic_tower_ms", "n{}_s{}".format(*SMALL_TOWER))]
+    + [("symbolic_tower_ms", "n{}_s{}".format(*tower)) for tower in (SMALL_TOWER, CAP_TOWER)]
     + [("dumps_ms", f"l{l}") for l in DUMPS_LS]
     + [("diamond_checks_ms", f"l{CHECKS_L}")]
     + [("hypersurface_ms", f"d{d}_n{n}") for d, n in HYPERSURFACES]
@@ -151,7 +155,8 @@ def serve() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         out = str(Path(tmp) / "cert.json")
         calls += [lambda i=i, j=j: cli_pair(i, j, out) for i, j in CLI_TARGETS]
-        calls.append(lambda: pipeline.symbolic_tower(*SMALL_TOWER))
+        for tower in (SMALL_TOWER, CAP_TOWER):
+            calls.append(lambda tower=tower: pipeline.symbolic_tower(*tower))
         for l in DUMPS_LS:
             payload = pipeline.serialize_certificate(pipeline.build_certificate(2, 4, 2, l=l))
             calls.append(lambda payload=payload: cli.dumps(payload))
@@ -169,7 +174,12 @@ def serve() -> None:
         z = cmbuild.build_cm(2, l=CM_PAYLOAD_L)
         calls.append(lambda z=z: cli._cm_payload(z))
         for line in sys.stdin:
-            print(timed_ms(calls[int(line)]), flush=True)
+            try:
+                ms = timed_ms(calls[int(line)])
+            except AttributeError as e:  # the tree lacks a function the item calls
+                print(f"missing {e}", flush=True)
+            else:
+                print(ms, flush=True)
 
 
 def main(argv=None) -> int:
@@ -200,7 +210,14 @@ def main(argv=None) -> int:
                 for label, worker in workers:
                     worker.stdin.write(f"{index}\n")
                     worker.stdin.flush()
-                    ms = float(worker.stdout.readline())
+                    reply = worker.stdout.readline()
+                    try:
+                        ms = float(reply)
+                    except ValueError:
+                        reason = reply.strip() or "its worker exited"
+                        print(f"tree {label} cannot time {group} {name}: {reason}",
+                              file=sys.stderr)
+                        return 1
                     kept = best[label].setdefault(group, {})
                     kept[name] = min(kept.get(name, ms), ms)
         finally:

@@ -16,8 +16,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, zip_longest
 from math import comb, factorial, gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, sub
 
 
 class NonSymmetricFactor(ValueError):
@@ -244,8 +245,27 @@ def blow_up_tower(d: int, n: int, s: int, ambient_dims=None) -> HodgePolynomial:
     return iterated_blow_up(hypersurface(d, n), n, s, ambient_dims)
 
 
+def _times_run(a: list[int], r: int) -> list[int]:
+    """The int polynomial a(z) * (z + ... + z^r), ascending coefficients.
+
+    Coefficient k is the window sum a[k-r] + ... + a[k-1], a difference of
+    prefix sums: prefix[min(k, len(a))] - prefix[max(k - r, 0)].
+    """
+    if r == 1:  # every stage of a minimal tower
+        return [0, *a]
+    prefix = [0, *accumulate(a)]
+    return list(map(sub, prefix + [prefix[-1]] * (r - 1), [0] * r + prefix[:-1]))
+
+
 def iterated_blow_up(h: HodgePolynomial, n: int, s: int, ambient_dims=None) -> HodgePolynomial:
-    """The tower of blow_up_tower over any n-dimensional base table h."""
+    """The tower of blow_up_tower over any n-dimensional base table h, in closed form.
+
+    Stage t adds H_{Y_t} * (z + ... + z^{r_t}) to N_t-space, with z = xy and
+    r_t = N_t - dim(Y_t) - 1.  Unrolled, Y_s = D(z) + H_{Y_0}(x,y) * M(z) with
+    M = prod_t (z + ... + z^{r_t}) and D = sum_t P^{N_t}(z) * prod_{u > t} (z + ...
+    + z^{r_u}), both int lists in z.  h's untracked cells shift by every exponent
+    of M, and any cell they reach stays untracked, as it does stage by stage.
+    """
     if s < 0:
         raise ValueError("s must be non-negative")
     top = n + 2 * s if ambient_dims is None else max((n, *ambient_dims))
@@ -254,16 +274,30 @@ def iterated_blow_up(h: HodgePolynomial, n: int, s: int, ambient_dims=None) -> H
         ambient_dims = minimal_ambient_dims(n, s)
     if len(ambient_dims) != s:
         raise ValueError(f"need exactly {s} ambient dimensions")
-    cur_dim = n
+    if not s:
+        return h
+    diag, mult, cur_dim = [], [1], n
     for big_n in ambient_dims:
         r = big_n - cur_dim - 1
         if r < 1:
             raise ValueError(
                 f"ambient dimension {big_n} must exceed current dimension {cur_dim} + 1"
             )
-        h = blow_up(projective_space(big_n), h, r)
+        # D * (z + ... + z^r) has degree below N_t, so P^{N_t} spans the new D
+        diag = _times_run(diag, r)
+        diag = [c + 1 for c in diag] + [1] * (big_n + 1 - len(diag))
+        mult = _times_run(mult, r)
         cur_dim = big_n
-    return h
+    out: dict[tuple[int, int], int | DPoly] = {(a, a): c for a, c in enumerate(diag) if c}
+    get = out.get
+    unknown = set()
+    for e, m in enumerate(mult):
+        if m:
+            for (a, b), c in h.coeffs:
+                k = (a + e, b + e)
+                out[k] = get(k, 0) + (c if m == 1 else m * c)
+            unknown.update((a + e, b + e) for a, b in h.unknown)
+    return HodgePolynomial.create(out, unknown=unknown)
 
 
 def stack_series(kind: str, bound: int = 12) -> HodgePolynomial:
@@ -293,6 +327,13 @@ def stack_series(kind: str, bound: int = 12) -> HodgePolynomial:
 
 # ---------------------------------------------------------------------------
 # integer-valued polynomials in the formal parameter d
+
+
+def _ratio(num: int, den: int) -> int | str:
+    """num/den for a positive den, as str(Fraction(num, den)) writes it, or the
+    int when den divides num."""
+    g = gcd(num, den)
+    return num // g if g == den else f"{num // g}/{den // g}"
 
 
 @dataclass(frozen=True)
@@ -370,14 +411,13 @@ class DPoly:
     def __add__(self, other: "DPoly | int") -> "DPoly":
         if isinstance(other, int):
             other = DPoly.constant(other)
-        den = lcm(self.den, other.den)
-        a = [c * (den // self.den) for c in self.nums]
-        b = [c * (den // other.den) for c in other.nums]
-        if len(a) < len(b):
-            a, b = b, a
-        for t, c in enumerate(b):
-            a[t] += c
-        return DPoly._reduced(a, den)
+        if self.den == other.den:
+            den, a, b = self.den, self.nums, other.nums
+        else:
+            den = lcm(self.den, other.den)
+            a = [c * (den // self.den) for c in self.nums]
+            b = [c * (den // other.den) for c in other.nums]
+        return DPoly._reduced([x + y for x, y in zip_longest(a, b, fillvalue=0)], den)
 
     __radd__ = __add__
 
@@ -389,7 +429,7 @@ class DPoly:
 
     def __mul__(self, other: "DPoly | int") -> "DPoly":
         if isinstance(other, int):
-            other = DPoly.constant(other)
+            return DPoly._reduced([c * other for c in self.nums], self.den)
         if not self.nums or not other.nums:
             return DPoly.zero()
         out = [0] * (len(self.nums) + len(other.nums) - 1)
@@ -414,10 +454,7 @@ class DPoly:
 
     def serialize(self) -> list:
         """Ascending coefficients; integers plain, other rationals as 'num/den'."""
-        return [
-            c.numerator if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-            for c in self.coeffs
-        ]
+        return [_ratio(c, self.den) for c in self.nums]
 
     @staticmethod
     def deserialize(items) -> "DPoly":
@@ -426,13 +463,13 @@ class DPoly:
     def display(self) -> str:
         if self.is_zero():
             return "0"
-        cs = self.coeffs  # built once: each read of the property makes a new tuple
+        den = self.den
         parts = []
         for t in range(self.degree, -1, -1):
-            c = cs[t]
+            c = self.nums[t]
             if c == 0:
                 continue
-            mag = abs(c)
+            mag = _ratio(abs(c), den)
             mono = "" if t == 0 else ("d" if t == 1 else f"d^{t}")
             if mono and mag == 1:
                 body = mono

@@ -34,9 +34,9 @@ from .hodgecalc import (
 
 TOOL_VERSION = "1.0.0"
 CERTIFICATE_SCHEMA = "hodge-asym/certificate/v1"
-# largest target degree i + j accepted: the symbolic tower's cost grows about
-# as (i + j)^2, and on a 2-vCPU machine the slowest target at i + j = 400
-# built in 0.3-0.5 s
+# largest target degree i + j accepted: on a 2-vCPU machine the slowest
+# certificate at i + j = 400, (399,1), took 26 ms, most of it the hypersurface
+# of dimension 396; the closed-form tower of (201,199) took 2.2 ms
 TARGET_DEGREE_CAP = 400
 
 

@@ -13,6 +13,7 @@ from math import factorial
 
 from hodge_asym.cmbuild import degree_slice
 from hodge_asym.cyclochar import CharRep
+from hodge_asym.hodgecalc import blow_up, check_table_cost, minimal_ambient_dims, projective_space
 from hodge_asym.polygons import degree_relation
 
 
@@ -110,6 +111,30 @@ def stepwise_fiber_aux(l_max: int) -> list[dict]:
     for _ in range(l_max):
         auxes.append(edge_product(auxes[-1], elliptic))
     return auxes
+
+
+def stepwise_blow_up_tower(h, n: int, s: int, ambient_dims=None):
+    """hodgecalc.iterated_blow_up as it was before its closed form: one full
+    blow_up of N_t-space along the previous stage per stage, with the same
+    refusals in the same order."""
+    if s < 0:
+        raise ValueError("s must be non-negative")
+    top = n + 2 * s if ambient_dims is None else max((n, *ambient_dims))
+    check_table_cost((top + 1) ** 2, f"blow-up tower of dimension {top}")
+    if ambient_dims is None:
+        ambient_dims = minimal_ambient_dims(n, s)
+    if len(ambient_dims) != s:
+        raise ValueError(f"need exactly {s} ambient dimensions")
+    cur_dim = n
+    for big_n in ambient_dims:
+        r = big_n - cur_dim - 1
+        if r < 1:
+            raise ValueError(
+                f"ambient dimension {big_n} must exceed current dimension {cur_dim} + 1"
+            )
+        h = blow_up(projective_space(big_n), h, r)
+        cur_dim = big_n
+    return h
 
 
 def triple_invariants(exps_a: list[int], exps_b: list[int], l: int, *, wedge_a: int) -> int:

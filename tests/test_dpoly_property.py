@@ -56,6 +56,43 @@ def test_arithmetic_agrees_with_the_fraction_reference(a, b, c):
 
 
 @EXAMPLES
+@given(coeff_lists, st.lists(st.integers(-50, 50), max_size=6), st.integers(-12, 12))
+def test_int_scaling_and_equal_denominator_sums_agree(a, ints, k):
+    # q = p + an integer polynomial keeps p's denominator, so p + q, q + p and
+    # p - q take the equal-denominator path of __add__
+    p, pr = DPoly.create(a), FractionDPoly.create(a)
+    q, qr = p + DPoly.create(ints), pr + FractionDPoly.create(ints)
+    assert q.den == p.den
+    for got, want in ((p + q, pr + qr), (q + p, qr + pr), (p - q, pr - qr), (p + p, pr + pr)):
+        same(got, want)
+        assert_same_fields(got, DPoly.create(want.coeffs))
+    for got in (p * k, k * p):
+        same(got, pr.scale(k))
+        assert_same_fields(got, p * DPoly.constant(k))
+    assert_same_fields(p * 0, DPoly.zero())
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [Fraction(-3, 4), Fraction(1, 2), -2, 0, Fraction(5, 4)],  # 2/4 and -8/4 reduce
+        [Fraction(6, 9), Fraction(-1, 3)],  # 6/9 reduces to 2/3
+        [0, Fraction(-12, 6), 0, Fraction(-10, 15)],  # -2 over one, -2/3
+        [Fraction(-1, 6), Fraction(-1, 1), Fraction(1, 1)],  # -d, d^2 print bare
+        [Fraction(-7, 1), Fraction(-3, 2), Fraction(-2, 1)],  # every coefficient negative
+        [Fraction(-5, 10), 0, 0, Fraction(3, 2)],
+    ],
+)
+def test_bytes_and_text_with_negative_and_reducing_coefficients(coeffs):
+    p, pr = DPoly.create(coeffs), FractionDPoly.create(coeffs)
+    assert p.den > 1 or all(type(c) is int for c in coeffs)
+    assert json.dumps(p.serialize()) == json.dumps(pr.serialize())
+    assert p.display() == pr.display()
+    assert (-p).display() == (-pr).display()
+    assert json.dumps((-p).serialize()) == json.dumps((-pr).serialize())
+
+
+@EXAMPLES
 @given(coeff_lists, points)
 def test_values_bytes_and_text_agree(a, d):
     p, pr = DPoly.create(a), FractionDPoly.create(a)

@@ -14,6 +14,7 @@ from hodge_asym.hodgecalc import (
     blow_up_tower,
     delta,
     hypersurface,
+    iterated_blow_up,
     middle_row_count,
     minimal_ambient_dims,
     polarization_degree_search,
@@ -26,7 +27,13 @@ from hodge_asym.hodgecalc import (
     weil_restriction_power,
 )
 from hodge_asym.pipeline import QuotientData, assemble_delta, symbolic_hypersurface
-from oracles import edge_product, lattice_middle_row, naive_table_product, stepwise_fiber_aux
+from oracles import (
+    edge_product,
+    lattice_middle_row,
+    naive_table_product,
+    stepwise_blow_up_tower,
+    stepwise_fiber_aux,
+)
 
 H = HodgePolynomial.create
 
@@ -263,6 +270,53 @@ def test_blow_up_tower_offdiagonal_support():
             continue
         offdiag = [i + j for (i, j) in tower.as_dict() if i != j]
         assert min(offdiag) == n + 2 * s
+
+
+def tower_dims(n: int, runs: tuple[int, ...]) -> tuple[int, ...]:
+    """Ambient dimensions whose stages have r_t = runs[t]: N_t = dim(Y_t) + r_t + 1."""
+    dims, cur = [], n
+    for r in runs:
+        cur += r + 1
+        dims.append(cur)
+    return tuple(dims)
+
+
+def test_closed_form_tower_matches_stepwise():
+    # the closed form against one blow_up per stage, on integer bases and on
+    # symbolic ones, whose n >= 3 interior middle cells are untracked
+    bases = [(n, symbolic_hypersurface(n)) for n in (1, 2, 3, 4, 5)]
+    bases += [(n, hypersurface(d, n)) for n in (1, 2, 3, 4) for d in (1, 2, 3, 5)]
+    cases = 0
+    for n, base in bases:
+        for s in range(11):
+            runs = [(1,) * s, (2,) * s, tuple(1 + t % 3 for t in range(s)), (3,) + (1,) * (s - 1)]
+            for dims in {None, *(tower_dims(n, r[:s]) for r in runs)}:
+                got = iterated_blow_up(base, n, s, dims)
+                assert got == stepwise_blow_up_tower(base, n, s, dims), (n, s, dims)
+                cases += 1
+    # per base: s = 0 gives None and (), s = 1 None and three runs, s >= 2 None and four
+    assert cases == len(bases) * (2 + 4 + 9 * 5)
+    unknown = iterated_blow_up(symbolic_hypersurface(3), 3, 2, (5, 9))
+    assert unknown.unknown and unknown.unknown.isdisjoint(unknown.as_dict())
+
+
+def test_tower_refusals_match_stepwise():
+    base = symbolic_hypersurface(1)
+    refused = [
+        (1, -1, None),  # negative s
+        (1, 353, None),  # dimension 707 is over TABLE_COST_CAP
+        (1, 1, (800,)),  # over the cap before the ambient count is read
+        (1, 2, (3,)),  # too few ambient dimensions
+        (1, 1, (3, 5)),  # too many
+        (1, 1, (2,)),  # r = 0 at the first stage
+        (1, 3, (3, 6, 7)),  # r = 0 at the last stage
+    ]
+    for n, s, dims in refused:
+        with pytest.raises(ValueError) as want:
+            stepwise_blow_up_tower(base, n, s, dims)
+        with pytest.raises(ValueError) as got:
+            iterated_blow_up(base, n, s, dims)
+        assert str(got.value) == str(want.value), (n, s, dims)
 
 
 def test_stack_series_examples():

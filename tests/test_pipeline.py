@@ -215,6 +215,35 @@ def test_assemble_delta_symbolic_matches_concrete():
     assert cases == 260
 
 
+def test_target_side_factors_through_delta30():
+    # the class enters assemble_delta only through the ledger entries 0, 0,
+    # -3*delta30 and delta30, so for each target the exact part is delta30 times
+    # one polynomial and the opaque part does not see delta30: the target-side
+    # checks then hold for every class with delta30 != 0 once they hold for one.
+    # i + j = 3 has no factor (the pipeline descends instead); a point stands in
+    targets = 0
+    for total in range(3, 25):
+        for j in range((total + 1) // 2):
+            i = total - j
+            aux = choose_aux_case(i, j)
+            if aux.kind == "none":
+                factor = HodgePolynomial.one()
+            elif aux.kind == "tower":
+                factor = symbolic_tower(aux.n, aux.s)
+            else:
+                factor = symbolic_p1_power(j)
+            for a, b in ((i, j), (j, i)):
+                unit_class, other_class = (
+                    assemble_delta(ledger_of(delta30), factor, a, b) for delta30 in (-1, -7)
+                )
+                unit = -unit_class.exact  # the polynomial that delta30 multiplies
+                assert unit.degree >= (0 if aux.kind == "none" else 1), (a, b)
+                assert other_class.exact == unit * -7, (a, b)
+                assert other_class.opaque == unit_class.opaque, (a, b)
+                targets += 1
+    assert targets == 2 * sum((total + 1) // 2 for total in range(3, 25)) == 308
+
+
 def test_determinism_and_roundtrip():
     a = serialize_certificate(build_certificate(3, 4, 2))
     b = serialize_certificate(build_certificate(3, 4, 2))
