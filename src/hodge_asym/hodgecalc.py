@@ -251,8 +251,6 @@ def _times_run(a: list[int], r: int) -> list[int]:
     Coefficient k is the window sum a[k-r] + ... + a[k-1], a difference of
     prefix sums: prefix[min(k, len(a))] - prefix[max(k - r, 0)].
     """
-    if r == 1:  # every stage of a minimal tower
-        return [0, *a]
     prefix = [0, *accumulate(a)]
     return list(map(sub, prefix + [prefix[-1]] * (r - 1), [0] * r + prefix[:-1]))
 
@@ -295,7 +293,7 @@ def iterated_blow_up(h: HodgePolynomial, n: int, s: int, ambient_dims=None) -> H
         if m:
             for (a, b), c in h.coeffs:
                 k = (a + e, b + e)
-                out[k] = get(k, 0) + (c if m == 1 else m * c)
+                out[k] = get(k, 0) + m * c
             unknown.update((a + e, b + e) for a, b in h.unknown)
     return HodgePolynomial.create(out, unknown=unknown)
 

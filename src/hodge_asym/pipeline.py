@@ -35,8 +35,9 @@ from .hodgecalc import (
 TOOL_VERSION = "1.0.0"
 CERTIFICATE_SCHEMA = "hodge-asym/certificate/v1"
 # largest target degree i + j accepted: on a 2-vCPU machine the slowest
-# certificate at i + j = 400, (399,1), took 26 ms, most of it the hypersurface
-# of dimension 396; the closed-form tower of (201,199) took 2.2 ms
+# certificate at i + j = 400, (399,1), took 27 ms, most of it the hypersurface
+# of dimension 396; the certificate with the most blow-ups, (201,199), took
+# 4.5 ms (the tower's cost grows about as (i + j)^2, on int lists)
 TARGET_DEGREE_CAP = 400
 
 
