@@ -103,11 +103,12 @@ def _print(text: str) -> None:
 # small parsers / renderers
 
 
-def parse_hodge_vector(text: str) -> tuple[int, ...]:
+def parse_int_list(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated ints; a refusal names ``what`` and echoes the text."""
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError as e:
-        raise ValueError(f"bad hodge vector {text!r}") from e
+        raise ValueError(f"bad {what} {text!r}") from e
 
 
 def parse_newton(text: str) -> dict[Fraction, int]:
@@ -289,7 +290,7 @@ def cmd_search_typical(args) -> int:
 
 def cmd_verify_polygon(args) -> int:
     t0 = time.monotonic()
-    hodge = parse_hodge_vector(args.hodge)
+    hodge = parse_int_list(args.hodge, "hodge vector")
     newton = parse_newton(args.newton)
     rank = max(sum(hodge), sum(newton.values()))
     if rank > POLYGON_RANK_CAP:
@@ -329,11 +330,7 @@ def cmd_hodge(args) -> int:
     if args.hodge_op == "hypersurface":
         table = hodgecalc.hypersurface(args.d, args.n)
     elif args.hodge_op == "blowup-tower":
-        dims = (
-            tuple(int(x) for x in args.ambient_dims.split(","))
-            if args.ambient_dims
-            else None
-        )
+        dims = parse_int_list(args.ambient_dims, "ambient dims") if args.ambient_dims else None
         table = hodgecalc.blow_up_tower(args.d, args.n, args.s, dims)
     elif args.hodge_op == "stack":
         table = hodgecalc.stack_series(args.kind, args.bound)
@@ -480,8 +477,7 @@ def mismatch(stored, stored_text: str, fresh_text: str) -> str:
 def cmd_golden(args) -> int:
     corpus = Path(args.corpus) if args.corpus else GOLDEN_DIR
     if not corpus.is_dir():
-        _print(f"error: corpus directory {corpus} not found")
-        return 2
+        raise ValueError(f"corpus directory {corpus} not found")
     files = sorted(corpus.glob("*.json"))
     if not files:
         _print(f"warning: corpus {corpus} is empty")

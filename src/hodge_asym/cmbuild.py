@@ -41,14 +41,6 @@ from .cyclochar import (
 from .hodgecalc import HodgePolynomial
 
 
-class NotFoundWithinBound(ValueError):
-    """No companion prime l below the requested bound."""
-
-
-class SearchExhausted(ValueError):
-    """No typical U with asymmetric invariant ranks up to the layer limit."""
-
-
 class EqualRanks(Exception):
     """Assembly received a pair with equal degree-3 invariant ranks."""
 
@@ -81,7 +73,7 @@ def find_l(p: int, bound: int = FIND_L_BOUND) -> PrimeContext:
             continue
         if multiplicative_order(p, l) % 4 == 0:
             return PrimeContext.create(p, l)
-    raise NotFoundWithinBound(f"no companion prime for p={p} up to {bound}")
+    raise ValueError(f"no companion prime for p={p} up to {bound}")
 
 
 def _p_orbits(ctx: PrimeContext) -> list[list[int]]:
@@ -224,7 +216,7 @@ def search_typical_U(v: CharRep, ctx: PrimeContext) -> TypicalSearchResult:
         for idx, (u, r0, r1) in enumerate(candidate_walk(v, ctx, layer_count)):
             if r0 != r1:
                 return TypicalSearchResult(u, r0, r1, layer_count, idx)
-    raise SearchExhausted(f"no asymmetric typical U with at most MAX_LAYERS={MAX_LAYERS} layers")
+    raise ValueError(f"no asymmetric typical U with at most MAX_LAYERS={MAX_LAYERS} layers")
 
 
 def check_walk_cost(l: int) -> None:

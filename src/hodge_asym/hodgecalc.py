@@ -21,14 +21,6 @@ from math import comb, factorial, gcd, lcm
 from operator import itemgetter, sub
 
 
-class NonSymmetricFactor(ValueError):
-    """Product-asymmetry formula applied with a non-symmetric auxiliary factor."""
-
-
-class NonNegativeDelta(ValueError):
-    """Special-fiber fix requested for a non-negative degree-3 asymmetry."""
-
-
 # largest estimated cost of a calculator table: (D+1)^2 for a table of top
 # degree D, the grid its text rendering prints, which also bounds building a
 # blow-up tower; a hypersurface adds (n+2)^3 * d^2 for its closed-form middle
@@ -84,10 +76,6 @@ class HodgePolynomial:
             out = {k: c for k, c in out.items()
                    if k not in unknown and (bound is None or k[0] + k[1] <= bound)}
         return HodgePolynomial(tuple(sorted(out.items())), bound, unknown)
-
-    @staticmethod
-    def zero() -> "HodgePolynomial":
-        return HodgePolynomial(())
 
     @staticmethod
     def one() -> "HodgePolynomial":
@@ -339,7 +327,7 @@ class DPoly:
     """Univariate polynomial in the product-size parameter d, exact coefficients.
 
     Integer numerators over one positive common denominator, in lowest terms,
-    so equal polynomials have equal fields; ``coeffs`` gives the Fractions.
+    so equal polynomials have equal fields.
     """
 
     nums: tuple[int, ...]  # ascending powers, no trailing zeros
@@ -389,11 +377,6 @@ class DPoly:
         return DPoly._reduced(nums, factorial(k))
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        # tuples from lists, not generators: see cyclochar.exterior_table
-        return tuple([Fraction(c, self.den) for c in self.nums])
-
-    @property
     def degree(self) -> int:
         return len(self.nums) - 1  # -1 for the zero polynomial
 
@@ -428,8 +411,6 @@ class DPoly:
     def __mul__(self, other: "DPoly | int") -> "DPoly":
         if isinstance(other, int):
             return DPoly._reduced([c * other for c in self.nums], self.den)
-        if not self.nums or not other.nums:
-            return DPoly.zero()
         out = [0] * (len(self.nums) + len(other.nums) - 1)
         for a, ca in enumerate(self.nums):
             for b, cb in enumerate(other.nums):
@@ -509,9 +490,6 @@ class DeltaExpr:
 
     def opaque_dict(self) -> dict[str, DPoly]:
         return dict(self.opaque)
-
-    def is_zero(self) -> bool:
-        return self.exact.is_zero() and not self.opaque
 
     def opaque_coeffs_d_independent(self) -> bool:
         return all(p.is_constant() for _, p in self.opaque)
@@ -593,7 +571,7 @@ def special_fiber_fix(delta30: int, edge: dict | None = None) -> SpecialFiberFix
     delta^{3,0} = delta30 < 0; the default is the minimal such table.
     """
     if delta30 >= 0:
-        raise NonNegativeDelta(f"fix applies only to delta^{{3,0}} < 0, got {delta30}")
+        raise ValueError(f"fix applies only to delta^{{3,0}} < 0, got {delta30}")
     l = -delta30 - 1
     if edge is None:
         edge = {(0, 0): 1, (0, 3): -delta30}

@@ -21,7 +21,6 @@ from .hodgecalc import (
     DeltaExpr,
     DPoly,
     HodgePolynomial,
-    NonSymmetricFactor,
     blow_up,
     iterated_blow_up,
     minimal_ambient_dims,
@@ -39,14 +38,6 @@ CERTIFICATE_SCHEMA = "hodge-asym/certificate/v1"
 # of dimension 396; the certificate with the most blow-ups, (201,199), took
 # 4.5 ms (the tower's cost grows about as (i + j)^2, on int lists)
 TARGET_DEGREE_CAP = 400
-
-
-class InvalidTarget(ValueError):
-    """Target bidegree outside i != j, i, j >= 0, i + j >= 3."""
-
-
-class ScopeViolation(ValueError):
-    """Embellishment requested outside its supported scope."""
 
 
 class StructuralViolation(Exception):
@@ -124,12 +115,12 @@ def assemble_delta(ledger: dict, aux: HodgePolynomial, i: int, j: int) -> DeltaE
     QuotientData.ledger does; delta^{j1,i1} = -delta^{i1,j1}, and a pair
     it does not hold is the opaque symbol opaque_symbol(i1, j1).  The
     auxiliary diamond Y may have int cells (a concrete d) or DPoly cells
-    (d left formal), and must be symmetric, or NonSymmetricFactor is raised.
+    (d left formal), and must be symmetric, or ValueError is raised.
     Unknown cells of Y must only meet exactly zero ledger entries; any
     other pairing raises StructuralViolation.
     """
     if not aux.is_symmetric():
-        raise NonSymmetricFactor("the auxiliary factor must have a symmetric table")
+        raise ValueError("the auxiliary factor must have a symmetric table")
     exact, opaque = DPoly.zero(), {}
     for (i2, j2), c in aux.coeffs:
         coeff, symbol = _ledger_entry(ledger, i - i2, j - j2)
@@ -225,9 +216,9 @@ def choose_aux_case(i: int, j: int) -> AuxCase:
     use the dimension-2 tower.
     """
     if i <= j or j < 0 or i + j < 3:
-        raise InvalidTarget(f"need i > j >= 0 and i + j >= 3 once ordered, got ({i},{j})")
+        raise ValueError(f"need i > j >= 0 and i + j >= 3 once ordered, got ({i},{j})")
     if i + j > TARGET_DEGREE_CAP:
-        raise InvalidTarget(
+        raise ValueError(
             f"target degree i+j={i + j} is above the cap TARGET_DEGREE_CAP={TARGET_DEGREE_CAP}"
         )
     if i + j == 3:
@@ -398,13 +389,13 @@ EMBELLISHMENTS = ("special-fiber", "polarization")
 def embellish(cert: ConstructionCertificate, which: str) -> ConstructionCertificate:
     """Attach a special-fiber symmetrization or a prime-to-p polarization record."""
     if which not in EMBELLISHMENTS:
-        raise ScopeViolation(f"unknown embellishment {which!r}")
+        raise ValueError(f"unknown embellishment {which!r}")
     p = cert.inputs["p"]
     emb = dict(cert.embellishments)
     checks = list(cert.checks)
     if which == "special-fiber":
         if cert.target != (3, 0):
-            raise ScopeViolation("special-fiber fix applies only to the (3,0) target")
+            raise ValueError("special-fiber fix applies only to the (3,0) target")
         fix = special_fiber_fix(cert.quotient.delta30, edge=cert.quotient.edge_dict())
         emb["special_fiber"] = {
             "l_factor": fix.l_factor,

@@ -16,14 +16,6 @@ from itertools import accumulate
 from typing import NamedTuple
 
 
-class EvenDegree(ValueError):
-    """Parity predicate requested for an even cohomological degree."""
-
-
-class RelationViolated(ValueError):
-    """Hodge vector fails the degree-n endpoint relation 2*t_H = n*rank."""
-
-
 def _normalize_newton(newton) -> dict[Fraction, int]:
     out: dict[Fraction, int] = {}
     for slope, m in dict(newton).items():
@@ -122,7 +114,7 @@ def check_degree_relation(pd: PolygonData) -> bool:
 def check_parity(pd: PolygonData) -> bool:
     """For odd n, the total rank must be even whenever the degree relation holds."""
     if pd.n % 2 == 0:
-        raise EvenDegree(f"parity predicate undefined for even degree n={pd.n}")
+        raise ValueError(f"parity predicate undefined for even degree n={pd.n}")
     return pd.rank % 2 == 0
 
 
@@ -143,7 +135,7 @@ def construct_weakly_admissible(hodge, n: int) -> WeaklyAdmissibleDatum:
     b = sum(hv)
     a = sum(i * hv[n - i] for i in range(n + 1))
     if 2 * a != n * b:
-        raise RelationViolated(
+        raise ValueError(
             f"hodge vector {tuple(hv)} fails 2*t_H = n*rank ({2 * a} != {n * b})"
         )
     # dim F^i = hv[0] + ... + hv[n-i]: the prefix sums of hv, read from the end

@@ -14,7 +14,7 @@ from hodge_asym.cli import (
     dumps,
     first_difference,
     main,
-    parse_hodge_vector,
+    parse_int_list,
     parse_newton,
 )
 
@@ -109,11 +109,11 @@ def test_verify_polygon_pass_and_fail(capsys):
 
 
 def test_parsers():
-    assert parse_hodge_vector("0,5,2,1") == (0, 5, 2, 1)
+    assert parse_int_list("0,5,2,1", "hodge vector") == (0, 5, 2, 1)
     assert parse_newton("3/2:8") == {Fraction(3, 2): 8}
     assert parse_newton("0:1,1:2") == {Fraction(0): 1, Fraction(1): 2}
-    with pytest.raises(ValueError):
-        parse_hodge_vector("a,b")
+    with pytest.raises(ValueError, match="bad hodge vector 'a,b'"):
+        parse_int_list("a,b", "hodge vector")
 
 
 def test_hodge_hypersurface(capsys):
@@ -228,8 +228,10 @@ def test_golden_corrupted_and_empty(tmp_path, capsys):
     code, out = run(capsys, "golden", "--corpus", str(corpus))
     assert code == 1
     assert f"MISMATCH {src.name}: first difference at line 2\n" in out
-    code, _ = run(capsys, "golden", "--corpus", str(tmp_path / "missing"))
-    assert code == 2
+    # a missing corpus is bad input: exit 2, the error on stderr alone
+    missing = tmp_path / "missing"
+    assert main(["golden", "--corpus", str(missing)]) == 2
+    assert capsys.readouterr() == ("", f"error: corpus directory {missing} not found\n")
 
 
 def test_first_difference_names_the_path_and_both_values():

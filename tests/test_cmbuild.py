@@ -9,8 +9,6 @@ from hodge_asym.cmbuild import (
     MAX_LAYERS,
     SELECTORS,
     EqualRanks,
-    NotFoundWithinBound,
-    SearchExhausted,
     TypicalSearchResult,
     assemble_Z,
     build_V,
@@ -65,7 +63,7 @@ def test_find_l_examples():
     # p = 11 skips l=5 (ord 1) and l=7 (ord 3)
     ctx = find_l(11)
     assert (ctx.l, ctx.ord) == (13, 12)
-    with pytest.raises(NotFoundWithinBound):
+    with pytest.raises(ValueError, match="no companion prime for p=11 up to 12"):
         find_l(11, bound=12)
     with pytest.raises(ValueError):
         find_l(4)
@@ -333,7 +331,7 @@ def test_search_exhausted(monkeypatch):
         cmbuild, "candidate_walk",
         lambda *a: ((u, 0, 0) for u, _, _ in walk(*a)),
     )
-    with pytest.raises(SearchExhausted) as err:
+    with pytest.raises(ValueError, match="no asymmetric typical U") as err:
         search_typical_U(v, ctx)
     assert f"at most MAX_LAYERS={MAX_LAYERS} layers" in str(err.value)
 

@@ -7,8 +7,6 @@ from hodge_asym.hodgecalc import (
     DeltaExpr,
     DPoly,
     HodgePolynomial,
-    NonNegativeDelta,
-    NonSymmetricFactor,
     SpecialFiberFix,
     blow_up,
     blow_up_tower,
@@ -148,7 +146,7 @@ def test_blow_up_examples():
         {(0, 0): 1, (1, 1): 2, (2, 2): 2, (3, 3): 1}
     )
     amb = projective_space(4)
-    assert blow_up(amb, HodgePolynomial.zero(), 2) == amb
+    assert blow_up(amb, HodgePolynomial(()), 2) == amb
     with pytest.raises(ValueError):
         blow_up(amb, point, 0)
 
@@ -373,7 +371,7 @@ def test_dpoly_basics():
 
 def test_delta_value_and_expr():
     v = value(2, {"delta(4,1)": 1})
-    assert value(0, {"delta(4,1)": 0}).is_zero() and not v.is_zero()
+    assert value(0, {"delta(4,1)": 0}) == DeltaExpr() != v
     expr = DeltaExpr.create(DPoly.create([0, 2]), {"delta(4,1)": DPoly.create([0, 1])})
     assert expr.exact.degree >= 1
     assert not expr.opaque_coeffs_d_independent()
@@ -383,7 +381,7 @@ def test_delta_value_and_expr():
 def test_assemble_delta_sums_each_symbol():
     # two cells meet delta^{1,0} and delta^{0,1} = -delta^{1,0}, which cancel
     edges = H({(0, 0): 1, (1, 0): 1, (0, 1): 1})
-    assert assemble_delta({}, edges, 1, 1).is_zero()
+    assert assemble_delta({}, edges, 1, 1) == DeltaExpr()
     # cell (2,0) meets -delta^{1,0} and cell (1,1) three times delta^{1,0}
     assert assemble_delta({}, H({(2, 0): 1, (0, 2): 1, (1, 1): 3}), 2, 1) == value(
         0, {"delta(1,0)": 2}
@@ -407,9 +405,9 @@ def test_ledger_lookup():
     assert entry(0, 3) == value(1)
     assert entry(2, 1) == value(3)
     assert entry(1, 2) == value(-3)
-    assert entry(1, 0).is_zero() and entry(2, 0).is_zero() and entry(0, 2).is_zero()
-    assert entry(4, 4).is_zero()
-    assert entry(-1, 2).is_zero() and entry(2, -1).is_zero()
+    assert entry(1, 0) == entry(2, 0) == entry(0, 2) == DeltaExpr()
+    assert entry(4, 4) == DeltaExpr()
+    assert entry(-1, 2) == entry(2, -1) == DeltaExpr()
     assert entry(4, 1) == value(0, {"delta(4,1)": 1})
     assert entry(1, 4) == value(0, {"delta(4,1)": -1})
 
@@ -419,10 +417,10 @@ def test_product_delta_examples():
     got = assemble_delta(LEDGER, p1, 4, 1)
     assert got == value(-1, {"delta(4,1)": 1})
     assert assemble_delta(LEDGER, HodgePolynomial.one(), 3, 0) == value(-1)
-    with pytest.raises(NonSymmetricFactor):
+    with pytest.raises(ValueError, match="must have a symmetric table"):
         assemble_delta(LEDGER, H({(1, 0): 1}), 3, 0)
     # an untracked cell without its mirror may hide an asymmetry of the factor
-    with pytest.raises(NonSymmetricFactor):
+    with pytest.raises(ValueError, match="must have a symmetric table"):
         assemble_delta(LEDGER, H({(0, 0): 1}, unknown={(1, 0)}), 2, 0)
 
 
@@ -461,9 +459,9 @@ def test_special_fiber_fix_examples():
     fix0 = special_fiber_fix(-1)
     assert fix0.l_factor == 0
     assert fix0.symmetric and fix0.closed_forms_ok
-    with pytest.raises(NonNegativeDelta):
+    with pytest.raises(ValueError, match=r"only to delta\^\{3,0\} < 0"):
         special_fiber_fix(0)
-    with pytest.raises(NonNegativeDelta):
+    with pytest.raises(ValueError, match=r"only to delta\^\{3,0\} < 0"):
         special_fiber_fix(2)
 
 

@@ -50,13 +50,10 @@ def defined_exceptions() -> dict[str, type]:
 
 
 def test_library_input_errors_are_value_errors():
-    # main maps ValueError to exit 2, so an input error outside it escapes as a traceback
+    # main maps ValueError to exit 2, so an input error is a plain ValueError, and
+    # every class the package defines is a broken invariant or a failed check
     found = defined_exceptions()
-    assert NOT_INPUT_ERRORS < set(found)
-    assert sorted(
-        name for name, cls in found.items()
-        if name not in NOT_INPUT_ERRORS and not issubclass(cls, ValueError)
-    ) == []
+    assert set(found) == NOT_INPUT_ERRORS
     assert not any(issubclass(found[name], ValueError) for name in NOT_INPUT_ERRORS)
 
 
@@ -73,7 +70,7 @@ def test_parse_newton_refuses_exponent_notation(capsys):
 
 
 def test_construct_refuses_unknown_embellishment():
-    with pytest.raises(pipeline.ScopeViolation):
+    with pytest.raises(ValueError, match="unknown embellishment 'bogus'"):
         pipeline.construct(2, 3, 0, embellishments=["bogus"])
 
 
@@ -89,6 +86,14 @@ def test_certify_unknown_embellishment_exits_2(tmp_path, capsys):
 
 def test_golden_has_no_format_flag(capsys):
     assert main(["golden", "--format", "json"]) == 2
+
+
+@pytest.mark.parametrize("dims", ["x", "3,,4"])
+def test_blowup_tower_names_bad_ambient_dims(dims, capsys):
+    argv = ["hodge", "blowup-tower", "--d", "3", "--n", "1", "--s", "1", "--ambient-dims", dims]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: bad ambient dims {dims!r}\n"
 
 
 def test_search_typical_refuses_negative_and_oversized_tables(capsys):
@@ -310,7 +315,7 @@ def test_caps_sit_between_the_benchmark_inputs_and_the_refused_ones(capsys):
     with pytest.raises(ValueError, match="WALK_COST_CAP"):
         cmbuild.check_walk_cost(2829)  # 4,000,206
     assert pipeline.choose_aux_case(TARGET_DEGREE_CAP - 199, 199).kind == "tower"
-    with pytest.raises(pipeline.InvalidTarget, match="TARGET_DEGREE_CAP"):
+    with pytest.raises(ValueError, match="TARGET_DEGREE_CAP"):
         pipeline.choose_aux_case(TARGET_DEGREE_CAP - 198, 199)
     assert main(["search-typical", "--p", "2", "--l", "2801", "--layer-count", "0"]) == 0
     assert main(["construct", "--p", "2", "--i", "276", "--j", "124"]) == 0

@@ -10,7 +10,7 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from hodge_asym.cli import parse_coeff_table, parse_hodge_vector, parse_newton
+from hodge_asym.cli import parse_coeff_table, parse_int_list, parse_newton
 from hodge_asym.cyclochar import CharRep
 from hodge_asym.hodgecalc import HodgePolynomial
 
@@ -82,7 +82,7 @@ def test_parse_newton(text):
 @EXAMPLES
 @given(st.text(max_size=30) | st.lists(small, max_size=6).map(lambda xs: ",".join(map(str, xs))))
 def test_parse_hodge_vector(text):
-    vector = parses_or_value_error(parse_hodge_vector, text)
+    vector = parses_or_value_error(lambda t: parse_int_list(t, "hodge vector"), text)
     if vector is not None:
         assert all(type(h) is int for h in vector)
 

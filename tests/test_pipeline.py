@@ -1,10 +1,8 @@
-import itertools
 import json
 
 import pytest
 
 from hodge_asym import cmbuild, pipeline
-from hodge_asym.cyclochar import is_prime, multiplicative_order
 from hodge_asym.hodgecalc import (
     DeltaExpr,
     DPoly,
@@ -14,11 +12,8 @@ from hodge_asym.hodgecalc import (
 )
 from hodge_asym.pipeline import (
     CertificateFailure,
-    InvalidTarget,
     QuotientData,
-    ScopeViolation,
     StructuralViolation,
-    _diamond_checks,
     assemble_delta,
     choose_aux_case,
     construct,
@@ -30,6 +25,7 @@ from hodge_asym.pipeline import (
     symbolic_tower,
     build_certificate,
 )
+from sweep_classes import classes, diamond_checks
 
 H = HodgePolynomial.create
 
@@ -95,9 +91,9 @@ def test_choose_aux_case():
     for i, j in [(5, 2), (4, 3)]:
         aux = choose_aux_case(i, j)
         assert (aux.kind, aux.n, aux.s) == ("tower", 2, 1)
-    with pytest.raises(InvalidTarget):
+    with pytest.raises(ValueError, match=r"need i > j >= 0 and i \+ j >= 3"):
         choose_aux_case(1, 1)
-    with pytest.raises(InvalidTarget):
+    with pytest.raises(ValueError, match=r"need i > j >= 0 and i \+ j >= 3"):
         choose_aux_case(2, 0)
 
 
@@ -158,7 +154,7 @@ def test_structural_sweep():
 
 def test_invalid_targets():
     for (i, j) in [(1, 1), (2, 2), (1, 0), (2, 0), (0, 2), (-1, 4)]:
-        with pytest.raises(InvalidTarget):
+        with pytest.raises(ValueError, match=r"need i > j >= 0 and i \+ j >= 3"):
             build_certificate(2, i, j)
 
 
@@ -296,9 +292,9 @@ def test_embellish_special_fiber():
     assert sf["l_factor"] == 0  # delta30 = -1
     assert sf["composed_delta30"] == 0
     assert out.all_passed()
-    with pytest.raises(ScopeViolation):
+    with pytest.raises(ValueError, match=r"applies only to the \(3,0\) target"):
         embellish(build_certificate(2, 4, 2), "special-fiber")
-    with pytest.raises(ScopeViolation):
+    with pytest.raises(ValueError, match="unknown embellishment 'unknown-embellishment'"):
         embellish(cert, "unknown-embellishment")
 
 
@@ -362,19 +358,18 @@ def test_symbolic_p1_power():
 def test_every_class_up_to_l61_passes_the_diamond_checks():
     # with l given the pipeline reads p only mod l, so one prime per residue with
     # 4 | ord covers every p; each class (l, p mod l, selector) has delta30 < 0 and
-    # passes every diamond check
-    cases = 0
-    for l in filter(is_prime, range(5, 62)):
-        for r in range(2, l):
-            if multiplicative_order(r, l) % 4 != 0:
-                continue
-            ctx = cmbuild.PrimeContext.create(next(filter(is_prime, itertools.count(r, l))), l)
-            for selector in cmbuild.SELECTORS:
-                v = cmbuild.build_V(ctx, selector)
-                z = cmbuild.assemble_Z(v, cmbuild.search_typical_U(v, ctx), ctx)
-                diamond = cmbuild.equivariant_diamond(z)
-                assert quotient_bookkeeping(diamond).delta30 < 0, (ctx.p, l, selector)
-                checks = _diamond_checks(diamond, z.dim, z.isoclinic())
-                assert all(ok for _, ok in checks), (ctx.p, l, selector, checks)
-                cases += 1
-    assert cases == 280
+    # passes every diamond check (tests/sweep_classes.py runs every l <= 157)
+    sample, moduli = [], set()
+    for k, (ctx, selector) in enumerate(classes(61)):
+        delta30, checks = diamond_checks(ctx, selector)
+        assert delta30 < 0, (ctx.p, ctx.l, selector)
+        assert all(ok for _, ok in checks), (ctx.p, ctx.l, selector, checks)
+        if k % 7 == 0 or ctx.l not in moduli:
+            sample.append((ctx.p, ctx.l, selector))
+            moduli.add(ctx.l)
+    assert k + 1 == 280
+    # a real certificate from a sample of the classes, every modulus among them:
+    # construction raises unless every check passes
+    assert len(sample) >= 40 and moduli == {5, 13, 17, 29, 37, 41, 53, 61}
+    for p, l, selector in sample:
+        build_certificate(p, 4, 2, l=l, selector=selector)
