@@ -123,10 +123,12 @@ def parse_newton(text: str) -> dict[Fraction, int]:
         if "e" in slope_s or "E" in slope_s:
             raise ValueError(f"slope {slope_s!r}: write slopes as integers, a/b or decimals")
         try:
-            slope = Fraction(slope_s)
+            slope, mult = Fraction(slope_s), int(mult_s)
         except ZeroDivisionError as e:
             raise ValueError(f"slope {slope_s!r} has a zero denominator") from e
-        out[slope] = out.get(slope, 0) + int(mult_s)
+        except ValueError as e:
+            raise ValueError(f"bad newton item {item!r}") from e
+        out[slope] = out.get(slope, 0) + mult
     return out
 
 
@@ -173,7 +175,7 @@ def coeff_list(table) -> list:
 
 def render_table(table) -> str:
     """Aligned h^{i,j} table; rows are i (form degree), columns are j."""
-    d = table.as_dict()
+    d = dict(table.coeffs)
     if not d:
         return "h^{i,j}: (zero table)\n"
     imax = max(i for i, _ in d)
@@ -216,10 +218,10 @@ def report(command: str, inputs: dict, results: dict, checks: list[dict], t0: fl
 
 def cmd_find_l(args) -> int:
     t0 = time.monotonic()
-    ctx = cmbuild.find_l(args.p, args.bound)
+    ctx = cmbuild.find_l(args.p)
     if args.format == "json":
         _print(dumps(report(
-            "find-l", {"p": args.p, "bound": args.bound},
+            "find-l", {"p": args.p, "bound": cmbuild.FIND_L_BOUND},
             {"l": ctx.l, "ord": ctx.ord}, [], t0,
         )))
     else:
@@ -312,7 +314,7 @@ def cmd_verify_polygon(args) -> int:
         {"n": args.n, "hodge": list(hodge), "newton": args.newton},
         {
             "t_H": polygons.t_H(pd),
-            "t_N": str(polygons.t_N(pd.newton_dict())),
+            "t_N": str(polygons.t_N(dict(pd.newton))),
             "rank": pd.rank,
         },
         checks,
@@ -330,7 +332,8 @@ def cmd_hodge(args) -> int:
     if args.hodge_op == "hypersurface":
         table = hodgecalc.hypersurface(args.d, args.n)
     elif args.hodge_op == "blowup-tower":
-        dims = parse_int_list(args.ambient_dims, "ambient dims") if args.ambient_dims else None
+        dims = (parse_int_list(args.ambient_dims, "ambient dims")
+                if args.ambient_dims is not None else None)
         table = hodgecalc.blow_up_tower(args.d, args.n, args.s, dims)
     elif args.hodge_op == "stack":
         table = hodgecalc.stack_series(args.kind, args.bound)
@@ -517,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-l", help="smallest companion prime for p")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--bound", type=int, default=cmbuild.FIND_L_BOUND)
     add_format(p)
     p.set_defaults(func=cmd_find_l)
 

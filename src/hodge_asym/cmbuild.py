@@ -59,21 +59,19 @@ DIAMOND_COST_CAP = 4_000_000
 WALK_COST_CAP = 4_000_000
 
 
-def find_l(p: int, bound: int = FIND_L_BOUND) -> PrimeContext:
-    """Smallest prime l <= bound, l != p, with ord(p mod l) divisible by 4.
+def find_l(p: int) -> PrimeContext:
+    """Smallest prime l, l != p, with ord(p mod l) divisible by 4.
 
     Equivalently l divides some p^{2r} + 1; such primes exist for every p,
-    so the bound is only a search cutoff.
+    and check_p admits only p <= P_CAP, for which l <= 97 (tests/sweep_classes.py).
     """
     check_p(p)
-    if bound < 5:
-        raise ValueError("bound must be at least 5")
-    for l in range(5, bound + 1):
+    for l in range(5, FIND_L_BOUND + 1):
         if l == p or not is_prime(l):
             continue
         if multiplicative_order(p, l) % 4 == 0:
             return PrimeContext.create(p, l)
-    raise ValueError(f"no companion prime for p={p} up to {bound}")
+    raise AssertionError("unreachable: tests/sweep_classes.py finds l <= 97 for every p <= P_CAP")
 
 
 def _p_orbits(ctx: PrimeContext) -> list[list[int]]:

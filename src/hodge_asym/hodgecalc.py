@@ -13,7 +13,7 @@ combine 1 with opaque symbols for asymmetries that are not known exactly.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, zip_longest
@@ -84,10 +84,6 @@ class HodgePolynomial:
     @cached_property
     def _lookup(self) -> dict[tuple[int, int], int | DPoly]:
         # built on the first coeff(); never handed out, so callers cannot mutate it
-        return dict(self.coeffs)
-
-    def as_dict(self) -> dict[tuple[int, int], int | DPoly]:
-        """A fresh copy of the table, safe for the caller to mutate."""
         return dict(self.coeffs)
 
     def coeff(self, i: int, j: int) -> int | DPoly:
@@ -165,7 +161,7 @@ def blow_up(h_ambient: HodgePolynomial, h_center: HodgePolynomial, r: int) -> Ho
     """
     if r < 1:
         raise ValueError(f"codimension r+1 = {r + 1} must be at least 2")
-    out = h_ambient.as_dict()
+    out = dict(h_ambient.coeffs)
     unknown = set(h_ambient.unknown)
     for t in range(1, r + 1):
         for (a, b), c in h_center.coeffs:
@@ -358,15 +354,6 @@ class DPoly:
         return DPoly.create([c])
 
     @staticmethod
-    def zero() -> "DPoly":
-        return DPoly(())
-
-    @staticmethod
-    def binomial(k: int, shift: int = 0) -> "DPoly":
-        """C(d + shift, k) expanded as a polynomial in d."""
-        return DPoly.binomial_linear(k, 1, shift)
-
-    @staticmethod
     def binomial_linear(k: int, a: int, b: int) -> "DPoly":
         """C(a*d + b, k) expanded as a polynomial in d."""
         if k < 0:
@@ -379,9 +366,6 @@ class DPoly:
     @property
     def degree(self) -> int:
         return len(self.nums) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.nums
 
     def is_constant(self) -> bool:
         return len(self.nums) <= 1
@@ -440,7 +424,7 @@ class DPoly:
         return DPoly.create([Fraction(str(c)) for c in items])
 
     def display(self) -> str:
-        if self.is_zero():
+        if not self:
             return "0"
         den = self.den
         parts = []
@@ -480,16 +464,13 @@ def opaque_symbol(i: int, j: int) -> str:
 class DeltaExpr:
     """Polynomial in d whose coefficients are combinations of 1 and opaque symbols."""
 
-    exact: DPoly = field(default_factory=DPoly.zero)
+    exact: DPoly = DPoly(())
     opaque: tuple[tuple[str, DPoly], ...] = ()
 
     @staticmethod
     def create(exact: DPoly, opaque: dict[str, DPoly] | None = None) -> "DeltaExpr":
-        cleaned = {s: p for s, p in (opaque or {}).items() if not p.is_zero()}
+        cleaned = {s: p for s, p in (opaque or {}).items() if p}
         return DeltaExpr(exact, tuple(sorted(cleaned.items())))
-
-    def opaque_dict(self) -> dict[str, DPoly]:
-        return dict(self.opaque)
 
     def opaque_coeffs_d_independent(self) -> bool:
         return all(p.is_constant() for _, p in self.opaque)
@@ -517,7 +498,7 @@ class DeltaExpr:
         )
 
     def display(self) -> str:
-        parts = [] if self.exact.is_zero() else [self.exact.display()]
+        parts = [self.exact.display()] if self.exact else []
         for s, p in self.opaque:
             parts.append(s if p == DPoly.constant(1) else f"({p.display()})*{s}")
         return " + ".join(parts) if parts else "0"
@@ -587,7 +568,7 @@ def special_fiber_fix(delta30: int, edge: dict | None = None) -> SpecialFiberFix
 
     # the monomials _edge_mul drops form an ideal, so its factors need no
     # filtering of their own
-    aux = _edge_mul(stack_series("Z_mod_p", 3).as_dict(), stack_series("mu_p", 3).as_dict())
+    aux = _edge_mul(dict(stack_series("Z_mod_p", 3).coeffs), dict(stack_series("mu_p", 3).coeffs))
     power, m = {(0, 0): 1, (1, 0): 1, (0, 1): 1}, l  # (1+x+y+xy) mod the ideal
     while m:
         if m & 1:
@@ -642,4 +623,4 @@ def weil_restriction_power(h: HodgePolynomial, d_prime: int) -> HodgePolynomial:
 
 def weil_restriction_delta30(delta30: int) -> DeltaExpr:
     """Degree-3 asymmetry after descent with an opaque degree: delta30 * d'."""
-    return DeltaExpr.create(DPoly.zero(), {DESCENT_SYMBOL: DPoly.constant(delta30)})
+    return DeltaExpr.create(DPoly(()), {DESCENT_SYMBOL: DPoly.constant(delta30)})

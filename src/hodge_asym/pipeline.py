@@ -72,11 +72,11 @@ def symbolic_hypersurface(n: int) -> HodgePolynomial:
     for a in range(n + 1):
         if 2 * a != n:
             known[(a, a)] = DPoly.constant(1)
-    extreme = DPoly.binomial(n + 1, -1)
+    extreme = DPoly.binomial_linear(n + 1, 1, -1)
     known[(n, 0)] = extreme
     known[(0, n)] = extreme
     if n == 2:
-        prim = DPoly.binomial_linear(3, 2, -1) - DPoly.binomial(3) * 4
+        prim = DPoly.binomial_linear(3, 2, -1) - DPoly.binomial_linear(3, 1, 0) * 4
         known[(1, 1)] = DPoly.constant(1) + prim
     elif n >= 3:
         unknown.update((a, n - a) for a in range(1, n))
@@ -90,7 +90,8 @@ def symbolic_tower(n: int, s: int) -> HodgePolynomial:
 
 def symbolic_p1_power(max_r: int) -> HodgePolynomial:
     """Diagonal cells of the d-fold power of the projective line: h^{r,r} = C(d,r)."""
-    return HodgePolynomial.create({(r, r): DPoly.binomial(r) for r in range(max_r + 1)})
+    cells = {(r, r): DPoly.binomial_linear(r, 1, 0) for r in range(max_r + 1)}
+    return HodgePolynomial.create(cells)
 
 
 def _ledger_entry(ledger: dict, a: int, b: int) -> tuple[int, str | None]:
@@ -121,11 +122,11 @@ def assemble_delta(ledger: dict, aux: HodgePolynomial, i: int, j: int) -> DeltaE
     """
     if not aux.is_symmetric():
         raise ValueError("the auxiliary factor must have a symmetric table")
-    exact, opaque = DPoly.zero(), {}
+    exact, opaque = DPoly(()), {}
     for (i2, j2), c in aux.coeffs:
         coeff, symbol = _ledger_entry(ledger, i - i2, j - j2)
         if symbol:
-            opaque[symbol] = opaque.get(symbol, DPoly.zero()) + c * coeff
+            opaque[symbol] = opaque.get(symbol, DPoly(())) + c * coeff
         elif coeff:
             exact += c * coeff
     for (i2, j2) in sorted(aux.unknown):
@@ -317,12 +318,12 @@ def build_certificate(
     ledger = quot.ledger
     if aux.kind == "none":
         expr = weil_restriction_delta30(_ledger_entry(ledger, i, j)[0])
-        opaque = expr.opaque_dict()
+        opaque = dict(expr.opaque)
         ok = (
-            expr.exact.is_zero()
+            not expr.exact
             and list(opaque) == [DESCENT_SYMBOL]
             and opaque[DESCENT_SYMBOL].is_constant()
-            and not opaque[DESCENT_SYMBOL].is_zero()
+            and bool(opaque[DESCENT_SYMBOL])
         )
         closing = [("delta-descent-form", ok)]
         d_policy = {

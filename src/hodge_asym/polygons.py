@@ -68,9 +68,6 @@ class PolygonData:
         """h^{i, n-i}."""
         return self.hodge[self.n - i]
 
-    def newton_dict(self) -> dict[Fraction, int]:
-        return dict(self.newton)
-
 
 def t_H(pd: PolygonData) -> int:
     """Hodge endpoint: sum of i * h^{i,n-i}."""
@@ -87,12 +84,12 @@ def t_N(slopes) -> Fraction:
 
 def check_weak_admissibility_endpoints(pd: PolygonData) -> bool:
     """Endpoint equality t_N = t_H (the only strength of admissibility used here)."""
-    return t_N(pd.newton_dict()) == t_H(pd)
+    return t_N(dict(pd.newton)) == t_H(pd)
 
 
 def check_slope_symmetry(pd: PolygonData) -> bool:
     """Slope multiset invariant under s -> n - s."""
-    ns = pd.newton_dict()
+    ns = dict(pd.newton)
     return all(ns.get(pd.n - s, 0) == m for s, m in ns.items())
 
 
@@ -176,7 +173,7 @@ def newton_above_hodge(pd: PolygonData) -> bool:
     ordinates are compared exactly at the Newton breakpoints only, one per
     distinct slope, not one per unit of rank.
     """
-    nx, ny = _vertices(pd.newton_dict())
+    nx, ny = _vertices(dict(pd.newton))
     hx, hy = _vertices(hodge_slopes(pd))
     if (nx[-1], ny[-1]) != (hx[-1], hy[-1]):
         return False

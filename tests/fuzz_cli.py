@@ -262,7 +262,7 @@ corpus = st.one_of(
 )
 
 commands = st.one_of(
-    command("find-l", opt("p", prime_text), opt("bound", int_text), fmt),
+    command("find-l", opt("p", prime_text), fmt),
     command("build-cm", opt("p", prime_text), opt("l", prime_text), selector, fmt),
     command("build-cm", prime_pair, selector, fmt),
     command("search-typical", opt("p", prime_text), opt("l", prime_text), selector,

@@ -64,7 +64,7 @@ def test_criterion_2_weak_admissibility_endpoint():
     rank = sum(slice3)
     pd = polygons.PolygonData.create(3, slice3, {Fraction(3, 2): rank})
     assert polygons.t_H(pd) == 12
-    assert polygons.t_N(pd.newton_dict()) == 12
+    assert polygons.t_N(dict(pd.newton)) == 12
     assert polygons.check_degree_relation(pd)
     assert polygons.newton_above_hodge(pd)
     _ok(2, "t_H = t_N = 12 with Newton {3/2: 8}; degree relation and polygon check pass")
@@ -122,7 +122,7 @@ def test_criterion_5_hypersurface_formulas():
 def test_criterion_6_product_coefficients():
     cert42 = pipeline.build_certificate(2, 4, 2)
     # d-part identically equal to -2 * delta30 * C(d-1, 2) as a polynomial
-    assert cert42.delta_result.exact == DPoly.binomial(2, -1) * (-2 * -1)
+    assert cert42.delta_result.exact == DPoly.binomial_linear(2, 1, -1) * (-2 * -1)
     cert41 = pipeline.build_certificate(2, 4, 1)
     assert cert41.delta_result.exact == DPoly((0, -1))  # d-coeff = delta30
     checked = 0
@@ -133,10 +133,10 @@ def test_criterion_6_product_coefficients():
                 continue
             expr = pipeline.build_certificate(2, i, j).delta_result
             if total == 3:
-                assert list(expr.opaque_dict()) == ["d_prime"]
-                coeff = expr.opaque_dict()["d_prime"]
-                assert coeff.is_constant() and not coeff.is_zero()
-                assert expr.exact.is_zero()
+                assert [s for s, _ in expr.opaque] == ["d_prime"]
+                coeff = dict(expr.opaque)["d_prime"]
+                assert coeff.is_constant() and coeff
+                assert not expr.exact
             else:
                 assert expr.exact.degree >= 1, (i, j)
                 assert expr.opaque_coeffs_d_independent(), (i, j)
@@ -174,7 +174,7 @@ def test_criterion_9_diamond_dualities():
     for cert in certs:
         diamond = cert.z_diamond
         dim = cert.cm.dim
-        table = diamond.as_dict()
+        table = dict(diamond.coeffs)
         for (i, j), c in table.items():
             assert table.get((dim - i, dim - j), 0) == c
         assert diamond.coeff(1, 0) == diamond.coeff(0, 1)

@@ -39,6 +39,7 @@ def test_find_l(capsys):
 
 def test_usage_errors(capsys):
     assert main(["find-l"]) == 2  # missing --p
+    assert main(["find-l", "--p", "2", "--bound", "1000"]) == 2  # the bound is a constant
     assert main(["no-such-command"]) == 2
     assert main(["find-l", "--p", "4"]) == 2  # not prime
     assert main(["construct", "--p", "2", "--i", "2", "--j", "2"]) == 2
@@ -292,7 +293,7 @@ def test_low_degree_asymmetry_fails_the_certificate(monkeypatch, capsys):
     def sabotage(z):
         diamond = real(z)
         return hodgecalc.HodgePolynomial.create(
-            {**diamond.as_dict(), (1, 0): diamond.coeff(1, 0) + 1}
+            dict(diamond.coeffs) | {(1, 0): diamond.coeff(1, 0) + 1}
         )
 
     monkeypatch.setattr(cmbuild, "equivariant_diamond", sabotage)

@@ -63,8 +63,9 @@ def test_find_l_examples():
     # p = 11 skips l=5 (ord 1) and l=7 (ord 3)
     ctx = find_l(11)
     assert (ctx.l, ctx.ord) == (13, 12)
-    with pytest.raises(ValueError, match="no companion prime for p=11 up to 12"):
-        find_l(11, bound=12)
+    # tests/sweep_classes.py checks every p <= P_CAP; 317459 is the one that needs 97
+    assert max(find_l(p).l for p in range(2, 10_000) if is_prime(p)) == 61
+    assert [find_l(p).l for p in (115021, 329969, 317459)] == [73, 89, 97]
     with pytest.raises(ValueError):
         find_l(4)
 
@@ -252,7 +253,7 @@ def test_diamond_dualities():
         z = build_cm(p, l=l)
         diamond = equivariant_diamond(z)
         dim = z.dim
-        table = diamond.as_dict()
+        table = dict(diamond.coeffs)
         for (i, j), c in table.items():
             assert table.get((dim - i, dim - j), 0) == c
         assert diamond.coeff(1, 0) == diamond.coeff(0, 1)

@@ -29,7 +29,7 @@ def same(p: DPoly, ref: FractionDPoly) -> None:
     assert [Fraction(c, p.den) for c in p.nums] == list(ref.coeffs)
     assert all(type(c) is int for c in p.nums)
     assert p.degree == ref.degree
-    assert (bool(p), p.is_zero(), p.is_constant()) == (bool(ref), ref.is_zero(), ref.is_constant())
+    assert (bool(p), p.is_constant()) == (not ref.is_zero(), ref.is_constant())
 
 
 def assert_same_fields(p: DPoly, q: DPoly) -> None:
@@ -69,7 +69,7 @@ def test_int_scaling_and_equal_denominator_sums_agree(a, ints, k):
     for got in (p * k, k * p):
         same(got, pr.scale(k))
         assert_same_fields(got, p * DPoly.constant(k))
-    assert_same_fields(p * 0, DPoly.zero())
+    assert_same_fields(p * 0, DPoly(()))
 
 
 @pytest.mark.parametrize(
@@ -117,7 +117,7 @@ def test_binomial_linear_agrees(k, a, b, d):
     p, pr = DPoly.binomial_linear(k, a, b), FractionDPoly.binomial_linear(k, a, b)
     same(p, pr)
     assert p.eval_int(d) == pr.eval_int(d)  # C(a*d + b, k) is an integer
-    same(DPoly.binomial(k, b), FractionDPoly.binomial(k, b))
+    same(DPoly.binomial_linear(k, 1, b), FractionDPoly.binomial(k, b))
     assert p.display() == pr.display()
 
 
@@ -147,4 +147,4 @@ def test_equal_polynomials_have_equal_fields_and_hashes(a, b, m):
     ):
         assert_same_fields(other, total)
     assert_same_fields(p * q, q * p)
-    assert_same_fields(p - p, DPoly.zero())
+    assert_same_fields(p - p, DPoly(()))

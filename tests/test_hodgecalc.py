@@ -71,7 +71,7 @@ def test_product_algebra_properties():
         assert product(a, b) == product(b, a)
         assert product(product(a, b), c) == product(a, product(b, c))
         assert product(a, HodgePolynomial.one()) == a
-        assert product(a, b).as_dict() == naive_table_product(a.as_dict(), b.as_dict())
+        assert dict(product(a, b).coeffs) == naive_table_product(dict(a.coeffs), dict(b.coeffs))
 
 
 def test_product_against_naive_convolution_with_bounds():
@@ -95,9 +95,9 @@ def test_product_against_naive_convolution_with_bounds():
     ]
     for a, b in cases:
         bound = min([h.bound for h in (a, b) if h.bound is not None], default=None)
-        want = naive_table_product(a.as_dict(), b.as_dict(), bound)
+        want = naive_table_product(dict(a.coeffs), dict(b.coeffs), bound)
         got = product(a, b)
-        assert got.as_dict() == want and got.bound == bound
+        assert dict(got.coeffs) == want and got.bound == bound
         # built without create, yet stored as create would store it
         assert got == H(want, bound) == product(b, a)
 
@@ -114,7 +114,7 @@ def test_symbolic_product_in_either_order():
     surface, line = symbolic_hypersurface(2), projective_space(1)
     assert product(surface, line) == product(line, surface)
     assert product(line, surface).coeff(3, 1) == surface.coeff(2, 0)
-    assert 3 * DPoly.binomial(2) == DPoly.binomial(2) * 3
+    assert 3 * DPoly.binomial_linear(2, 1, 0) == DPoly.binomial_linear(2, 1, 0) * 3
     # (1 + d*x) * (d - d^2*x): the x terms cancel, and the zero cell is dropped
     d = DPoly.create([0, 1])
     a, b = H({(0, 0): 1, (1, 0): d}), H({(0, 0): d, (1, 0): -(d * d)})
@@ -167,10 +167,10 @@ def test_blow_up_structure():
         # added mass sits exactly on the diagonal shifts of the center
         diff = {
             k: blown.coeff(*k) - ambient.coeff(*k)
-            for k in set(blown.as_dict()) | set(ambient.as_dict())
+            for k in set(dict(blown.coeffs)) | set(dict(ambient.coeffs))
         }
         expected = naive_table_product(
-            center.as_dict(), {(t, t): 1 for t in range(1, r + 1)}
+            dict(center.coeffs), {(t, t): 1 for t in range(1, r + 1)}
         )
         assert {k: c for k, c in diff.items() if c} == expected
 
@@ -218,7 +218,7 @@ def test_hypersurface_sweep_identities():
         for n in range(1, 6):
             h = hypersurface(d, n)
             assert h.coeff(n, 0) == comb(d - 1, n + 1)
-            table = h.as_dict()
+            table = dict(h.coeffs)
             for (a, b), c in table.items():
                 assert table.get((b, a), 0) == c  # Hodge symmetry
                 assert table.get((n - a, n - b), 0) == c  # Serre duality
@@ -254,7 +254,7 @@ def test_blow_up_tower_decomposition():
         rest = product(product(hypersurface(d, n), shift), g)
         f = {
             k: tower.coeff(*k) - rest.coeff(*k)
-            for k in set(tower.as_dict()) | set(rest.as_dict())
+            for k in set(dict(tower.coeffs)) | set(dict(rest.coeffs))
         }
         f = {k: c for k, c in f.items() if c}
         assert all(i == j for (i, j) in f)
@@ -266,7 +266,7 @@ def test_blow_up_tower_offdiagonal_support():
         tower = blow_up_tower(d, n, s)
         if hypersurface(d, n).coeff(n, 0) == 0:
             continue
-        offdiag = [i + j for (i, j) in tower.as_dict() if i != j]
+        offdiag = [i + j for (i, j) in dict(tower.coeffs) if i != j]
         assert min(offdiag) == n + 2 * s
 
 
@@ -295,7 +295,7 @@ def test_closed_form_tower_matches_stepwise():
     # per base: s = 0 gives None and (), s = 1 None and three runs, s >= 2 None and four
     assert cases == len(bases) * (2 + 4 + 9 * 5)
     unknown = iterated_blow_up(symbolic_hypersurface(3), 3, 2, (5, 9))
-    assert unknown.unknown and unknown.unknown.isdisjoint(unknown.as_dict())
+    assert unknown.unknown and unknown.unknown.isdisjoint(dict(unknown.coeffs))
 
 
 def test_tower_refusals_match_stepwise():
@@ -319,11 +319,11 @@ def test_tower_refusals_match_stepwise():
 
 def test_stack_series_examples():
     mu = stack_series("mu_p", 3)
-    assert mu.as_dict() == {(0, 0): 1, (1, 0): 1, (1, 1): 1, (2, 1): 1}
+    assert dict(mu.coeffs) == {(0, 0): 1, (1, 0): 1, (1, 1): 1, (2, 1): 1}
     z = stack_series("Z_mod_p", 3)
-    assert z.as_dict() == {(0, 0): 1, (0, 1): 1, (0, 2): 1, (0, 3): 1}
+    assert dict(z.coeffs) == {(0, 0): 1, (0, 1): 1, (0, 2): 1, (0, 3): 1}
     both = product(mu, z)
-    assert both.as_dict() == naive_table_product(mu.as_dict(), z.as_dict(), bound=3)
+    assert dict(both.coeffs) == naive_table_product(dict(mu.coeffs), dict(z.coeffs), bound=3)
     assert both.coeff(1, 1) == 2  # xy from x*y and from the mu_p diagonal
     with pytest.raises(ValueError):
         stack_series("other", 3)
@@ -357,13 +357,13 @@ def test_delta():
 
 
 def test_dpoly_basics():
-    c = DPoly.binomial(2, -1)  # C(d-1, 2)
+    c = DPoly.binomial_linear(2, 1, -1)  # C(d-1, 2)
     for d in range(1, 12):
         assert c.eval_int(d) == comb(d - 1, 2)
     lin = DPoly.binomial_linear(3, 2, -1)  # C(2d-1, 3)
     for d in range(1, 8):
         assert lin.eval_int(d) == comb(2 * d - 1, 3)
-    assert (c - c).is_zero()
+    assert not c - c
     assert DPoly.create([2, -3, 1]).display() == "d^2 - 3*d + 2"
     assert DPoly.deserialize(c.serialize()) == c
     assert DPoly.constant(5).is_constant() and not c.is_constant()
@@ -390,7 +390,7 @@ def test_assemble_delta_sums_each_symbol():
     d = DPoly.create([0, 1])
     expr = assemble_delta({}, H({(0, 0): 1, (1, 1): d}), 4, 1)
     assert expr == DeltaExpr.create(
-        DPoly.zero(), {"delta(4,1)": DPoly.constant(1), "delta(3,0)": d}
+        DPoly(()), {"delta(4,1)": DPoly.constant(1), "delta(3,0)": d}
     )
     assert not expr.opaque_coeffs_d_independent()
 
@@ -525,17 +525,17 @@ def test_weil_restriction_power():
     assert delta(cubed, 3, 0) == 3 * delta(h, 3, 0)
 
     expr = weil_restriction_delta30(-1)
-    assert expr.opaque_dict() == {"d_prime": DPoly.constant(-1)}
+    assert dict(expr.opaque) == {"d_prime": DPoly.constant(-1)}
     for d_prime in range(1, 21):
-        total = expr.opaque_dict()["d_prime"].eval_int(1) * d_prime
+        total = dict(expr.opaque)["d_prime"].eval_int(1) * d_prime
         assert total == -d_prime != 0
 
 
-def test_coeff_unaffected_by_mutating_as_dict():
+def test_coeff_unaffected_by_mutating_a_copy_of_the_table():
     h = HodgePolynomial.create({(1, 0): 2, (0, 1): 2})
     assert h.coeff(1, 0) == 2  # builds the lookup table
-    table = h.as_dict()
+    table = dict(h.coeffs)
     table[(1, 0)] = 7
     table[(3, 3)] = 1
     assert h.coeff(1, 0) == 2 and h.coeff(3, 3) == 0
-    assert h.as_dict() == {(1, 0): 2, (0, 1): 2}
+    assert dict(h.coeffs) == {(1, 0): 2, (0, 1): 2}

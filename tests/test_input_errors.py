@@ -62,11 +62,22 @@ def test_parse_newton_refuses_exponent_notation(capsys):
         with pytest.raises(ValueError):
             parse_newton(text)
     assert parse_newton("3/2:2,1.5:1,2:1") == {Fraction(3, 2): 3, Fraction(2): 1}
+    assert parse_newton("1/2:+8, 3/2:8_000") == {Fraction(1, 2): 8, Fraction(3, 2): 8000}
     t0 = time.monotonic()
     code = main(["verify-polygon", "--n", "3", "--hodge", "0,5,2,1",
                  "--newton", "1e10000000:8"])
     assert code == 2
     assert time.monotonic() - t0 < 1.0
+
+
+@pytest.mark.parametrize("newton,item", [
+    ("3/2", "3/2"), ("3/2:x", "3/2:x"), (":1", ":1"), ("3/2:8,", ""),
+])
+def test_verify_polygon_names_a_bad_newton_item(newton, item, capsys):
+    argv = ["verify-polygon", "--n", "3", "--hodge", "0,5,2,1", "--newton", newton]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: bad newton item {item!r}\n"
 
 
 def test_construct_refuses_unknown_embellishment():
@@ -88,7 +99,7 @@ def test_golden_has_no_format_flag(capsys):
     assert main(["golden", "--format", "json"]) == 2
 
 
-@pytest.mark.parametrize("dims", ["x", "3,,4"])
+@pytest.mark.parametrize("dims", ["x", "3,,4", ""])
 def test_blowup_tower_names_bad_ambient_dims(dims, capsys):
     argv = ["hodge", "blowup-tower", "--d", "3", "--n", "1", "--s", "1", "--ambient-dims", dims]
     assert main(argv) == 2

@@ -189,7 +189,7 @@ def test_symmetric_multiset_implies_scalar():
         hodge[0] = rank
         data = pd(n, hodge, slopes)
         assert check_slope_symmetry(data)
-        assert 2 * t_N(data.newton_dict()) == n * data.rank
+        assert 2 * t_N(dict(data.newton)) == n * data.rank
 
 
 def test_three_scalar_identities_pairwise_derivable():
@@ -199,7 +199,7 @@ def test_three_scalar_identities_pairwise_derivable():
         data = random_polygon(rng)
         endpoints = check_weak_admissibility_endpoints(data)
         left = check_degree_relation(data) and endpoints
-        right = 2 * t_N(data.newton_dict()) == data.n * data.rank and endpoints
+        right = 2 * t_N(dict(data.newton)) == data.n * data.rank and endpoints
         assert left == right
 
 
@@ -223,7 +223,7 @@ def test_twist_consistency():
 
         rank = data.rank
         assert t_H(shifted) == t_H(data) - m * rank
-        assert t_N(shifted.newton_dict()) == t_N(data.newton_dict()) - m * rank
+        assert t_N(dict(shifted.newton)) == t_N(dict(data.newton)) - m * rank
         for check in (
             check_degree_relation,
             check_weak_admissibility_endpoints,
