@@ -26,7 +26,6 @@ from .cyclochar import (
     dual,
     exterior_power,
     exterior_table,
-    extend_rows,
     field_width,
     field_words,
     frobenius_twist,
@@ -54,8 +53,9 @@ SEARCH_TABLE_CAP = 100_000  # candidates search_table lists at most
 DIAMOND_COST_CAP = 4_000_000
 # largest walk cost estimate l*(l-1)/2 that a candidate walk accepts: its first
 # prefix extends the packed rows over every inverse pair but the last, O(l^2)
-# in all; the typical search, p=3, took 0.21 s at l=2801 (3.9e6) and 1.2 s at
-# l=5009 (1.3e7)
+# in all; on a 2-vCPU machine (min of 3, p=3) the typical search took 0.07 s
+# at l=2801 (3.9e6), and the walk to its first candidate 0.22 s at l=5009
+# (1.3e7)
 WALK_COST_CAP = 4_000_000
 
 
@@ -248,6 +248,31 @@ def search_table(v: CharRep, ctx: PrimeContext, layer_count: int = 1):
     return list(candidate_walk(v, ctx, layer_count))
 
 
+def _times_power(w1: int, w2: int, w3: int, m: int, shifts, bits: int, mask: int, field: int):
+    """A module's packed rows W_1, W_2 and invariant count W_3[0] of
+    Lambda^1..Lambda^3 times (1 + t x^a)^m, with Lambda^0 the constant 1, by
+    the binomial theorem truncated at t^3:
+
+        W_1 + m x^a
+        W_2 + m x^a W_1 + C(m,2) x^2a
+        W_3[0] + m W_2[-a] + C(m,2) W_1[-2a]
+
+    The last is field 0 of W_3 + m x^a W_2 + C(m,2) x^2a W_1 + C(m,3) x^3a,
+    the only field of Lambda^3 the walk reads: x^3a never reaches exponent 0
+    for a prime l >= 5.  shifts holds the bit offsets (s1, s2) of exponents a
+    and 2a in the bits-bit rows, so x^a rotates by s1 and W_i[-ja] sits at
+    bits - s_j.  Each value is updated from the old ones, with one rotation
+    per factor whatever m is."""
+    s1, s2 = shifts
+    x1 = ((w1 << s1) | (w1 >> (bits - s1))) & mask  # x^a W_1
+    m2 = m * (m - 1) // 2
+    return (
+        w1 + (m << s1),
+        w2 + m * x1 + (m2 << s2),
+        w3 + m * ((w2 >> (bits - s1)) & field) + m2 * ((w1 >> (bits - s2)) & field),
+    )
+
+
 def candidate_walk(v: CharRep, ctx: PrimeContext, layer_count: int):
     """Yield (U, r0, r1) for every typical U with layer_count layers, in
     candidate order, where (r0, r1) are the degree3_ranks of module_pair(V, U).
@@ -255,17 +280,23 @@ def candidate_walk(v: CharRep, ctx: PrimeContext, layer_count: int):
     Pairs {a, l-a} are ordered by a, the last pair changing fastest; a
     candidate's digit b for a pair puts s = c - b at a and b at l - a (U* the
     reverse), so the first candidate takes the smaller member everywhere.
-    One depth-first walk over the pairs but the last: stack[k] holds the
-    packed Lambda^0..Lambda^3 rows W of V + U and tau(V) + U* over the first
-    k pairs, so a prefix extends only the pairs after the one it shares with
-    the previous prefix.  The last pair a = (l-1)/2 is read off its prefix's
-    rows: with W_i[e] the field of exponent e in row i,
+    One depth-first walk over the pairs but the last: stack[k] holds, for
+    V + U and for tau(V) + U* over the first k pairs, the triple (W_1, W_2,
+    W_3[0]) of packed Lambda^1 and Lambda^2 rows and the invariant count of
+    Lambda^3 (Lambda^0 is the constant 1, and no other field of Lambda^3 is
+    ever read), so a prefix extends only the pairs after the one it shares
+    with the previous prefix.  Pair e multiplies V + U's triple by
+    (1 + t x^e)^s (1 + t x^-e)^b and tau(V) + U*'s by (1 + t x^-e)^s
+    (1 + t x^e)^b, each factor by _times_power, the binomial theorem
+    truncated at t^3, with the bit offsets of +-e and +-2e computed once per
+    walk.  The last pair a = (l-1)/2 is read off its prefix's triple: with
+    W_i[e] the field of exponent e in row i,
 
         r0 = W_3[0] + s W_2[-a] + b W_2[a]
              + C(s,2) W_1[-2a] + s b W_1[0] + C(b,2) W_1[2a]
 
     and r1 the same on the tau(V) + U* rows with a and -a exchanged.  Six
-    fields per module and prefix serve its c + 1 candidates.  One field
+    values per module and prefix serve its c + 1 candidates.  One field
     width, for rank(V) + c(l-1)/2, serves every prefix.  Refuses l < 5, which
     no PrimeContext admits and where 3a = 0 would add a Lambda^0 term.
     """
@@ -275,44 +306,53 @@ def candidate_walk(v: CharRep, ctx: PrimeContext, layer_count: int):
     half = (l - 1) // 2
     width = field_width(v.rank + c * half, 3)
     field = (1 << width) - 1
-    w, o = packed_rows(v, 3, width), packed_rows(frobenius_twist(v, ctx.p), 3, width)
-    a = half
-    # (row, bit offset) of W_3[0], W_2[a], W_2[-a], W_1[2a], W_1[-2a], W_1[0]
-    six = [
-        (i, e % l * width)
-        for i, e in ((3, 0), (2, a), (2, -a), (1, 2 * a), (1, -2 * a), (1, 0))
+    bits = l * width
+    mask = (1 << bits) - 1
+    w, o = [
+        (rows[1], rows[2], rows[3] & field)
+        for rows in (packed_rows(v, 3, width), packed_rows(frobenius_twist(v, ctx.p), 3, width))
     ]
+    # per prefix pair e = k + 1, the bit offsets of exponents e, 2e and of -e, -2e
+    ups = [(e * width, 2 * e % l * width) for e in range(1, half)]
+    downs = [(bits - s1, bits - s2) for s1, s2 in ups]
+    a = half
+    # (row, bit offset) of W_2[a], W_2[-a], W_1[2a], W_1[-2a], W_1[0]
+    five = [(i - 1, e % l * width) for i, e in ((2, a), (2, -a), (1, 2 * a), (1, -2 * a), (1, 0))]
     # (s, C(s,2), s b, C(b,2)) of each leaf digit b
     leaves = [(c - b, comb(c - b, 2), (c - b) * b, comb(b, 2)) for b in range(c + 1)]
     stack = [(w, o)] + [None] * (half - 1)
     mult = [0] * l
-    prev = (-1,) * half
-    for digits in layer_digits(l, c):
-        b = digits[-1]
-        if not b:  # a new prefix: extend the pairs after the shared one, read six fields
-            start = 0
-            while start < half - 1 and digits[start] == prev[start]:
-                start += 1
-            prev = digits
-            for k in range(start, half - 1):
-                e, big = k + 1, digits[k]
-                mult[e] = small = c - big
-                mult[l - e] = big
-                w, o = stack[k]
-                w, o = w[:], o[:]
-                extend_rows(w, l, width, ((e, small), (l - e, big)))
-                extend_rows(o, l, width, ((l - e, small), (e, big)))
-                stack[k + 1] = (w, o)
-            w, o = stack[half - 1]
-            w3, w2p, w2m, w1p, w1m, w10 = [(w[i] >> t) & field for i, t in six]
-            o3, o2p, o2m, o1p, o1m, o10 = [(o[i] >> t) & field for i, t in six]
-        s, s2, sb, b2 = leaves[b]
-        mult[a], mult[l - a] = s, b
-        yield (
-            CharRep(l, tuple(mult)),
-            w3 + s * w2m + b * w2p + s2 * w1m + sb * w10 + b2 * w1p,
-            o3 + s * o2p + b * o2m + s2 * o1p + sb * o10 + b2 * o1m,
-        )
+    prev = (-1,) * (half - 1)
+    for digits in itertools.product(range(c + 1), repeat=half - 1):
+        # extend the pairs after the one this prefix shares with the previous one
+        start = 0
+        while start < half - 1 and digits[start] == prev[start]:
+            start += 1
+        prev = digits
+        for k in range(start, half - 1):
+            e, big = k + 1, digits[k]
+            mult[e] = small = c - big
+            mult[l - e] = big
+            up, down = ups[k], downs[k]
+            w, o = stack[k]
+            if small:
+                w = _times_power(*w, small, up, bits, mask, field)
+                o = _times_power(*o, small, down, bits, mask, field)
+            if big:
+                w = _times_power(*w, big, down, bits, mask, field)
+                o = _times_power(*o, big, up, bits, mask, field)
+            stack[k + 1] = (w, o)
+        w, o = stack[half - 1]
+        w3, o3 = w[2], o[2]
+        w2p, w2m, w1p, w1m, w10 = [(w[i] >> t) & field for i, t in five]
+        o2p, o2m, o1p, o1m, o10 = [(o[i] >> t) & field for i, t in five]
+        for b, (s, s2, sb, b2) in enumerate(leaves):
+            mult[a], mult[l - a] = s, b
+            yield (
+                CharRep(l, tuple(mult)),
+                w3 + s * w2m + b * w2p + s2 * w1m + sb * w10 + b2 * w1p,
+                o3 + s * o2p + b * o2m + s2 * o1p + sb * o10 + b2 * o1m,
+            )
 
 
 @dataclass(frozen=True)

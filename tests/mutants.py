@@ -1,0 +1,210 @@
+"""Mutation gate: every planted defect below must fail the tests named for it.
+
+    python tests/mutants.py [NAME ...]
+
+Each mutant names a file under src/hodge_asym, an exact source snippet, its
+replacement and the test files (or test ids) expected to catch it.  For each
+mutant the script copies src/ to a fresh temporary directory, applies the
+replacement there and runs ``pytest -x`` on those tests with the copy first
+on PYTHONPATH, from inside the temporary directory, so neither the tree nor
+its pytest or hypothesis caches are touched.  Hypothesis is seeded, so a run
+repeats.  Before the mutants, the union of their tests runs once on an
+unmutated copy, which must pass.
+
+It prints one line per mutant and exits 1 if any mutant is a finding:
+
+- ``survived``: the tests passed with the defect in place;
+- ``stale``: the snippet is not found exactly once, so the mutant no longer
+  plants anything;
+- ``timeout``: the tests ran longer than TIMEOUT_S.
+
+Names given on the command line run only those mutants.  Standard library
+only (the tests themselves need pytest and hypothesis); the file name keeps
+it out of the pytest collection.  A change to a kernel adds its own mutants
+here and runs the script.
+"""
+
+from __future__ import annotations
+
+import os
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 300
+MEMORY_LIMIT = 2 << 30  # address space of each pytest run
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/hodge_asym
+    old: str
+    new: str
+    tests: tuple[str, ...]  # under tests/, a file or a file::test id
+
+
+SEARCH = ("test_search_kernel.py",)
+ERRORS = ("test_input_errors.py",)
+
+MUTANTS = (
+    # the candidate walk's prefixes: (1 + t x^a)^m truncated at t^3
+    Mutant("walk-W_3-drops-C(m,2)", "cmbuild.py",
+           " + m2 * ((w1 >> (bits - s2)) & field)", "", SEARCH),
+    Mutant("walk-W_3-reads-W_2[a]", "cmbuild.py",
+           "w3 + m * ((w2 >> (bits - s1)) & field)", "w3 + m * ((w2 >> s1) & field)", SEARCH),
+    Mutant("walk-W_2-C(m,2)-at-x^a", "cmbuild.py",
+           "(m2 << s2)", "(m2 << s1)", SEARCH),
+    Mutant("walk-m-for-C(m,2)", "cmbuild.py",
+           "m2 = m * (m - 1) // 2", "m2 = m", SEARCH),
+    Mutant("walk-C(m,2)-wrong-above-m=3", "cmbuild.py",
+           "m2 = m * (m - 1) // 2", "m2 = m * (m - 1) // 2 + (m > 3)",
+           ("test_search_kernel.py::test_matches_reference_on_large_multiplicities_in_the_prefix",)),
+    Mutant("walk-o-takes-w-exponents", "cmbuild.py",
+           "o = _times_power(*o, small, down, bits, mask, field)",
+           "o = _times_power(*o, small, up, bits, mask, field)", SEARCH),
+    Mutant("walk-resume-skips-a-pair", "cmbuild.py",
+           "start += 1", "start += 2", SEARCH),
+    Mutant("walk-width-from-rank-V", "cmbuild.py",
+           "width = field_width(v.rank + c * half, 3)", "width = field_width(v.rank, 3)",
+           SEARCH),
+    Mutant("walk-leaf-o-reads-w-order", "cmbuild.py",
+           "o3 + s * o2p + b * o2m", "o3 + s * o2m + b * o2p", SEARCH),
+    Mutant("U*-given-U's-exponents", "cmbuild.py",
+           "_direct_sum(frobenius_twist(v, p), dual(u))",
+           "_direct_sum(frobenius_twist(v, p), u)", SEARCH),
+    Mutant("candidate-index-off-by-one", "cmbuild.py",
+           "TypicalSearchResult(u, r0, r1, layer_count, idx)",
+           "TypicalSearchResult(u, r0, r1, layer_count, idx + 1)", SEARCH),
+    # extend_rows and field widths, behind packed_rows and exterior_table
+    Mutant("field-width-2-bits-short", "cyclochar.py",
+           "min(top, rank // 2)).bit_length() + 1", "min(top, rank // 2)).bit_length() - 1",
+           ("test_cyclochar.py", "test_diamond_kernel.py", *SEARCH)),
+    Mutant("field-width-3-bits-short", "cyclochar.py",
+           "min(top, rank // 2)).bit_length() + 1", "min(top, rank // 2)).bit_length() - 2",
+           ("test_cyclochar.py", "test_diamond_kernel.py", *SEARCH)),
+    Mutant("extend-rows-drops-Lambda^0", "cyclochar.py",
+           "for i in range(1, j + 1):", "for i in range(1, j):",
+           ("test_cyclochar.py", *SEARCH)),
+    Mutant("extend-rows-binomial-off-by-one", "cyclochar.py",
+           "rows[j] += comb(m, i) *", "rows[j] += comb(m - 1, i) *",
+           ("test_cyclochar.py", *SEARCH)),
+    Mutant("extend-rows-shift-without-i", "cyclochar.py",
+           "s, r = i * a % l * width", "s, r = a % l * width",
+           ("test_cyclochar.py", *SEARCH)),
+    Mutant("extend-rows-live-not-raised", "cyclochar.py",
+           "live += 1", "live += 0", ("test_cyclochar.py", *SEARCH)),
+    Mutant("extend-rows-rows-upward", "cyclochar.py",
+           "for j in range(live, 0, -1):", "for j in range(1, live + 1):",
+           ("test_cyclochar.py", *SEARCH)),
+    Mutant("dual-keeps-exponents", "cyclochar.py",
+           "v.mult[(-a) % l] for a in range(l)", "v.mult[a] for a in range(l)",
+           ("test_cyclochar.py",)),
+    # number theory
+    Mutant("order-if-for-while", "cyclochar.py",
+           "while k % q == 0 and pow(a, k // q, l) == 1:",
+           "if k % q == 0 and pow(a, k // q, l) == 1:", ("test_cyclochar.py",)),
+    Mutant("last-prime-factor-dropped", "cyclochar.py",
+           "    if n > 1:\n        out.append(n)", "    pass", ("test_cyclochar.py",)),
+    # each cap check removed
+    Mutant("walk-cap-removed", "cmbuild.py",
+           "if l * (l - 1) // 2 > WALK_COST_CAP:", "if False:", ERRORS),
+    Mutant("table-cap-removed", "cmbuild.py",
+           "if (c + 1) ** min(half, SEARCH_TABLE_CAP.bit_length()) > SEARCH_TABLE_CAP:",
+           "if False:", SEARCH),
+    Mutant("negative-layer-count-admitted", "cmbuild.py",
+           "if c < 0:", "if False:", SEARCH),
+    Mutant("diamond-cap-removed", "cmbuild.py",
+           "if dim * dim * ctx.l > DIAMOND_COST_CAP:", "if False:", ("test_cmbuild.py",)),
+    Mutant("p-cap-removed", "cyclochar.py", "if p > P_CAP:", "if False:", ERRORS),
+    Mutant("modulus-cap-removed", "cyclochar.py", "if l > MODULUS_CAP:", "if False:", ERRORS),
+    Mutant("hodge-table-cap-removed", "hodgecalc.py",
+           "if cost > TABLE_COST_CAP:", "if False:", ERRORS),
+    Mutant("target-degree-cap-removed", "pipeline.py",
+           "if i + j > TARGET_DEGREE_CAP:", "if False:", ERRORS),
+    Mutant("polygon-rank-cap-removed", "cli.py",
+           "if rank > POLYGON_RANK_CAP:", "if False:", ERRORS),
+    Mutant("input-bytes-cap-removed", "cli.py",
+           "if len(data) > INPUT_BYTES_CAP:", "if False:", ERRORS),
+    # certificate algebra and bytes
+    Mutant("DPoly-negation-drops-denominator", "hodgecalc.py",
+           "return DPoly(tuple([-c for c in self.nums]), self.den)",
+           "return DPoly(tuple([-c for c in self.nums]))", ("test_dpoly_property.py",)),
+    Mutant("phi-per-layer-reversed", "cmbuild.py",
+           '"phi_per_layer": [sorted(phi) for phi in phis]',
+           '"phi_per_layer": [sorted(phi, reverse=True) for phi in phis]',
+           ("test_output_pins.py",)),
+)
+
+
+def limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+def run_tests(src: Path, tests, cwd: str) -> tuple[str, float, str]:
+    """('passed' | 'failed' | 'timeout', seconds, first failing test) of pytest -x."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+            "--hypothesis-seed=0", *[str(ROOT / "tests" / t) for t in tests]]
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S, preexec_fn=limit_memory)
+    except subprocess.TimeoutExpired:
+        return "timeout", time.perf_counter() - start, ""
+    seconds = time.perf_counter() - start
+    # "FAILED <path relative to the temporary directory>::<test> - <message>"
+    first = next((line.split(" - ")[0].split("tests/", 1)[-1]
+                  for line in proc.stdout.splitlines()
+                  if line.startswith(("FAILED ", "ERROR "))), "")
+    return ("passed" if proc.returncode == 0 else "failed"), seconds, first
+
+
+def copy_src(tmp: str) -> Path:
+    dest = Path(tmp) / "src"
+    shutil.copytree(ROOT / "src", dest, ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
+def main(names) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    union = sorted({t for m in mutants for t in m.tests})
+    with tempfile.TemporaryDirectory() as tmp:
+        outcome, seconds, first = run_tests(copy_src(tmp), union, tmp)
+    if outcome != "passed":
+        print(f"the unmutated tree fails its tests ({outcome}, {first})")
+        return 1
+    print(f"unmutated: {len(union)} test targets pass in {seconds:.1f} s")
+    findings = 0
+    start = time.perf_counter()
+    for m in mutants:
+        path = ROOT / "src" / "hodge_asym" / m.file
+        count = path.read_text().count(m.old)
+        if count != 1:
+            findings += 1
+            print(f"stale     {m.name}: snippet found {count} times in {m.file}")
+            continue
+        with tempfile.TemporaryDirectory() as tmp:
+            src = copy_src(tmp)
+            target = src / "hodge_asym" / m.file
+            target.write_text(target.read_text().replace(m.old, m.new))
+            outcome, seconds, first = run_tests(src, m.tests, tmp)
+        label = {"failed": "killed", "passed": "survived", "timeout": "timeout"}[outcome]
+        findings += label != "killed"
+        print(f"{label:<9} {m.name} ({seconds:.1f} s) {first}".rstrip(), flush=True)
+    print(f"{len(mutants)} mutants, {findings} findings, {time.perf_counter() - start:.0f} s")
+    return 1 if findings else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -73,7 +73,7 @@ def test_matches_reference_on_overrides(text, layer_count):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_matches_reference_on_random_modules(data):
-    # 3 and 4 layers reach extend_rows' binomial step in the prefix
+    # 3 and 4 layers reach the C(m,3) term of the prefix's truncated binomial
     l = data.draw(st.sampled_from([5, 7, 11, 13]), label="l")
     p = data.draw(st.sampled_from([q for q in (2, 3, 5, 7, 11, 13) if q != l]), label="p")
     mult = data.draw(st.lists(st.integers(0, 2), min_size=l, max_size=l), label="mult")
@@ -132,6 +132,33 @@ def test_many_layers_match_subset_oracle():
         w_o = CharRep(5, tuple(x + y for x, y in zip(frobenius_twist(v, 2).mult, dual(u).mult)))
         assert r0 == invariants_rank(subset_exterior(w_omega, 3))
         assert r1 == invariants_rank(subset_exterior(w_o, 3))
+
+
+@pytest.mark.parametrize("text,p,layer_count", [
+    ("l=7; 0:1,1:2,3:1,5:3", 3, 4),
+    ("l=7; 2:1,4:2,6:1", 2, 6),
+    ("l=11; 0:2,1:1,2:3,4:2,7:1,10:2", 2, 4),
+])
+def test_matches_reference_on_large_multiplicities_in_the_prefix(text, p, layer_count):
+    # two or four prefix pairs, each multiplicity up to 4-6: C(m,2) and C(m,3)
+    # of the truncated binomial are well past m, and stack on earlier pairs
+    v = CharRep.from_text(text)
+    ctx = bare_context(p, v.l)
+    rows = search_table(v, ctx, layer_count)
+    assert len(rows) == (layer_count + 1) ** ((v.l - 1) // 2)
+    assert rows == list(reference(v, ctx, layer_count))
+
+
+def test_many_layer_table_digest_is_pinned():
+    # sha256 of the largest table the cap admits at l=5, 316^2 rows, recorded
+    # before the walk extended its prefixes by truncated binomials
+    ctx = PrimeContext.create(2, 5)
+    rows = search_table(build_V(ctx), ctx, 315)
+    text = "\n".join(f"{u.to_text()} {r0} {r1}" for u, r0, r1 in rows)
+    assert len(rows) == 99856
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d678ecc6866abdcc1f20ecf00b962bfc745770419b48af6fe82e12c5cca7e55b"
+    )
 
 
 def test_two_layer_table_digest_is_pinned():
