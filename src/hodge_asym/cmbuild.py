@@ -34,7 +34,6 @@ from .cyclochar import (
     is_typical,
     multiplicative_order,
     pack_fields,
-    packed_rows,
     unpack_fields,
 )
 from .hodgecalc import HodgePolynomial
@@ -51,11 +50,11 @@ SEARCH_TABLE_CAP = 100_000  # candidates search_table lists at most
 # largest diamond cost estimate dim^2 * l that build_cm accepts: on a 2-vCPU
 # machine the diamond took 0.10 s at l=157 (dim 156, 3.8e6), 0.16 s at l=173
 DIAMOND_COST_CAP = 4_000_000
-# largest walk cost estimate l*(l-1)/2 that a candidate walk accepts: its first
-# prefix extends the packed rows over every inverse pair but the last, O(l^2)
-# in all; on a 2-vCPU machine (min of 3, p=3) the typical search took 0.07 s
-# at l=2801 (3.9e6), and the walk to its first candidate 0.22 s at l=5009
-# (1.3e7)
+# largest walk cost estimate l*(l-1)/2 that a candidate walk accepts: its
+# starting modules and first prefix rotate packed rows once per exponent and
+# inverse pair, O(l^2) in all; on a 2-vCPU machine (min of 3, p=3) the typical
+# search took 0.08 s at l=2801 (3.9e6), and the walk to its first candidate
+# 0.27 s at l=5009 (1.3e7)
 WALK_COST_CAP = 4_000_000
 
 
@@ -250,8 +249,8 @@ def search_table(v: CharRep, ctx: PrimeContext, layer_count: int = 1):
 
 def _times_power(w1: int, w2: int, w3: int, m: int, shifts, bits: int, mask: int, field: int):
     """A module's packed rows W_1, W_2 and invariant count W_3[0] of
-    Lambda^1..Lambda^3 times (1 + t x^a)^m, with Lambda^0 the constant 1, by
-    the binomial theorem truncated at t^3:
+    Lambda^1..Lambda^3 times (1 + t x^a)^m, a != 0, with Lambda^0 the
+    constant 1, by the binomial theorem truncated at t^3:
 
         W_1 + m x^a
         W_2 + m x^a W_1 + C(m,2) x^2a
@@ -278,49 +277,55 @@ def candidate_walk(v: CharRep, ctx: PrimeContext, layer_count: int):
     candidate order, where (r0, r1) are the degree3_ranks of module_pair(V, U).
 
     Pairs {a, l-a} are ordered by a, the last pair changing fastest; a
-    candidate's digit b for a pair puts s = c - b at a and b at l - a (U* the
-    reverse), so the first candidate takes the smaller member everywhere.
-    One depth-first walk over the pairs but the last: stack[k] holds, for
-    V + U and for tau(V) + U* over the first k pairs, the triple (W_1, W_2,
+    candidate's digit b for a pair puts s = c - b at a and b at l - a, so
+    the first candidate takes the smaller member everywhere.  A module and
+    its dual have the same invariant ranks, and (tau(V) + U*)* = tau(V)* + U,
+    so r1 is read off tau(V)* + U, which takes U's factors in the same order
+    as V + U.  One depth-first walk over the pairs but the last: stack[k]
+    holds, for both modules over the first k pairs, the triple (W_1, W_2,
     W_3[0]) of packed Lambda^1 and Lambda^2 rows and the invariant count of
     Lambda^3 (Lambda^0 is the constant 1, and no other field of Lambda^3 is
     ever read), so a prefix extends only the pairs after the one it shares
-    with the previous prefix.  Pair e multiplies V + U's triple by
-    (1 + t x^e)^s (1 + t x^-e)^b and tau(V) + U*'s by (1 + t x^-e)^s
-    (1 + t x^e)^b, each factor by _times_power, the binomial theorem
-    truncated at t^3, with the bit offsets of +-e and +-2e computed once per
-    walk.  The last pair a = (l-1)/2 is read off its prefix's triple: with
-    W_i[e] the field of exponent e in row i,
+    with the previous prefix.  Each module starts empty; its trivial
+    character gives (m0, C(m0,2), C(m0,3)), every other exponent e and each
+    pair e's two factors (1 + t x^e)^s (1 + t x^-e)^b multiply the triple by
+    _times_power, the binomial theorem truncated at t^3, with the bit offsets
+    of e and 2e computed once per walk.  The last pair a = (l-1)/2 is read
+    off its prefix's triple: with W_i[e] the field of exponent e in row i,
 
-        r0 = W_3[0] + s W_2[-a] + b W_2[a]
-             + C(s,2) W_1[-2a] + s b W_1[0] + C(b,2) W_1[2a]
+        r = W_3[0] + s W_2[-a] + b W_2[a]
+            + C(s,2) W_1[-2a] + s b W_1[0] + C(b,2) W_1[2a]
 
-    and r1 the same on the tau(V) + U* rows with a and -a exchanged.  Six
-    values per module and prefix serve its c + 1 candidates.  One field
-    width, for rank(V) + c(l-1)/2, serves every prefix.  Refuses l < 5, which
-    no PrimeContext admits and where 3a = 0 would add a Lambda^0 term.
+    Six values per module and prefix serve its c + 1 candidates.  One field
+    width, for Lambda^2 of rank rank(V) + c(l-1)/2, serves every prefix.
+    Refuses l < 5, which no PrimeContext admits and where 3a = 0 would add a
+    Lambda^0 term.
     """
     l, c = ctx.l, layer_count
     if l < 5:
         raise ValueError(f"the candidate walk needs l >= 5, got l={l}")
     half = (l - 1) // 2
-    width = field_width(v.rank + c * half, 3)
+    width = field_width(v.rank + c * half, 2)
     field = (1 << width) - 1
     bits = l * width
     mask = (1 << bits) - 1
-    w, o = [
-        (rows[1], rows[2], rows[3] & field)
-        for rows in (packed_rows(v, 3, width), packed_rows(frobenius_twist(v, ctx.p), 3, width))
-    ]
-    # per prefix pair e = k + 1, the bit offsets of exponents e, 2e and of -e, -2e
-    ups = [(e * width, 2 * e % l * width) for e in range(1, half)]
-    downs = [(bits - s1, bits - s2) for s1, s2 in ups]
+    # the bit offsets of exponents e and 2e
+    shifts = [(e * width, 2 * e % l * width) for e in range(l)]
+
+    def from_empty(module: CharRep):
+        m0 = module.mult[0]
+        triple = (m0, comb(m0, 2), comb(m0, 3))
+        for e in range(1, l):
+            if module.mult[e]:
+                triple = _times_power(*triple, module.mult[e], shifts[e], bits, mask, field)
+        return triple
+
     a = half
     # (row, bit offset) of W_2[a], W_2[-a], W_1[2a], W_1[-2a], W_1[0]
     five = [(i - 1, e % l * width) for i, e in ((2, a), (2, -a), (1, 2 * a), (1, -2 * a), (1, 0))]
     # (s, C(s,2), s b, C(b,2)) of each leaf digit b
     leaves = [(c - b, comb(c - b, 2), (c - b) * b, comb(b, 2)) for b in range(c + 1)]
-    stack = [(w, o)] + [None] * (half - 1)
+    stack = [(from_empty(v), from_empty(dual(frobenius_twist(v, ctx.p))))] + [None] * (half - 1)
     mult = [0] * l
     prev = (-1,) * (half - 1)
     for digits in itertools.product(range(c + 1), repeat=half - 1):
@@ -333,14 +338,13 @@ def candidate_walk(v: CharRep, ctx: PrimeContext, layer_count: int):
             e, big = k + 1, digits[k]
             mult[e] = small = c - big
             mult[l - e] = big
-            up, down = ups[k], downs[k]
             w, o = stack[k]
             if small:
-                w = _times_power(*w, small, up, bits, mask, field)
-                o = _times_power(*o, small, down, bits, mask, field)
+                w = _times_power(*w, small, shifts[e], bits, mask, field)
+                o = _times_power(*o, small, shifts[e], bits, mask, field)
             if big:
-                w = _times_power(*w, big, down, bits, mask, field)
-                o = _times_power(*o, big, up, bits, mask, field)
+                w = _times_power(*w, big, shifts[l - e], bits, mask, field)
+                o = _times_power(*o, big, shifts[l - e], bits, mask, field)
             stack[k + 1] = (w, o)
         w, o = stack[half - 1]
         w3, o3 = w[2], o[2]
@@ -351,7 +355,7 @@ def candidate_walk(v: CharRep, ctx: PrimeContext, layer_count: int):
             yield (
                 CharRep(l, tuple(mult)),
                 w3 + s * w2m + b * w2p + s2 * w1m + sb * w10 + b2 * w1p,
-                o3 + s * o2p + b * o2m + s2 * o1p + sb * o10 + b2 * o1m,
+                o3 + s * o2m + b * o2p + s2 * o1m + sb * o10 + b2 * o1p,
             )
 
 

@@ -280,25 +280,17 @@ def extend_rows(rows: list[int], l: int, width: int, counts) -> None:
     (a, m) pairs of counts, in Z[x]/(x^l - 1).
 
     rows[j] is the coefficient of t^j, one width-bit field per exponent, so
-    multiplying by x^a rotates the fields and each step is one big-integer
-    add per row.  rows[0] is the constant 1; rows above the highest nonzero
-    one stay zero until enough factors reach them, and are skipped.  A count
-    m above the top row is expanded by the binomial theorem instead, so its
-    cost does not grow with m.
+    multiplying by x^a rotates the fields and each of the m steps of a pair
+    is one big-integer add per row.  rows[0] is the constant 1; rows above
+    the highest nonzero one stay zero until enough factors reach them, and
+    are skipped.  The cost grows with the sum of the counts, the rank of the
+    module exterior_table expands.
     """
     mask = (1 << (l * width)) - 1
     top = live = len(rows) - 1
     while not rows[live]:
         live -= 1
     for a, m in counts:
-        if m > top:
-            # rows[j] += C(m, i) x^(i*a) rows[j-i]; going down, rows[j-i] is still the old row
-            live = top
-            for j in range(top, 0, -1):
-                for i in range(1, j + 1):
-                    s, r = i * a % l * width, rows[j - i]
-                    rows[j] += comb(m, i) * (((r << s) | (r >> (l * width - s))) & mask)
-            continue
         up, down = a * width, (l - a) * width
         for _ in range(m):
             if live < top:
@@ -306,13 +298,6 @@ def extend_rows(rows: list[int], l: int, width: int, counts) -> None:
             for j in range(live, 0, -1):
                 r = rows[j - 1]
                 rows[j] += ((r << up) | (r >> down)) & mask
-
-
-def packed_rows(v: CharRep, top: int, width: int) -> list[int]:
-    """Rows Lambda^0 v, ..., Lambda^top v packed with width-bit fields."""
-    rows = [1] + [0] * top
-    extend_rows(rows, v.l, width, enumerate(v.mult))
-    return rows
 
 
 def exterior_table(v: CharRep, top: int | None = None) -> list[tuple[int, ...]]:
@@ -330,11 +315,13 @@ def exterior_table(v: CharRep, top: int | None = None) -> list[tuple[int, ...]]:
     if top < 0:
         raise ValueError("exterior degree must be non-negative")
     words = -(-field_width(rank, top) // WORD)
+    rows = [1] + [0] * top
+    extend_rows(rows, l, words * WORD, enumerate(v.mult))
     # each tuple is built from a list, not a generator: a generator's tuple is
     # allocated at a guessed length and shrunk, and once freed it waits in the
     # free list of its final length until a full garbage collection, which a
     # run that makes little cyclic garbage seldom does; so peak RSS creeps
-    return [tuple(unpack_fields(r, l, words)) for r in packed_rows(v, top, words * WORD)]
+    return [tuple(unpack_fields(r, l, words)) for r in rows]
 
 
 def exterior_power(v: CharRep, k: int) -> CharRep:

@@ -9,13 +9,17 @@ deeply nested or wrongly typed; every path points into a fresh temporary
 directory, and every file the CLI reads may also be /dev/zero or a sparse
 file one byte over cli.INPUT_BYTES_CAP.  So that valid input is common too,
 build-cm, search-typical and construct have a second branch over (p, l) pairs
-with 4 | ord(p mod l) (construct with a target of degree 3 to 12), and
-verify-polygon draws symmetric Hodge vectors, about half with the passing slope
-n/2.  Each example runs in its own interpreter, one at a time, and must exit
-0, 1 or 2, write no traceback, and use at most CPU_LIMIT_S of CPU time (user
-plus system, read as tests/test_input_errors.py reads it); TIMEOUT_S guards
-a hang.  Seed and example count are fixed, so a run repeats; it ends by
-printing how often each subcommand exited with each code.  Each input it
+with 4 | ord(p mod l) (construct with a target of degree 3 to 12), hodge
+blowup-tower one over small legal towers, and verify-polygon draws
+symmetric Hodge vectors, about half with the passing slope n/2.  Each
+example runs in its own interpreter, one at a time, and must exit 0, 1 or
+2, write no traceback, and use at most CPU_LIMIT_S of CPU time (user plus
+system, read as tests/test_input_errors.py reads it); TIMEOUT_S guards a
+hang.  Seed and example count are fixed, so a run repeats; it ends by
+printing how often each subcommand exited with each code.  A subcommand
+that never exits 0, or never 2, is a finding too, as is a golden or
+verify-polygon that never exits 1: the run then reached none of that
+command's successes, refusals or failed checks (FLOOR).  Each input it
 finds belongs in tests/test_input_errors.py as a plain regression case.
 The file name keeps it out of the pytest collection.
 """
@@ -201,6 +205,24 @@ target = st.integers(3, 12).flatmap(
 )
 
 
+def legal_tower(d: int, n: int, shape: tuple) -> list:
+    """Options of a tower of s blow-ups over the degree-d hypersurface of
+    dimension n, shape = (s, offsets): no ambient dims when offsets is None,
+    else N_t = dim(Y_t) + 2 + offsets[t] (all zero: the minimal dims)."""
+    s, offsets = shape
+    dims, cur = [], n
+    for offset in offsets or ():
+        cur += 2 + offset
+        dims.append(cur)
+    return [f"--d={d}", f"--n={n}", f"--s={s}"] + ([f"--ambient-dims={','.join(map(str, dims))}"]
+                                                  if dims else [])
+
+
+tower_shape = st.integers(0, 4).flatmap(lambda s: st.tuples(st.just(s), st.one_of(
+    st.none(), st.just([0] * s), st.lists(st.integers(0, 3), min_size=s, max_size=s))))
+legal_tower_args = st.builds(legal_tower, st.integers(1, 6), st.integers(1, 6), tower_shape)
+
+
 def command(name: str, *parts) -> st.SearchStrategy:
     return st.tuples(*parts).map(lambda ps: [*name.split(), *[a for p in ps for a in p]])
 
@@ -273,6 +295,7 @@ commands = st.one_of(
     command("hodge hypersurface", opt("d", int_text), opt("n", small_text), fmt),
     command("hodge blowup-tower", opt("d", int_text), opt("n", small_text),
             opt("s", small_text), opt("ambient-dims", int_list), fmt),
+    command("hodge blowup-tower", legal_tower_args, fmt),
     command("hodge stack", opt("kind", st.sampled_from(["mu_p", "Z_mod_p", "bogus"])),
             opt("bound", int_text), fmt),
     command("hodge product", text_or_file("left", table_text).map(lambda a: [a]),
@@ -345,6 +368,12 @@ def run(argv: list) -> tuple[int, str, float]:
 
 # (subcommand, exit code) of every example run, printed at the end
 EXITS = Counter()
+SUBCOMMANDS = ("find-l", "build-cm", "search-typical", "verify-polygon", "hodge hypersurface",
+               "hodge blowup-tower", "hodge stack", "hodge product", "construct", "certify",
+               "golden")
+# (subcommand, exit code) pairs that a run must reach at least once
+FLOOR = ({(name, code) for name in SUBCOMMANDS for code in (0, 2)}
+         | {("golden", 1), ("verify-polygon", 1)})
 
 
 @seed(SEED)
@@ -359,9 +388,18 @@ def fuzz(argv):
     assert cpu <= CPU_LIMIT_S, f"{cpu:.2f} s of CPU"
 
 
-if __name__ == "__main__":
+def main() -> int:
     t0 = time.monotonic()
     fuzz()
-    print(f"{EXAMPLES} examples, seed {SEED}: no finding in {time.monotonic() - t0:.0f} s")
+    missed = sorted(FLOOR - set(EXITS))
     for (name, code), count in sorted(EXITS.items()):
         print(f"  {name:<20} exit {code}: {count}")
+    for name, code in missed:
+        print(f"FINDING: {name} never exited {code}")
+    print(f"{EXAMPLES} examples, seed {SEED}: no failing example, {len(missed)} coverage "
+          f"findings in {time.monotonic() - t0:.0f} s")
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -65,38 +65,36 @@ MUTANTS = (
     Mutant("walk-C(m,2)-wrong-above-m=3", "cmbuild.py",
            "m2 = m * (m - 1) // 2", "m2 = m * (m - 1) // 2 + (m > 3)",
            ("test_search_kernel.py::test_matches_reference_on_large_multiplicities_in_the_prefix",)),
-    Mutant("walk-o-takes-w-exponents", "cmbuild.py",
-           "o = _times_power(*o, small, down, bits, mask, field)",
-           "o = _times_power(*o, small, up, bits, mask, field)", SEARCH),
+    Mutant("walk-o-small-factor-at-l-e", "cmbuild.py",
+           "o = _times_power(*o, small, shifts[e], bits, mask, field)",
+           "o = _times_power(*o, small, shifts[l - e], bits, mask, field)", SEARCH),
+    # the walk's two starting triples, built from the empty module
+    Mutant("walk-o-starts-without-dual", "cmbuild.py",
+           "from_empty(dual(frobenius_twist(v, ctx.p)))", "from_empty(frobenius_twist(v, ctx.p))",
+           SEARCH),
+    Mutant("walk-start-drops-C(m0,3)", "cmbuild.py",
+           "(m0, comb(m0, 2), comb(m0, 3))", "(m0, comb(m0, 2), 0)", SEARCH),
     Mutant("walk-resume-skips-a-pair", "cmbuild.py",
            "start += 1", "start += 2", SEARCH),
     Mutant("walk-width-from-rank-V", "cmbuild.py",
-           "width = field_width(v.rank + c * half, 3)", "width = field_width(v.rank, 3)",
+           "width = field_width(v.rank + c * half, 2)", "width = field_width(v.rank, 2)",
            SEARCH),
-    Mutant("walk-leaf-o-reads-w-order", "cmbuild.py",
-           "o3 + s * o2p + b * o2m", "o3 + s * o2m + b * o2p", SEARCH),
+    Mutant("walk-width-one-degree-short", "cmbuild.py",
+           "width = field_width(v.rank + c * half, 2)", "width = field_width(v.rank + c * half, 1)",
+           SEARCH),
     Mutant("U*-given-U's-exponents", "cmbuild.py",
            "_direct_sum(frobenius_twist(v, p), dual(u))",
            "_direct_sum(frobenius_twist(v, p), u)", SEARCH),
     Mutant("candidate-index-off-by-one", "cmbuild.py",
            "TypicalSearchResult(u, r0, r1, layer_count, idx)",
            "TypicalSearchResult(u, r0, r1, layer_count, idx + 1)", SEARCH),
-    # extend_rows and field widths, behind packed_rows and exterior_table
+    # extend_rows and field widths, behind exterior_table
     Mutant("field-width-2-bits-short", "cyclochar.py",
            "min(top, rank // 2)).bit_length() + 1", "min(top, rank // 2)).bit_length() - 1",
            ("test_cyclochar.py", "test_diamond_kernel.py", *SEARCH)),
     Mutant("field-width-3-bits-short", "cyclochar.py",
            "min(top, rank // 2)).bit_length() + 1", "min(top, rank // 2)).bit_length() - 2",
            ("test_cyclochar.py", "test_diamond_kernel.py", *SEARCH)),
-    Mutant("extend-rows-drops-Lambda^0", "cyclochar.py",
-           "for i in range(1, j + 1):", "for i in range(1, j):",
-           ("test_cyclochar.py", *SEARCH)),
-    Mutant("extend-rows-binomial-off-by-one", "cyclochar.py",
-           "rows[j] += comb(m, i) *", "rows[j] += comb(m - 1, i) *",
-           ("test_cyclochar.py", *SEARCH)),
-    Mutant("extend-rows-shift-without-i", "cyclochar.py",
-           "s, r = i * a % l * width", "s, r = a % l * width",
-           ("test_cyclochar.py", *SEARCH)),
     Mutant("extend-rows-live-not-raised", "cyclochar.py",
            "live += 1", "live += 0", ("test_cyclochar.py", *SEARCH)),
     Mutant("extend-rows-rows-upward", "cyclochar.py",

@@ -10,12 +10,17 @@ cmbuild.DIAMOND_COST_CAP admits) goes through build_V, search_typical_U,
 assemble_Z, equivariant_diamond, quotient_bookkeeping and _diamond_checks,
 and must have delta30 < 0 and pass every check.  The sweep prints the class
 count and the range of delta30, or exits 1 naming the first class that
-fails.  It also prints the largest companion prime find_l(p) over the primes
-p <= cyclochar.P_CAP, the classes that construct reaches without --l.
+fails.  It also hashes every class's (l, residue, selector, U, r0, r1,
+delta30, diamond cells) into one SHA-256, and exits 1 when a full sweep's
+digest differs from DIGEST: a change that alters any class's search or
+diamond, even one whose checks still pass, shows here.  Last it prints the
+largest companion prime find_l(p) over the primes p <= cyclochar.P_CAP,
+the classes that construct reaches without --l.
 tests/test_pipeline.py runs the classes with l <= 61 in tier-1.
 The file name keeps it out of the pytest collection.
 """
 
+import hashlib
 import itertools
 import sys
 import time
@@ -26,6 +31,8 @@ from hodge_asym.cyclochar import P_CAP, PrimeContext, is_prime, multiplicative_o
 from hodge_asym.pipeline import _diamond_checks, quotient_bookkeeping
 
 MAX_L = 157
+# sha256 of the class lines of a full sweep (MAX_L = 157), recorded at 4d1297d
+DIGEST = "ae007d264472130ddf4e70b8f1545cada1c766180baf81fd24ed4077a276f4be"
 
 
 def classes(max_l: int):
@@ -39,19 +46,27 @@ def classes(max_l: int):
                     yield ctx, selector
 
 
-def diamond_checks(ctx: PrimeContext, selector: str) -> tuple[int, list[tuple[str, bool]]]:
-    """delta30 of the class's diamond, and its diamond checks."""
+def diamond_checks(ctx: PrimeContext, selector: str) -> tuple[int, list[tuple[str, bool]], str]:
+    """delta30 of the class's diamond, its diamond checks, and the class's
+    line of the digest."""
     v = cmbuild.build_V(ctx, selector)
-    z = cmbuild.assemble_Z(v, cmbuild.search_typical_U(v, ctx), ctx)
+    search = cmbuild.search_typical_U(v, ctx)
+    z = cmbuild.assemble_Z(v, search, ctx)
     diamond = cmbuild.equivariant_diamond(z)
-    return quotient_bookkeeping(diamond).delta30, _diamond_checks(diamond, z.dim, z.isoclinic())
+    delta30 = quotient_bookkeeping(diamond).delta30
+    cells = ",".join(f"{i}:{j}:{c}" for (i, j), c in diamond.coeffs)
+    line = (f"{ctx.l} {ctx.p % ctx.l} {selector} {search.U.to_text()} {search.r0} "
+            f"{search.r1} {delta30} {cells}\n")
+    return delta30, _diamond_checks(diamond, z.dim, z.isoclinic()), line
 
 
 def main(max_l: int = MAX_L) -> int:
     t0 = time.monotonic()
     values = Counter()
+    digest = hashlib.sha256()
     for ctx, selector in classes(max_l):
-        delta30, checks = diamond_checks(ctx, selector)
+        delta30, checks, line = diamond_checks(ctx, selector)
+        digest.update(line.encode())
         failed = [name for name, ok in checks if not ok]
         if delta30 >= 0 or failed:
             print(f"FAIL l={ctx.l} p={ctx.p} selector={selector}: "
@@ -64,6 +79,10 @@ def main(max_l: int = MAX_L) -> int:
     print(f"{sum(values.values())} classes with 5 <= l <= {max_l} pass in "
           f"{time.monotonic() - t0:.1f} s: delta30 from {min(values)} to {max(values)}, "
           f"{len(values)} distinct values")
+    print(f"class digest {digest.hexdigest()}")
+    if max_l == MAX_L and digest.hexdigest() != DIGEST:
+        print(f"FAIL the class digest differs from DIGEST={DIGEST}")
+        return 1
     companions = [cmbuild.find_l(p).l for p in filter(is_prime, range(2, P_CAP + 1))]
     print(f"find_l(p) <= {max(companions)} for the {len(companions)} primes p <= P_CAP={P_CAP}")
     return 0

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -402,7 +403,6 @@ def test_main_is_reentrant_on_its_one_parser(tmp_path, monkeypatch, capsys):
     # main parses every call with the one parser it builds per process; each
     # call here must print and return what a fresh interpreter does
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to this width
-    env = dict(os.environ, PYTHONPATH=str(Path(hodge_asym.__file__).resolve().parents[1]))
     cert = str(tmp_path / "cert.json")
     calls = (
         (["construct", "--p", "4", "--i", "3", "--j", "0"], 2),  # 4 is not prime
@@ -413,9 +413,39 @@ def test_main_is_reentrant_on_its_one_parser(tmp_path, monkeypatch, capsys):
     )
     for argv, code in calls:
         got = (main(argv), *capsys.readouterr())
-        fresh = subprocess.run(
-            [sys.executable, "-m", "hodge_asym", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        fresh, _ = fresh_cli(*argv)
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         assert got[0] == code, argv
+
+
+def fresh_cli(*argv: str, **env: str) -> tuple[subprocess.CompletedProcess, float]:
+    """The CLI run in a fresh interpreter with extra environment variables,
+    and the CPU seconds, user and system, that the child used."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hodge_asym.__file__).resolve().parents[1]), **env)
+    env.pop("HODGE_ASYM_SEED", None)
+    usage0 = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run([sys.executable, "-m", "hodge_asym", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return proc, usage.ru_utime + usage.ru_stime - usage0.ru_utime - usage0.ru_stime
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_golden_is_byte_identical_under_hash_seeds(hash_seed):
+    # the certificates' bytes may not depend on the order of str-keyed sets and dicts
+    proc, _ = fresh_cli("golden", PYTHONHASHSEED=hash_seed)
+    assert (proc.returncode, proc.stdout) == (0, "golden: 14/14 certificates match\n"), proc.stderr
+
+
+def test_search_typical_takes_counts_of_a_billion_at_once():
+    # V's multiplicities enter the walk by binomial coefficients, one
+    # _times_power per exponent, so the cost does not grow with them; one
+    # step per instance would take 3*10^9 steps.  Start-up is ~0.2 s of CPU
+    proc, cpu_s = fresh_cli("search-typical", "--p", "2",
+                            "--V", "l=5; 0:1000000000,1:1000000000,4:1000000000")
+    assert proc.returncode == 0, proc.stderr
+    assert cpu_s < 1.0
+    rows = proc.stdout.splitlines()
+    assert len(rows) == 5
+    assert rows[1].split()[-2:] == ["r0=1166666667666666666500000000",
+                                    "r1=1166666667666666667500000000"]

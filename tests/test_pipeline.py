@@ -361,7 +361,7 @@ def test_every_class_up_to_l61_passes_the_diamond_checks():
     # passes every diamond check (tests/sweep_classes.py runs every l <= 157)
     sample, moduli = [], set()
     for k, (ctx, selector) in enumerate(classes(61)):
-        delta30, checks = diamond_checks(ctx, selector)
+        delta30, checks, _ = diamond_checks(ctx, selector)
         assert delta30 < 0, (ctx.p, ctx.l, selector)
         assert all(ok for _, ok in checks), (ctx.p, ctx.l, selector, checks)
         if k % 7 == 0 or ctx.l not in moduli:

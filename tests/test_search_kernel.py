@@ -60,7 +60,8 @@ def test_matches_reference_on_coset_modules(l, layer_count, selector):
 
 @pytest.mark.parametrize("text,layer_count", [
     ("l=13; 1:2,3:1,6:1", 2),  # not self-dual, as given with search-typical --V
-    # every exponent 0: field 0 of row 3 reaches C(rank, 3), the bound the width holds
+    # every exponent 0: the start (m0, C(m0,2), C(m0,3)) alone, and field 0 of
+    # row 2 reaches C(rank, 2), the bound the width holds
     ("l=5; 0:9", 0),
     ("l=5; 0:9", 2),
 ])
@@ -73,7 +74,7 @@ def test_matches_reference_on_overrides(text, layer_count):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_matches_reference_on_random_modules(data):
-    # 3 and 4 layers reach the C(m,3) term of the prefix's truncated binomial
+    # 3 and 4 layers put C(m,2) of the prefix's truncated binomial past m
     l = data.draw(st.sampled_from([5, 7, 11, 13]), label="l")
     p = data.draw(st.sampled_from([q for q in (2, 3, 5, 7, 11, 13) if q != l]), label="p")
     mult = data.draw(st.lists(st.integers(0, 2), min_size=l, max_size=l), label="mult")
