@@ -46,7 +46,13 @@ items:
   ``z = cmbuild.build_cm(2, l=CM_PAYLOAD_L)``.
 
 A figure is the minimum over the rounds, in milliseconds at reference
-speed. The output (to ``--out``, or standard output) gives the environment
+speed.  Apart from the rounds, ``startup_ms`` gives the wall time of a fresh
+interpreter for each command of STARTUP_COMMANDS, ``python -m hodge_asym``
+with its tree on PYTHONPATH, and of a bare ``python -c pass`` beside them:
+raw milliseconds, the fastest of STARTUP_SPAWNS spawns, the trees taking
+turns spawn by spawn.  The spawns run with PYTHONDONTWRITEBYTECODE=1, as
+perfbench's do, so a tree without ``__pycache__`` compiles its source each
+time. The output (to ``--out``, or standard output) gives the environment
 (Python version, ``nproc``, rounds) and one entry per label under ``runs``.
 Standard library only; perfbench's files are imported, never changed.
 Every tree must have ``build_cm`` return the ``CMData`` alone, which holds
@@ -85,6 +91,12 @@ SERIES_BOUND = 200
 FIBER_DELTA = -200
 CM_PAYLOAD_L = 157
 ROUNDS = 5
+STARTUP_COMMANDS = {
+    "bare": ["-c", "pass"],
+    "find_l": ["-m", "hodge_asym", "find-l", "--p", "2"],
+    "construct": ["-m", "hodge_asym", "construct", "--p", "2", "--i", "4", "--j", "2"],
+}
+STARTUP_SPAWNS = 20
 MIN_LOOP_S = 0.1
 ITEMS = (
     [("build_certificate_ms", f"l{l}") for l in LADDER]
@@ -182,6 +194,25 @@ def serve() -> None:
                 print(ms, flush=True)
 
 
+def startup_ms(trees) -> dict[str, dict[str, float]]:
+    """Per label, the fastest spawn of each STARTUP_COMMANDS entry, in raw ms."""
+    best = {label: {} for label, _ in trees}
+    for spawn in range(STARTUP_SPAWNS):
+        for label, src in trees if spawn % 2 == 0 else reversed(trees):
+            env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()),
+                       PYTHONDONTWRITEBYTECODE="1")
+            env.pop("HODGE_ASYM_SEED", None)
+            for name, args in STARTUP_COMMANDS.items():
+                start = perf_counter()
+                code = subprocess.run([sys.executable, *args], env=env,
+                                      stdout=subprocess.DEVNULL).returncode
+                ms = (perf_counter() - start) * 1000
+                if code != 0:
+                    raise RuntimeError(f"tree {label}: {' '.join(args)} exited {code}")
+                best[label][name] = min(best[label].get(name, ms), ms)
+    return best
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="*", metavar="LABEL=DIR", help="source trees to time")
@@ -229,6 +260,8 @@ def main(argv=None) -> int:
             for name, ms in group.items():
                 group[name] = round(ms, 3)
         runs["search_table_ms"]["total"] = round(sum(runs["search_table_ms"].values()), 3)
+    for label, spawns in startup_ms(trees).items():
+        best[label]["startup_ms"] = {name: round(ms, 1) for name, ms in spawns.items()}
     result = {
         "environment": {
             "python": platform.python_version(),

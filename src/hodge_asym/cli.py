@@ -33,6 +33,9 @@ POLYGON_RANK_CAP = 100_000
 # under DIAMOND_COST_CAP (l=157) is 2.8 MB, and a 500,000-cell table, which
 # hodge product can write and read back under TABLE_COST_CAP, 21 MB as written
 INPUT_BYTES_CAP = 32 * 1024 * 1024
+# read_input reads this much at a time: one read of INPUT_BYTES_CAP + 1 bytes
+# allocates that much for every file, however small
+READ_CHUNK = 64 * 1024
 
 
 def dumps(obj: dict) -> str:
@@ -134,12 +137,20 @@ def parse_newton(text: str) -> dict[Fraction, int]:
 
 def read_input(path) -> str:
     """The file's text, as Path.read_text gives it, refused above
-    INPUT_BYTES_CAP bytes after reading at most one byte more."""
+    INPUT_BYTES_CAP bytes after reading at most one byte more.  It reads to
+    the end of the file, not to the size the file system reports, which is 0
+    for a pipe or /dev/stdin."""
+    chunks, size = [], 0
     with open(path, "rb") as f:
-        data = f.read(INPUT_BYTES_CAP + 1)
-    if len(data) > INPUT_BYTES_CAP:
+        while size <= INPUT_BYTES_CAP:
+            chunk = f.read(min(READ_CHUNK, INPUT_BYTES_CAP + 1 - size))
+            if not chunk:
+                break
+            chunks.append(chunk)
+            size += len(chunk)
+    if size > INPUT_BYTES_CAP:
         raise ValueError(f"{path} is above the cap INPUT_BYTES_CAP={INPUT_BYTES_CAP} bytes")
-    return io.TextIOWrapper(io.BytesIO(data)).read()
+    return io.TextIOWrapper(io.BytesIO(b"".join(chunks))).read()
 
 
 def load_json(text: str):

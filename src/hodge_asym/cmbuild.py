@@ -13,7 +13,6 @@ diamond h^{i,j} = rk(Lambda^i W_omega x Lambda^j W_o)^G.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import comb
@@ -37,6 +36,7 @@ from .cyclochar import (
     unpack_fields,
 )
 from .hodgecalc import HodgePolynomial
+from .record import Record
 
 
 class EqualRanks(Exception):
@@ -179,13 +179,19 @@ def degree3_ranks(w_omega: CharRep, w_o: CharRep) -> tuple[int, int]:
     )
 
 
-@dataclass(frozen=True)
-class TypicalSearchResult:
+class TypicalSearchResult(Record):
     U: CharRep
     r0: int
     r1: int
     layer_count: int
     candidate_index: int
+
+    def __init__(self, U, r0, r1, layer_count, candidate_index) -> None:
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "r0", r0)
+        object.__setattr__(self, "r1", r1)
+        object.__setattr__(self, "layer_count", layer_count)
+        object.__setattr__(self, "candidate_index", candidate_index)
 
     def serialize(self) -> dict:
         """The search record of certificates and build-cm reports."""
@@ -359,8 +365,7 @@ def candidate_walk(v: CharRep, ctx: PrimeContext, layer_count: int):
             )
 
 
-@dataclass(frozen=True)
-class CMData:
+class CMData(Record):
     """The assembled character data of the oriented product, with the
     typical search whose U it is built from."""
 
@@ -370,6 +375,14 @@ class CMData:
     W_omega: CharRep
     W_o: CharRep
     oriented: bool
+
+    def __init__(self, ctx, V, search, W_omega, W_o, oriented) -> None:
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "search", search)
+        object.__setattr__(self, "W_omega", W_omega)
+        object.__setattr__(self, "W_o", W_o)
+        object.__setattr__(self, "oriented", oriented)
 
     @property
     def dim(self) -> int:

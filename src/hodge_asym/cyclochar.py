@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import repeat
 from math import comb
 from operator import lshift, or_
+
+from .record import Record
 
 # largest modulus l accepted: a CharRep holds one int per exponent, so the
 # cap bounds every length-l vector before it is allocated
@@ -93,8 +94,7 @@ def _check_modulus_size(l: int) -> None:
         raise ValueError(f"modulus l={l} is above the cap MODULUS_CAP={MODULUS_CAP}")
 
 
-@dataclass(frozen=True)
-class PrimeContext:
+class PrimeContext(Record):
     """The pair of distinct primes (p, l) with ord(p mod l) divisible by 4.
 
     Then -1 = p^(ord/2) is an even power of p, so negation keeps the even
@@ -106,6 +106,11 @@ class PrimeContext:
     p: int
     l: int
     ord: int
+
+    def __init__(self, p, l, ord) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "ord", ord)
 
     @staticmethod
     def create(p: int, l: int) -> "PrimeContext":
@@ -123,8 +128,7 @@ class PrimeContext:
         return PrimeContext(p=p, l=l, ord=order)
 
 
-@dataclass(frozen=True)
-class CharRep:
+class CharRep(Record):
     """Multiplicity vector of a Z/l-representation over character exponents.
 
     mult[a] is the multiplicity of the character sending the generator to
@@ -133,6 +137,11 @@ class CharRep:
 
     l: int
     mult: tuple[int, ...]
+
+    def __init__(self, l, mult) -> None:
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "mult", mult)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.l < 2 or not is_prime(self.l):

@@ -13,12 +13,13 @@ combine 1 with opaque symbols for asymmetries that are not known exactly.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, zip_longest
 from math import comb, factorial, gcd, lcm
 from operator import itemgetter, sub
+
+from .record import Record
 
 
 # largest estimated cost of a calculator table: (D+1)^2 for a table of top
@@ -41,8 +42,7 @@ def check_table_cost(cost: int, what: str) -> None:
 # coefficient tables
 
 
-@dataclass(frozen=True)
-class HodgePolynomial:
+class HodgePolynomial(Record):
     """Finitely supported table of Hodge numbers h^{i,j}.
 
     A cell is a non-negative int, or a DPoly when the table depends on a
@@ -52,8 +52,13 @@ class HodgePolynomial:
     """
 
     coeffs: tuple[tuple[tuple[int, int], int | DPoly], ...]
-    bound: int | None = None
-    unknown: frozenset[tuple[int, int]] = frozenset()
+    bound: int | None
+    unknown: frozenset[tuple[int, int]]
+
+    def __init__(self, coeffs, bound=None, unknown=frozenset()) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "unknown", unknown)
 
     @staticmethod
     def create(coeffs: dict, bound: int | None = None, unknown=()) -> "HodgePolynomial":
@@ -318,8 +323,7 @@ def _ratio(num: int, den: int) -> int | str:
     return num // g if g == den else f"{num // g}/{den // g}"
 
 
-@dataclass(frozen=True)
-class DPoly:
+class DPoly(Record):
     """Univariate polynomial in the product-size parameter d, exact coefficients.
 
     Integer numerators over one positive common denominator, in lowest terms,
@@ -327,7 +331,11 @@ class DPoly:
     """
 
     nums: tuple[int, ...]  # ascending powers, no trailing zeros
-    den: int = 1
+    den: int
+
+    def __init__(self, nums, den=1) -> None:
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def _reduced(nums: list[int], den: int) -> "DPoly":
@@ -460,12 +468,15 @@ def opaque_symbol(i: int, j: int) -> str:
     return f"delta({i},{j})"
 
 
-@dataclass(frozen=True)
-class DeltaExpr:
+class DeltaExpr(Record):
     """Polynomial in d whose coefficients are combinations of 1 and opaque symbols."""
 
-    exact: DPoly = DPoly(())
-    opaque: tuple[tuple[str, DPoly], ...] = ()
+    exact: DPoly
+    opaque: tuple[tuple[str, DPoly], ...]
+
+    def __init__(self, exact=DPoly(()), opaque=()) -> None:
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "opaque", opaque)
 
     @staticmethod
     def create(exact: DPoly, opaque: dict[str, DPoly] | None = None) -> "DeltaExpr":
@@ -520,13 +531,21 @@ def _edge_mul(a: dict, b: dict) -> dict[tuple[int, int], int]:
     return out
 
 
-@dataclass(frozen=True)
-class SpecialFiberFix:
+class SpecialFiberFix(Record):
     l_factor: int
     composed_h30: int
     composed_h03: int
     composed_delta30: int
     closed_forms_ok: bool
+
+    def __init__(
+        self, l_factor, composed_h30, composed_h03, composed_delta30, closed_forms_ok
+    ) -> None:
+        object.__setattr__(self, "l_factor", l_factor)
+        object.__setattr__(self, "composed_h30", composed_h30)
+        object.__setattr__(self, "composed_h03", composed_h03)
+        object.__setattr__(self, "composed_delta30", composed_delta30)
+        object.__setattr__(self, "closed_forms_ok", closed_forms_ok)
 
     @property
     def symmetric(self) -> bool:

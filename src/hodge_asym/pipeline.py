@@ -11,8 +11,6 @@ the certificate to be emitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from . import cmbuild
 from .cmbuild import CMData, degree_slice
 from .cyclochar import invariants_rank, exterior_power
@@ -30,6 +28,7 @@ from .hodgecalc import (
     special_fiber_fix,
     weil_restriction_delta30,
 )
+from .record import Record
 
 TOOL_VERSION = "1.0.0"
 CERTIFICATE_SCHEMA = "hodge-asym/certificate/v1"
@@ -141,8 +140,7 @@ def assemble_delta(ledger: dict, aux: HodgePolynomial, i: int, j: int) -> DeltaE
 # quotient bookkeeping
 
 
-@dataclass(frozen=True)
-class QuotientData:
+class QuotientData(Record):
     """Low-degree Hodge data of the free-quotient object.
 
     Only the edge entries h^{i,0} and h^{0,i} for i <= 3 are transparent
@@ -151,6 +149,10 @@ class QuotientData:
 
     h_i0: tuple[int, int, int, int]
     h_0j: tuple[int, int, int, int]
+
+    def __init__(self, h_i0, h_0j) -> None:
+        object.__setattr__(self, "h_i0", h_i0)
+        object.__setattr__(self, "h_0j", h_0j)
 
     @property
     def delta30(self) -> int:
@@ -189,11 +191,15 @@ def quotient_bookkeeping(z_diamond: HodgePolynomial) -> QuotientData:
 # the main pipeline
 
 
-@dataclass(frozen=True)
-class AuxCase:
+class AuxCase(Record):
     kind: str                      # "none" | "tower" | "p1_power"
-    n: int | None = None
-    s: int | None = None
+    n: int | None
+    s: int | None
+
+    def __init__(self, kind, n=None, s=None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "s", s)
 
     def serialize(self) -> dict:
         if self.kind == "tower":
@@ -234,8 +240,7 @@ def choose_aux_case(i: int, j: int) -> AuxCase:
     return AuxCase("tower", n=2, s=(i + j - 5) // 2)
 
 
-@dataclass(frozen=True)
-class ConstructionCertificate:
+class ConstructionCertificate(Record):
     inputs: dict
     cm: CMData
     z_diamond: HodgePolynomial
@@ -247,6 +252,23 @@ class ConstructionCertificate:
     d_policy: dict
     checks: tuple[tuple[str, bool], ...]
     embellishments: dict
+
+    def __init__(
+        self, inputs, cm, z_diamond, slice3_pre, slice3, quotient, aux_case, delta_result,
+        d_policy, checks, embellishments
+    ) -> None:
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "cm", cm)
+        object.__setattr__(self, "z_diamond", z_diamond)
+        object.__setattr__(self, "slice3_pre", slice3_pre)
+        object.__setattr__(self, "slice3", slice3)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "aux_case", aux_case)
+        object.__setattr__(self, "delta_result", delta_result)
+        object.__setattr__(self, "d_policy", d_policy)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "embellishments", embellishments)
+        self.__post_init__()
 
     @property
     def target(self) -> tuple[int, int]:
@@ -431,8 +453,7 @@ def embellish(cert: ConstructionCertificate, which: str) -> ConstructionCertific
     emb_list = list(cert.inputs["embellish"])
     if which not in emb_list:
         emb_list.append(which)
-    return replace(
-        cert,
+    return cert.replace(
         inputs={**cert.inputs, "embellish": emb_list},
         checks=tuple(checks),
         embellishments=emb,

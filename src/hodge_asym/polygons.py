@@ -10,10 +10,11 @@ floating point anywhere.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
+
+from .record import Record
 
 
 def _normalize_newton(newton) -> dict[Fraction, int]:
@@ -37,8 +38,7 @@ def _hodge_vector(hodge, n: int) -> tuple[int, ...]:
     return hv
 
 
-@dataclass(frozen=True)
-class PolygonData:
+class PolygonData(Record):
     """Hodge vector plus Newton slopes for one cohomological degree n.
 
     ``hodge`` is ordered by descending Omega-degree: hodge[0] = h^{n,0},
@@ -49,6 +49,11 @@ class PolygonData:
     n: int
     hodge: tuple[int, ...]
     newton: tuple[tuple[Fraction, int], ...]
+
+    def __init__(self, n, hodge, newton) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "hodge", hodge)
+        object.__setattr__(self, "newton", newton)
 
     @staticmethod
     def create(n: int, hodge, newton) -> "PolygonData":

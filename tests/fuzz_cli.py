@@ -16,7 +16,9 @@ example runs in its own interpreter, one at a time, and must exit 0, 1 or
 2, write no traceback, and use at most CPU_LIMIT_S of CPU time (user plus
 system, read as tests/test_input_errors.py reads it); TIMEOUT_S guards a
 hang.  Seed and example count are fixed, so a run repeats; it ends by
-printing how often each subcommand exited with each code.  A subcommand
+printing how often each subcommand exited with each code and, beside its
+exit 2, how many distinct refusals it reached: the ``error:`` lines of its
+exit-2 runs with their digits stripped.  A subcommand
 that never exits 0, or never 2, is a finding too, as is a golden or
 verify-polygon that never exits 1: the run then reached none of that
 command's successes, refusals or failed checks (FLOOR).  Each input it
@@ -26,12 +28,13 @@ The file name keeps it out of the pytest collection.
 
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
 import tempfile
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
@@ -355,7 +358,8 @@ def children_cpu_s() -> float:
 
 
 def run(argv: list) -> tuple[int, str, float]:
-    """Exit code, stderr and CPU seconds of one CLI run in a fresh directory."""
+    """Exit code, stderr and CPU seconds of one CLI run in a fresh directory,
+    whose path reads TMP in the stderr returned."""
     with tempfile.TemporaryDirectory() as tmp:
         args = [materialize(a, Path(tmp), k) for k, a in enumerate(argv)]
         cpu0 = children_cpu_s()
@@ -363,11 +367,14 @@ def run(argv: list) -> tuple[int, str, float]:
             [sys.executable, "-m", "hodge_asym", *args], cwd=tmp, env=ENV,
             capture_output=True, text=True, timeout=TIMEOUT_S, preexec_fn=limit_memory,
         )
-        return proc.returncode, proc.stderr, children_cpu_s() - cpu0
+        # a random directory name would make each refusal that names a path a kind of its own
+        return proc.returncode, proc.stderr.replace(tmp, "TMP"), children_cpu_s() - cpu0
 
 
-# (subcommand, exit code) of every example run, printed at the end
+# (subcommand, exit code) of every example run, and per subcommand the kinds
+# of its refusals, printed at the end
 EXITS = Counter()
+REFUSALS = defaultdict(set)
 SUBCOMMANDS = ("find-l", "build-cm", "search-typical", "verify-polygon", "hodge hypersurface",
                "hodge blowup-tower", "hodge stack", "hodge product", "construct", "certify",
                "golden")
@@ -376,13 +383,22 @@ FLOOR = ({(name, code) for name in SUBCOMMANDS for code in (0, 2)}
          | {("golden", 1), ("verify-polygon", 1)})
 
 
+def refusal_kind(err: str) -> str:
+    """The refusal's ``error:`` line, from ``error:`` on, without its digits."""
+    line = next((line for line in reversed(err.splitlines()) if "error:" in line), "")
+    return re.sub(r"[0-9]", "", line[line.find("error:"):])
+
+
 @seed(SEED)
 @settings(max_examples=EXAMPLES, deadline=None, database=None,
           suppress_health_check=list(HealthCheck))
 @given(commands)
 def fuzz(argv):
     code, err, cpu = run(argv)
-    EXITS[" ".join(argv[:2] if argv[0] == "hodge" else argv[:1]), code] += 1
+    name = " ".join(argv[:2] if argv[0] == "hodge" else argv[:1])
+    EXITS[name, code] += 1
+    if code == 2:
+        REFUSALS[name].add(refusal_kind(err))
     assert code in (0, 1, 2), (code, err[-2000:])
     assert "Traceback" not in err, err[-2000:]
     assert cpu <= CPU_LIMIT_S, f"{cpu:.2f} s of CPU"
@@ -393,7 +409,8 @@ def main() -> int:
     fuzz()
     missed = sorted(FLOOR - set(EXITS))
     for (name, code), count in sorted(EXITS.items()):
-        print(f"  {name:<20} exit {code}: {count}")
+        kinds = f" ({len(REFUSALS[name])} refusal kinds)" if code == 2 else ""
+        print(f"  {name:<20} exit {code}: {count}{kinds}")
     for name, code in missed:
         print(f"FINDING: {name} never exited {code}")
     print(f"{EXAMPLES} examples, seed {SEED}: no failing example, {len(missed)} coverage "

@@ -51,6 +51,7 @@ class Mutant(NamedTuple):
 
 SEARCH = ("test_search_kernel.py",)
 ERRORS = ("test_input_errors.py",)
+RECORDS = ("test_record.py",)
 
 MUTANTS = (
     # the candidate walk's prefixes: (1 + t x^a)^m truncated at t^3
@@ -128,7 +129,22 @@ MUTANTS = (
     Mutant("polygon-rank-cap-removed", "cli.py",
            "if rank > POLYGON_RANK_CAP:", "if False:", ERRORS),
     Mutant("input-bytes-cap-removed", "cli.py",
-           "if len(data) > INPUT_BYTES_CAP:", "if False:", ERRORS),
+           "if size > INPUT_BYTES_CAP:", "if False:", ERRORS),
+    # the frozen record base and a record's own checks
+    Mutant("record-eq-ignores-class", "record.py",
+           "if other.__class__ is not self.__class__:", "if not isinstance(other, Record):",
+           RECORDS),
+    Mutant("record-hash-drops-last-field", "record.py",
+           "return hash(self._values(self))", "return hash(self._values(self)[:-1])", RECORDS),
+    Mutant("record-setattr-writes", "record.py",
+           'raise AttributeError(f"cannot assign to field {name!r}")',
+           "object.__setattr__(self, name, value)", RECORDS),
+    Mutant("record-replace-skips-init", "record.py",
+           "return self.__class__(**values)",
+           "new = object.__new__(self.__class__)\n        new.__dict__.update(values)\n"
+           "        return new", RECORDS),
+    Mutant("certificate-init-skips-checks", "pipeline.py",
+           "        self.__post_init__()\n", "", ("test_pipeline.py", *RECORDS)),
     # certificate algebra and bytes
     Mutant("DPoly-negation-drops-denominator", "hodgecalc.py",
            "return DPoly(tuple([-c for c in self.nums]), self.den)",

@@ -430,6 +430,17 @@ def fresh_cli(*argv: str, **env: str) -> tuple[subprocess.CompletedProcess, floa
     return proc, usage.ru_utime + usage.ru_stime - usage0.ru_utime - usage0.ru_stime
 
 
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    # every CLI call pays for its imports: dataclasses brings inspect, ast and
+    # dis, ~11 ms, and each decorated class then execs its generated methods
+    code = ("import sys, hodge_asym.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(hodge_asym.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
 @pytest.mark.parametrize("hash_seed", ["0", "4242"])
 def test_golden_is_byte_identical_under_hash_seeds(hash_seed):
     # the certificates' bytes may not depend on the order of str-keyed sets and dicts

@@ -8,6 +8,7 @@ import pkgutil
 import resource
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +20,7 @@ from hodge_asym import cmbuild, hodgecalc, pipeline
 from hodge_asym.cli import (
     INPUT_BYTES_CAP,
     POLYGON_RANK_CAP,
+    READ_CHUNK,
     dumps,
     main,
     parse_newton,
@@ -296,6 +298,25 @@ def test_files_one_byte_over_the_input_cap_exit_2(tmp_path):
     assert_refused_naming(cap, "certify", str(big))
     assert_refused_naming(cap, "hodge", "product", "--left", f"@{big}", "--right", '{"coeffs": []}')
     assert_refused_naming(cap, "golden", "--corpus", str(big.parent))
+
+
+def test_read_input_reads_a_pipe_to_its_end():
+    # a pipe's reported size is 0; this one holds several reads' worth
+    text = "ab\n" * READ_CHUNK
+    r, w = os.pipe()
+
+    def write() -> None:
+        with open(w, "w") as f:
+            f.write(text)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        assert read_input(f"/dev/fd/{r}") == text
+    finally:
+        writer.join(timeout=10)
+        os.close(r)
+    assert not writer.is_alive()
 
 
 def coeff_table_text(rows: int, cols: int) -> str:
