@@ -186,13 +186,6 @@ class TypicalSearchResult(Record):
     layer_count: int
     candidate_index: int
 
-    def __init__(self, U, r0, r1, layer_count, candidate_index) -> None:
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "r0", r0)
-        object.__setattr__(self, "r1", r1)
-        object.__setattr__(self, "layer_count", layer_count)
-        object.__setattr__(self, "candidate_index", candidate_index)
-
     def serialize(self) -> dict:
         """The search record of certificates and build-cm reports."""
         return {
@@ -375,14 +368,6 @@ class CMData(Record):
     W_omega: CharRep
     W_o: CharRep
     oriented: bool
-
-    def __init__(self, ctx, V, search, W_omega, W_o, oriented) -> None:
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "search", search)
-        object.__setattr__(self, "W_omega", W_omega)
-        object.__setattr__(self, "W_o", W_o)
-        object.__setattr__(self, "oriented", oriented)
 
     @property
     def dim(self) -> int:

@@ -107,11 +107,6 @@ class PrimeContext(Record):
     l: int
     ord: int
 
-    def __init__(self, p, l, ord) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "ord", ord)
-
     @staticmethod
     def create(p: int, l: int) -> "PrimeContext":
         check_p(p)
@@ -137,11 +132,6 @@ class CharRep(Record):
 
     l: int
     mult: tuple[int, ...]
-
-    def __init__(self, l, mult) -> None:
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "mult", mult)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.l < 2 or not is_prime(self.l):
@@ -284,22 +274,28 @@ def unpack_fields(packed: int, count: int, words: int) -> list[int]:
     return fields
 
 
-def extend_rows(rows: list[int], l: int, width: int, counts) -> None:
-    """Multiply packed rows in place by the product of (1 + t*x^a)^m over the
-    (a, m) pairs of counts, in Z[x]/(x^l - 1).
+def exterior_table(v: CharRep, top: int | None = None) -> list[tuple[int, ...]]:
+    """Multiplicity vectors of Lambda^0 v, ..., Lambda^top v from one DP pass.
 
-    rows[j] is the coefficient of t^j, one width-bit field per exponent, so
-    multiplying by x^a rotates the fields and each of the m steps of a pair
-    is one big-integer add per row.  rows[0] is the constant 1; rows above
-    the highest nonzero one stay zero until enough factors reach them, and
-    are skipped.  The cost grows with the sum of the counts, the rank of the
-    module exterior_table expands.
+    Expands the product of (1 + t*x^a) over the rank(v) exponent instances
+    in Z[x]/(x^l - 1); row k is the coefficient of t^k.  Each row is packed,
+    one field per exponent, so multiplying by x^a rotates the fields and
+    each instance is one big-integer add per row; rows above the instances
+    seen so far are still zero and are skipped.  Equivalent to enumerating
+    k-element index subsets (the test oracle).  top defaults to rank; rows
+    above it are zero.  The fields are field_width rounded up to whole 64-bit
+    words, so unpack_fields reads each row at C speed.
     """
+    l, rank = v.l, v.rank
+    top = rank if top is None else top
+    if top < 0:
+        raise ValueError("exterior degree must be non-negative")
+    words = -(-field_width(rank, top) // WORD)
+    width = words * WORD
     mask = (1 << (l * width)) - 1
-    top = live = len(rows) - 1
-    while not rows[live]:
-        live -= 1
-    for a, m in counts:
+    rows = [1] + [0] * top
+    live = 0
+    for a, m in enumerate(v.mult):
         up, down = a * width, (l - a) * width
         for _ in range(m):
             if live < top:
@@ -307,25 +303,6 @@ def extend_rows(rows: list[int], l: int, width: int, counts) -> None:
             for j in range(live, 0, -1):
                 r = rows[j - 1]
                 rows[j] += ((r << up) | (r >> down)) & mask
-
-
-def exterior_table(v: CharRep, top: int | None = None) -> list[tuple[int, ...]]:
-    """Multiplicity vectors of Lambda^0 v, ..., Lambda^top v from one DP pass.
-
-    Expands the product of (1 + t*x^a) over the rank(v) exponent instances
-    in Z[x]/(x^l - 1) with extend_rows; row k is the coefficient of t^k.
-    Equivalent to enumerating k-element index subsets (the test oracle).
-    top defaults to rank; rows above it are zero.  The fields are
-    field_width rounded up to whole 64-bit words, so unpack_fields reads
-    each row at C speed.
-    """
-    l, rank = v.l, v.rank
-    top = rank if top is None else top
-    if top < 0:
-        raise ValueError("exterior degree must be non-negative")
-    words = -(-field_width(rank, top) // WORD)
-    rows = [1] + [0] * top
-    extend_rows(rows, l, words * WORD, enumerate(v.mult))
     # each tuple is built from a list, not a generator: a generator's tuple is
     # allocated at a guessed length and shrunk, and once freed it waits in the
     # free list of its final length until a full garbage collection, which a

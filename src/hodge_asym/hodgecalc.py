@@ -52,13 +52,8 @@ class HodgePolynomial(Record):
     """
 
     coeffs: tuple[tuple[tuple[int, int], int | DPoly], ...]
-    bound: int | None
-    unknown: frozenset[tuple[int, int]]
-
-    def __init__(self, coeffs, bound=None, unknown=frozenset()) -> None:
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "unknown", unknown)
+    bound: int | None = None
+    unknown: frozenset[tuple[int, int]] = frozenset()
 
     @staticmethod
     def create(coeffs: dict, bound: int | None = None, unknown=()) -> "HodgePolynomial":
@@ -331,11 +326,7 @@ class DPoly(Record):
     """
 
     nums: tuple[int, ...]  # ascending powers, no trailing zeros
-    den: int
-
-    def __init__(self, nums, den=1) -> None:
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
+    den: int = 1
 
     @staticmethod
     def _reduced(nums: list[int], den: int) -> "DPoly":
@@ -471,12 +462,8 @@ def opaque_symbol(i: int, j: int) -> str:
 class DeltaExpr(Record):
     """Polynomial in d whose coefficients are combinations of 1 and opaque symbols."""
 
-    exact: DPoly
-    opaque: tuple[tuple[str, DPoly], ...]
-
-    def __init__(self, exact=DPoly(()), opaque=()) -> None:
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "opaque", opaque)
+    exact: DPoly = DPoly(())
+    opaque: tuple[tuple[str, DPoly], ...] = ()
 
     @staticmethod
     def create(exact: DPoly, opaque: dict[str, DPoly] | None = None) -> "DeltaExpr":
@@ -537,15 +524,6 @@ class SpecialFiberFix(Record):
     composed_h03: int
     composed_delta30: int
     closed_forms_ok: bool
-
-    def __init__(
-        self, l_factor, composed_h30, composed_h03, composed_delta30, closed_forms_ok
-    ) -> None:
-        object.__setattr__(self, "l_factor", l_factor)
-        object.__setattr__(self, "composed_h30", composed_h30)
-        object.__setattr__(self, "composed_h03", composed_h03)
-        object.__setattr__(self, "composed_delta30", composed_delta30)
-        object.__setattr__(self, "closed_forms_ok", closed_forms_ok)
 
     @property
     def symmetric(self) -> bool:

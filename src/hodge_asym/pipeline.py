@@ -150,10 +150,6 @@ class QuotientData(Record):
     h_i0: tuple[int, int, int, int]
     h_0j: tuple[int, int, int, int]
 
-    def __init__(self, h_i0, h_0j) -> None:
-        object.__setattr__(self, "h_i0", h_i0)
-        object.__setattr__(self, "h_0j", h_0j)
-
     @property
     def delta30(self) -> int:
         return self.h_i0[3] - self.h_0j[3]
@@ -193,13 +189,8 @@ def quotient_bookkeeping(z_diamond: HodgePolynomial) -> QuotientData:
 
 class AuxCase(Record):
     kind: str                      # "none" | "tower" | "p1_power"
-    n: int | None
-    s: int | None
-
-    def __init__(self, kind, n=None, s=None) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "s", s)
+    n: int | None = None
+    s: int | None = None
 
     def serialize(self) -> dict:
         if self.kind == "tower":
@@ -252,23 +243,6 @@ class ConstructionCertificate(Record):
     d_policy: dict
     checks: tuple[tuple[str, bool], ...]
     embellishments: dict
-
-    def __init__(
-        self, inputs, cm, z_diamond, slice3_pre, slice3, quotient, aux_case, delta_result,
-        d_policy, checks, embellishments
-    ) -> None:
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "cm", cm)
-        object.__setattr__(self, "z_diamond", z_diamond)
-        object.__setattr__(self, "slice3_pre", slice3_pre)
-        object.__setattr__(self, "slice3", slice3)
-        object.__setattr__(self, "quotient", quotient)
-        object.__setattr__(self, "aux_case", aux_case)
-        object.__setattr__(self, "delta_result", delta_result)
-        object.__setattr__(self, "d_policy", d_policy)
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "embellishments", embellishments)
-        self.__post_init__()
 
     @property
     def target(self) -> tuple[int, int]:

@@ -50,11 +50,6 @@ class PolygonData(Record):
     hodge: tuple[int, ...]
     newton: tuple[tuple[Fraction, int], ...]
 
-    def __init__(self, n, hodge, newton) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "hodge", hodge)
-        object.__setattr__(self, "newton", newton)
-
     @staticmethod
     def create(n: int, hodge, newton) -> "PolygonData":
         hv = _hodge_vector(hodge, n)

@@ -15,10 +15,13 @@ symmetric Hodge vectors, about half with the passing slope n/2.  Each
 example runs in its own interpreter, one at a time, and must exit 0, 1 or
 2, write no traceback, and use at most CPU_LIMIT_S of CPU time (user plus
 system, read as tests/test_input_errors.py reads it); TIMEOUT_S guards a
-hang.  Seed and example count are fixed, so a run repeats; it ends by
-printing how often each subcommand exited with each code and, beside its
-exit 2, how many distinct refusals it reached: the ``error:`` lines of its
-exit-2 runs with their digits stripped.  A subcommand
+hang.  Seed and example count are fixed, so a run of this script repeats.
+Reached through an import instead (a module that imports this one and calls
+main()), the same seed draws other examples, so compare tallies only between
+runs of the script itself.  A run ends by printing how often each
+subcommand exited with each code and, beside its exit 2, how many distinct
+refusals it reached: the ``error:`` lines of its exit-2 runs with their
+digits stripped.  A subcommand
 that never exits 0, or never 2, is a finding too, as is a golden or
 verify-polygon that never exits 1: the run then reached none of that
 command's successes, refusals or failed checks (FLOOR).  Each input it

@@ -89,16 +89,16 @@ MUTANTS = (
     Mutant("candidate-index-off-by-one", "cmbuild.py",
            "TypicalSearchResult(u, r0, r1, layer_count, idx)",
            "TypicalSearchResult(u, r0, r1, layer_count, idx + 1)", SEARCH),
-    # extend_rows and field widths, behind exterior_table
+    # exterior_table's DP and field widths
     Mutant("field-width-2-bits-short", "cyclochar.py",
            "min(top, rank // 2)).bit_length() + 1", "min(top, rank // 2)).bit_length() - 1",
            ("test_cyclochar.py", "test_diamond_kernel.py", *SEARCH)),
     Mutant("field-width-3-bits-short", "cyclochar.py",
            "min(top, rank // 2)).bit_length() + 1", "min(top, rank // 2)).bit_length() - 2",
            ("test_cyclochar.py", "test_diamond_kernel.py", *SEARCH)),
-    Mutant("extend-rows-live-not-raised", "cyclochar.py",
+    Mutant("table-dp-live-not-raised", "cyclochar.py",
            "live += 1", "live += 0", ("test_cyclochar.py", *SEARCH)),
-    Mutant("extend-rows-rows-upward", "cyclochar.py",
+    Mutant("table-dp-rows-upward", "cyclochar.py",
            "for j in range(live, 0, -1):", "for j in range(1, live + 1):",
            ("test_cyclochar.py", *SEARCH)),
     Mutant("dual-keeps-exponents", "cyclochar.py",
@@ -143,8 +143,11 @@ MUTANTS = (
            "return self.__class__(**values)",
            "new = object.__new__(self.__class__)\n        new.__dict__.update(values)\n"
            "        return new", RECORDS),
-    Mutant("certificate-init-skips-checks", "pipeline.py",
-           "        self.__post_init__()\n", "", ("test_pipeline.py", *RECORDS)),
+    Mutant("record-init-skips-post-init", "record.py",
+           'body.append("    self.__post_init__()")', "pass", ("test_pipeline.py", *RECORDS)),
+    Mutant("record-init-ignores-defaults", "record.py",
+           "init.__defaults__ = tuple(cls.__dict__[name] for name in fields if name in cls.__dict__)",
+           "init.__defaults__ = None", RECORDS),
     # certificate algebra and bytes
     Mutant("DPoly-negation-drops-denominator", "hodgecalc.py",
            "return DPoly(tuple([-c for c in self.nums]), self.den)",

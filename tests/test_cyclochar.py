@@ -107,7 +107,7 @@ def test_exterior_power_examples():
 
 
 def test_exterior_table_expands_large_multiplicities_by_binomials():
-    # a multiplicity above the top row: extend_rows steps once per instance,
+    # a multiplicity above the top row: the table's DP steps once per instance,
     # and from step top on every step reaches the top row, which must not overflow
     rng = random.Random(17)
     for _ in range(30):

@@ -5,6 +5,7 @@ import pytest
 from hodge_asym import cmbuild, hodgecalc, pipeline, polygons
 from hodge_asym.cyclochar import CharRep, PrimeContext
 from hodge_asym.hodgecalc import DeltaExpr, DPoly, HodgePolynomial
+from hodge_asym.pipeline import AuxCase
 from hodge_asym.record import Record
 
 
@@ -12,18 +13,10 @@ class Pair(Record):
     a: int
     b: int
 
-    def __init__(self, a: int, b: int) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
 
 class OtherPair(Record):
     a: int
     b: int
-
-    def __init__(self, a: int, b: int) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
 
 
 def records():
@@ -112,3 +105,39 @@ def test_cached_lookup_leaves_equality_alone():
     twin = HodgePolynomial.create({(1, 1): 3, (0, 0): 1})
     assert h.coeff(1, 1) == 3  # fills h's cached lookup only
     assert h == twin and hash(h) == hash(twin)
+
+
+def test_class_level_values_are_the_defaults():
+    assert DPoly((1,)).den == 1 and DPoly((1,)) == DPoly((1,), 1)
+    assert AuxCase("none").n is None and AuxCase("none").s is None
+    assert DeltaExpr().exact == DPoly(()) and DeltaExpr().opaque == ()
+    h = HodgePolynomial((((0, 0), 1),))
+    assert h.bound is None and h.unknown == frozenset()
+
+
+def test_the_built_init_takes_each_field_once_by_position_or_name():
+    assert Pair(1, b=2) == Pair(a=1, b=2) == Pair(1, 2)
+    with pytest.raises(TypeError):
+        Pair(1)  # a missing field
+    with pytest.raises(TypeError):
+        Pair(1, 2, c=3)  # an unknown keyword
+    with pytest.raises(TypeError):
+        Pair(1, 2, a=3)  # a repeated argument
+    with pytest.raises(TypeError):
+        Pair(1, 2, 3)
+    with pytest.raises(TypeError):
+        DPoly()  # only the defaulted fields may be left out
+
+
+def test_a_record_class_may_not_write_its_own_init():
+    with pytest.raises(TypeError, match="built from its fields"):
+        class Written(Record):
+            a: int
+            b: int
+
+            def __init__(self, a, b):
+                pass
+    with pytest.raises(TypeError, match="follows one with a default"):
+        class Misordered(Record):
+            a: int = 0
+            b: int
