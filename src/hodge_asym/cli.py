@@ -419,23 +419,29 @@ def regenerate(stored) -> dict:
     return pipeline.serialize_certificate(cert)
 
 
-def cmd_certify(args) -> int:
-    t0 = time.monotonic()
-    stored_text = read_input(args.certificate)
+def replay(stored_text: str) -> tuple[dict, str | None]:
+    """The certificate regenerated from a stored text, and None when its dumps
+    text is the stored text byte for byte, else their mismatch: certify and
+    golden both compare here.  Parsing and regeneration raise as they do."""
     stored = load_json(stored_text)
     fresh = regenerate(stored)
     fresh_text = dumps(fresh)
-    match = fresh_text == stored_text
+    return fresh, None if fresh_text == stored_text else mismatch(stored, stored_text, fresh_text)
+
+
+def cmd_certify(args) -> int:
+    t0 = time.monotonic()
+    fresh, why = replay(read_input(args.certificate))
     checks = [dict(c) for c in fresh["checks"]]
-    checks.append({"name": "stored-matches-recomputation", "passed": match})
-    results = {} if match else {"first_difference": mismatch(stored, stored_text, fresh_text)}
+    checks.append({"name": "stored-matches-recomputation", "passed": why is None})
+    results = {} if why is None else {"first_difference": why}
     rep = report("certify", {"certificate": args.certificate}, results, checks, t0)
     if args.format == "json":
         _print(dumps(rep))
     else:
         _print(render_checks(checks))
-        if not match:  # under the failed check
-            _print(f"    {results['first_difference']}")
+        if why is not None:  # under the failed check
+            _print(f"    {why}")
     return 0 if rep["passed"] else 1
 
 
@@ -500,13 +506,11 @@ def cmd_golden(args) -> int:
     for path in files:
         stored_text = read_input(path)
         try:
-            stored = load_json(stored_text)
-            fresh_text = dumps(regenerate(stored))
+            why = replay(stored_text)[1]
         except Exception as e:  # regeneration itself failed
-            failures.append((path.name, f"regeneration error: {e}"))
-            continue
-        if fresh_text != stored_text:
-            failures.append((path.name, mismatch(stored, stored_text, fresh_text)))
+            why = f"regeneration error: {e}"
+        if why is not None:
+            failures.append((path.name, why))
     for name, why in failures:
         _print(f"MISMATCH {name}: {why}")
     _print(f"golden: {len(files) - len(failures)}/{len(files)} certificates match")

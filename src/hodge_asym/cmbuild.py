@@ -476,17 +476,17 @@ def degree3_slices(z: CMData, diamond: HodgePolynomial) -> tuple[tuple[int, ...]
 def build_cm(p: int, l: int | None = None, selector: str = "default") -> CMData:
     """End-to-end: companion prime, V, typical search, oriented assembly.
 
-    Refuses an l above WALK_COST_CAP before V is built, and a diamond cost
-    dim^2 * l above DIAMOND_COST_CAP before the assembly and the diamond.
+    Refuses a diamond cost dim^2 * l above DIAMOND_COST_CAP before V is built:
+    dim = l - 1 before the search, as V and the first layer, where the search
+    stops for every class the cap admits (tests/test_cmbuild.py), each have
+    rank (l-1)/2.  The cap admits only l <= 157, far under WALK_COST_CAP.
     """
     ctx = PrimeContext.create(p, l) if l is not None else find_l(p)
-    check_walk_cost(ctx.l)
-    v = build_V(ctx, selector)
-    result = search_typical_U(v, ctx)
-    dim = v.rank + result.U.rank
+    dim = ctx.l - 1
     if dim * dim * ctx.l > DIAMOND_COST_CAP:
         raise ValueError(
             f"diamond cost dim^2*l = {dim}^2*{ctx.l} is above the cap "
             f"DIAMOND_COST_CAP={DIAMOND_COST_CAP}"
         )
-    return assemble_Z(v, result, ctx)
+    v = build_V(ctx, selector)
+    return assemble_Z(v, search_typical_U(v, ctx), ctx)

@@ -183,17 +183,18 @@ class CharRep(Record):
     @staticmethod
     def from_text(text: str) -> "CharRep":
         head, _, body = text.partition(";")
-        head = head.strip()
-        if not head.startswith("l="):
-            raise ValueError(f"bad CharRep text {text!r}")
-        l = int(head[2:])
-        mults: dict[int, int] = {}
-        body = body.strip()
-        if body:
-            for item in body.split(","):
+        head, body, what = head.strip(), body.strip(), f"text {text!r}"
+        try:
+            if not head.startswith("l="):
+                raise ValueError
+            l, mults = int(head[2:]), {}
+            for item in body.split(",") if body else ():
+                what = f"item {item!r}"
                 a_s, _, m_s = item.partition(":")
                 a = int(a_s)
                 mults[a] = mults.get(a, 0) + int(m_s)
+        except ValueError as e:
+            raise ValueError(f"bad CharRep {what}") from e
         return CharRep.from_dict(l, mults)
 
     def __repr__(self) -> str:  # compact, mirrors the text form

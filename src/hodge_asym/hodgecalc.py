@@ -137,11 +137,6 @@ def product(h1: HodgePolynomial, h2: HodgePolynomial) -> HodgePolynomial:
     return HodgePolynomial(tuple(cells), bound)
 
 
-def delta(h, i: int, j: int) -> int:
-    """The asymmetry h^{i,j} - h^{j,i} of a polynomial or series."""
-    return h.coeff(i, j) - h.coeff(j, i)
-
-
 # ---------------------------------------------------------------------------
 # standard diamonds and constructions
 

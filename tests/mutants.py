@@ -120,6 +120,8 @@ MUTANTS = (
            "if c < 0:", "if False:", SEARCH),
     Mutant("diamond-cap-removed", "cmbuild.py",
            "if dim * dim * ctx.l > DIAMOND_COST_CAP:", "if False:", ("test_cmbuild.py",)),
+    Mutant("diamond-cap-from-V-alone", "cmbuild.py",
+           "dim = ctx.l - 1", "dim = (ctx.l - 1) // 2", ("test_cmbuild.py",)),
     Mutant("p-cap-removed", "cyclochar.py", "if p > P_CAP:", "if False:", ERRORS),
     Mutant("modulus-cap-removed", "cyclochar.py", "if l > MODULUS_CAP:", "if False:", ERRORS),
     Mutant("hodge-table-cap-removed", "hodgecalc.py",
@@ -152,6 +154,10 @@ MUTANTS = (
     Mutant("DPoly-negation-drops-denominator", "hodgecalc.py",
            "return DPoly(tuple([-c for c in self.nums]), self.den)",
            "return DPoly(tuple([-c for c in self.nums]))", ("test_dpoly_property.py",)),
+    Mutant("replay-compares-parsed-data", "cli.py",
+           "fresh_text == stored_text", "load_json(fresh_text) == stored",
+           ("test_cli.py::test_golden_corrupted_and_empty",
+            "test_cli.py::test_certify_compares_bytes")),
     Mutant("phi-per-layer-reversed", "cmbuild.py",
            '"phi_per_layer": [sorted(phi) for phi in phis]',
            '"phi_per_layer": [sorted(phi, reverse=True) for phi in phis]',

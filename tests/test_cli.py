@@ -422,7 +422,6 @@ def fresh_cli(*argv: str, **env: str) -> tuple[subprocess.CompletedProcess, floa
     """The CLI run in a fresh interpreter with extra environment variables,
     and the CPU seconds, user and system, that the child used."""
     env = dict(os.environ, PYTHONPATH=str(Path(hodge_asym.__file__).resolve().parents[1]), **env)
-    env.pop("HODGE_ASYM_SEED", None)
     usage0 = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run([sys.executable, "-m", "hodge_asym", *argv],
                           capture_output=True, text=True, env=env, timeout=60)

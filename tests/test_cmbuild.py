@@ -7,7 +7,6 @@ from hodge_asym import cmbuild
 from hodge_asym.cmbuild import (
     DIAMOND_COST_CAP,
     MAX_LAYERS,
-    SELECTORS,
     EqualRanks,
     TypicalSearchResult,
     assemble_Z,
@@ -35,8 +34,8 @@ from hodge_asym.cyclochar import (
     invariants_rank,
     is_prime,
     is_typical,
-    multiplicative_order,
 )
+import sweep_classes
 from oracles import pair_tensor, subgroup_coset_V, subset_exterior, triple_invariants
 
 
@@ -344,15 +343,24 @@ def test_every_admissible_input_stops_at_the_first_candidate():
     # search's MAX_LAYERS limit is never reached from a certificate.
     assert 156 ** 2 * 157 <= DIAMOND_COST_CAP < 162 ** 2 * 163
     cases = 0
-    for l in filter(is_prime, range(5, 158)):
-        for r in range(2, l):
-            if multiplicative_order(r, l) % 4 != 0:
-                continue
-            ctx = PrimeContext.create(next(filter(is_prime, itertools.count(r, l))), l)
-            for selector in SELECTORS:
-                v = build_V(ctx, selector)
-                assert v == subgroup_coset_V(ctx, selector), (ctx.p, l, selector)
-                _, r0, r1 = next(candidate_walk(v, ctx, 1))
-                assert r0 != r1, (ctx.p, l, selector)
-                cases += 1
+    for ctx, selector in sweep_classes.classes(157):
+        v = build_V(ctx, selector)
+        assert v == subgroup_coset_V(ctx, selector), (ctx.p, ctx.l, selector)
+        _, r0, r1 = next(candidate_walk(v, ctx, 1))
+        assert r0 != r1, (ctx.p, ctx.l, selector)
+        cases += 1
     assert cases == 1612
+
+
+def test_diamond_cap_is_decided_before_V_is_built(monkeypatch):
+    # dim = l - 1 is known from l alone, so a refused l builds no V and walks
+    # no candidate; at l=2801 the search alone takes ~0.13 s
+    def refuse(*_):
+        raise AssertionError("build_V reached")
+
+    monkeypatch.setattr(cmbuild, "build_V", refuse)
+    with pytest.raises(ValueError) as err:
+        build_cm(2, l=2801)
+    assert str(err.value) == (
+        f"diamond cost dim^2*l = 2800^2*2801 is above the cap DIAMOND_COST_CAP={DIAMOND_COST_CAP}"
+    )

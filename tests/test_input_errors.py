@@ -82,6 +82,17 @@ def test_verify_polygon_names_a_bad_newton_item(newton, item, capsys):
     assert out == "" and err == f"error: bad newton item {item!r}\n"
 
 
+@pytest.mark.parametrize("text,why", [
+    ("l=x;", "bad CharRep text 'l=x;'"),
+    ("l=5; 1:a", "bad CharRep item '1:a'"),
+    ("l=5; 1", "bad CharRep item '1'"),
+    ("l=5; :1", "bad CharRep item ':1'"),
+])
+def test_search_typical_names_a_bad_V_item(text, why, capsys):
+    assert main(["search-typical", "--p", "2", "--V", text]) == 2
+    assert capsys.readouterr() == ("", f"error: {why}\n")
+
+
 def test_construct_refuses_unknown_embellishment():
     with pytest.raises(ValueError, match="unknown embellishment 'bogus'"):
         pipeline.construct(2, 3, 0, embellishments=["bogus"])
@@ -192,9 +203,9 @@ def test_search_typical_refuses_a_modulus_above_the_cap(argv):
     (["hodge", "hypersurface", "--d", "100000", "--n", "5"], f"TABLE_COST_CAP={TABLE_COST_CAP}"),
     (["search-typical", "--p", "2", "--l", "100049", "--layer-count", "0"],
      f"WALK_COST_CAP={WALK_COST_CAP}"),
-    # the certificate search walks before the diamond cap is checked
+    # the diamond cap is decided from l before the certificate search walks
     (["construct", "--p", "3", "--i", "4", "--j", "2", "--l", "10009"],
-     f"WALK_COST_CAP={WALK_COST_CAP}"),
+     f"DIAMOND_COST_CAP={DIAMOND_COST_CAP}"),
     (["construct", "--p", "2", "--i", "100000", "--j", "0"],
      f"TARGET_DEGREE_CAP={TARGET_DEGREE_CAP}"),
     (["construct", "--p", "2", "--i", "1000", "--j", "998"],
@@ -222,8 +233,12 @@ def test_costly_inputs_exit_2_naming_the_cap(argv, cap):
 ])
 def test_walk_cap_is_refused_before_V_is_built(argv):
     # building V and its dual and twist at l = 999,961 took 0.5-0.6 s of the
-    # child's CPU on a 2-vCPU machine; start-up and the refusal take ~0.07 s
-    assert_refused_naming(f"WALK_COST_CAP={WALK_COST_CAP}", *argv, cpu_s=0.3)
+    # child's CPU on a 2-vCPU machine; start-up and the refusal take ~0.07 s.
+    # build_cm decides its diamond cap from l first, so only search-typical
+    # reaches the walk cap
+    cap = (f"WALK_COST_CAP={WALK_COST_CAP}" if argv[0] == "search-typical"
+           else f"DIAMOND_COST_CAP={DIAMOND_COST_CAP}")
+    assert_refused_naming(cap, *argv, cpu_s=0.3)
 
 
 @pytest.mark.parametrize("argv", [
