@@ -61,12 +61,15 @@ class HodgePolynomial(Record):
             raise ValueError("bound must be non-negative")
         unknown = frozenset(unknown)
         symbolic = DPoly in set(map(type, coeffs.values()))
+        # a symbolic table holds one DPoly per distinct value, shared by its equal cells
+        shared: dict[DPoly, DPoly] = {}
         out: dict[tuple[int, int], int | DPoly] = {}
         for (i, j), c in coeffs.items():
             if i < 0 or j < 0:
                 raise ValueError(f"negative bidegree ({i},{j})")
             if symbolic:
                 c = c if type(c) is DPoly else DPoly.constant(c)
+                c = shared.setdefault(c, c)
             elif c < 0:
                 raise ValueError(f"negative coefficient {c} at ({i},{j})")
             if c:
@@ -92,8 +95,10 @@ class HodgePolynomial(Record):
     def is_symmetric(self) -> bool:
         """h^{i,j} = h^{j,i} on every tracked cell, and the untracked cells
         are closed under (i, j) -> (j, i)."""
-        d = self._lookup
-        return all(d.get((j, i), 0) == c for (i, j), c in d.items()) and all(
+        # cells are sorted and nonzero, so a symmetric table is its own transpose
+        # re-sorted; comparing those keeps no lookup dict alive on a cached factor
+        transposed = sorted([((j, i), c) for (i, j), c in self.coeffs], key=itemgetter(0))
+        return tuple(transposed) == self.coeffs and all(
             (j, i) in self.unknown for (i, j) in self.unknown
         )
 
@@ -409,9 +414,14 @@ class DPoly(Record):
             raise ValueError(f"non-integer value {v} at d={d}")
         return v.numerator
 
+    @cached_property
+    def _ratios(self) -> tuple[int | str, ...]:
+        # each coefficient over den, reduced once for both serialize and display
+        return tuple([_ratio(c, self.den) for c in self.nums])
+
     def serialize(self) -> list:
         """Ascending coefficients; integers plain, other rationals as 'num/den'."""
-        return [_ratio(c, self.den) for c in self.nums]
+        return list(self._ratios)
 
     @staticmethod
     def deserialize(items) -> "DPoly":
@@ -420,13 +430,14 @@ class DPoly(Record):
     def display(self) -> str:
         if not self:
             return "0"
-        den = self.den
+        ratios = self._ratios
         parts = []
         for t in range(self.degree, -1, -1):
             c = self.nums[t]
             if c == 0:
                 continue
-            mag = _ratio(abs(c), den)
+            ratio = ratios[t]
+            mag = abs(ratio) if type(ratio) is int else ratio.lstrip("-")
             mono = "" if t == 0 else ("d" if t == 1 else f"d^{t}")
             if mono and mag == 1:
                 body = mono

@@ -11,6 +11,8 @@ the certificate to be emitted.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import cmbuild
 from .cmbuild import CMData, degree_slice
 from .cyclochar import invariants_rank, exterior_power
@@ -37,6 +39,10 @@ CERTIFICATE_SCHEMA = "hodge-asym/certificate/v1"
 # of dimension 396; the certificate with the most blow-ups, (201,199), took
 # 4.5 ms (the tower's cost grows about as (i + j)^2, on int lists)
 TARGET_DEGREE_CAP = 400
+# entries kept by each of the two auxiliary-factor caches; the small-certs targets
+# (i + j <= 20) reach 83 shapes, which together retain under 300 KB; one factor at
+# the top of TARGET_DEGREE_CAP, symbolic_tower(397, 0), retains up to ~200 KB
+SYMBOLIC_CACHE_SIZE = 128
 
 
 class StructuralViolation(Exception):
@@ -82,11 +88,17 @@ def symbolic_hypersurface(n: int) -> HodgePolynomial:
     return HodgePolynomial.create(known, unknown=unknown)
 
 
+# The auxiliary factors depend only on the target's shape, never on p, l or the
+# diamond, and are immutable, so each is built once per shape and then shared.
+
+
+@lru_cache(maxsize=SYMBOLIC_CACHE_SIZE)
 def symbolic_tower(n: int, s: int) -> HodgePolynomial:
     """The blow-up tower's diamond with the hypersurface degree left formal."""
     return iterated_blow_up(symbolic_hypersurface(n), n, s)
 
 
+@lru_cache(maxsize=SYMBOLIC_CACHE_SIZE)
 def symbolic_p1_power(max_r: int) -> HodgePolynomial:
     """Diagonal cells of the d-fold power of the projective line: h^{r,r} = C(d,r)."""
     cells = {(r, r): DPoly.binomial_linear(r, 1, 0) for r in range(max_r + 1)}
