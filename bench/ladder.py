@@ -28,9 +28,14 @@ items:
 - one in-process ``cli.main`` pair, ``construct --p 2 --i I --j J --out F``
   then ``certify F`` (``l = 5``), for the targets in CLI_TARGETS, with
   standard output discarded;
+- ``cli.dumps(pipeline.serialize_certificate(pipeline.build_certificate(2, I, J)))``
+  for the targets in LARGE_TARGETS, near the top of ``TARGET_DEGREE_CAP``,
+  whose exact parts have degree up to 396;
 - ``pipeline.symbolic_tower(n, s)`` for SMALL_TOWER, the tower with the most
   blow-ups and cells among the small-certs targets (``i + j <= 20``), and for
-  CAP_TOWER, the tower with the most blow-ups under ``TARGET_DEGREE_CAP``;
+  CAP_TOWER, the tower with the most blow-ups under ``TARGET_DEGREE_CAP``: the
+  build itself, through ``__wrapped__`` where the tree caches the factors by
+  shape (elsewhere every item after its warm-up call reads a cached factor);
 - ``cli.dumps`` of the serialized certificate ``(2, 4, 2, l)`` for ``l`` in
   DUMPS_LS;
 - ``pipeline._diamond_checks`` with the isoclinic checks on the diamond at
@@ -79,7 +84,8 @@ LADDER = (5, 13, 29, 53, 61, 101, 157)
 SEARCH_SHAPES = ((13, 1), (13, 2), (13, 3), (17, 1), (17, 2))
 DIAMOND_LS = (61, 101, 157)
 POLYGON_L = 101
-CLI_TARGETS = ((4, 2), (12, 7), (20, 0))
+CLI_TARGETS = ((4, 2), (12, 7), (20, 0), (397, 3))
+LARGE_TARGETS = ((397, 3), (399, 1), (200, 3))
 SMALL_TOWER = (1, 8)  # target (12, 8): dimension 17, 20 cells
 CAP_TOWER = (1, 198)  # target (201, 199): dimension 397, 400 cells
 DUMPS_LS = (61, 101)
@@ -104,6 +110,7 @@ ITEMS = (
     + [("equivariant_diamond_ms", f"l{l}") for l in DIAMOND_LS]
     + [("newton_above_hodge_ms", f"l{POLYGON_L}")]
     + [("cli_pair_ms", f"i{i}_j{j}") for i, j in CLI_TARGETS]
+    + [("large_target_ms", f"i{i}_j{j}") for i, j in LARGE_TARGETS]
     + [("symbolic_tower_ms", "n{}_s{}".format(*tower)) for tower in (SMALL_TOWER, CAP_TOWER)]
     + [("dumps_ms", f"l{l}") for l in DUMPS_LS]
     + [("diamond_checks_ms", f"l{CHECKS_L}")]
@@ -167,8 +174,14 @@ def serve() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         out = str(Path(tmp) / "cert.json")
         calls += [lambda i=i, j=j: cli_pair(i, j, out) for i, j in CLI_TARGETS]
+        calls += [
+            lambda i=i, j=j: cli.dumps(
+                pipeline.serialize_certificate(pipeline.build_certificate(2, i, j)))
+            for i, j in LARGE_TARGETS
+        ]
+        build_tower = getattr(pipeline.symbolic_tower, "__wrapped__", pipeline.symbolic_tower)
         for tower in (SMALL_TOWER, CAP_TOWER):
-            calls.append(lambda tower=tower: pipeline.symbolic_tower(*tower))
+            calls.append(lambda tower=tower: build_tower(*tower))
         for l in DUMPS_LS:
             payload = pipeline.serialize_certificate(pipeline.build_certificate(2, 4, 2, l=l))
             calls.append(lambda payload=payload: cli.dumps(payload))

@@ -9,8 +9,11 @@ deeply nested or wrongly typed; every path points into a fresh temporary
 directory, and every file the CLI reads may also be /dev/zero or a sparse
 file one byte over cli.INPUT_BYTES_CAP.  So that valid input is common too,
 build-cm, search-typical and construct have a second branch over (p, l) pairs
-with 4 | ord(p mod l) (construct with a target of degree 3 to 12), hodge
-blowup-tower one over small legal towers, and verify-polygon draws
+with 4 | ord(p mod l) (construct with a target of degree 3 to 12), a quarter
+of them just above DIAMOND_COST_CAP or WALK_COST_CAP, certify one over the
+valid certificates and one whose recorded l is above DIAMOND_COST_CAP, hodge
+blowup-tower one over small legal towers, hodge product one over pairs
+of small non-negative tables, and verify-polygon draws
 symmetric Hodge vectors, about half with the passing slope n/2.  Each
 example runs in its own interpreter, one at a time, and must exit 0, 1 or
 2, write no traceback, and use at most CPU_LIMIT_S of CPU time (user plus
@@ -20,8 +23,8 @@ Reached through an import instead (a module that imports this one and calls
 main()), the same seed draws other examples, so compare tallies only between
 runs of the script itself.  A run ends by printing how often each
 subcommand exited with each code and, beside its exit 2, how many distinct
-refusals it reached: the ``error:`` lines of its exit-2 runs with their
-digits stripped.  A subcommand
+refusals it reached (the ``error:`` lines of its exit-2 runs with their
+digits stripped) and which named caps (``..._CAP``) they cite.  A subcommand
 that never exits 0, or never 2, is a finding too, as is a golden or
 verify-polygon that never exits 1: the run then reached none of that
 command's successes, refusals or failed checks (FLOOR).  Each input it
@@ -111,12 +114,14 @@ def mutated(texts) -> st.SearchStrategy:
                      st.text(alphabet='[]{}",:0123456789-.e ', max_size=3))
 
 
+def table_json(rows) -> str:
+    return json.dumps({"coeffs": [list(r) for r in rows]})
+
+
 coeff_rows = st.lists(st.tuples(log_ints, log_ints, log_ints), max_size=6)
-valid_tables = weighted(
-    (1, coeff_rows.map(lambda rows: json.dumps({"coeffs": [list(r) for r in rows]}))),
-    (3, st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 9)),
-                 max_size=12).map(lambda rows: json.dumps({"coeffs": [list(r) for r in rows]}))),
-)
+small_tables = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 9)),
+                        max_size=12).map(table_json)
+valid_tables = weighted((1, coeff_rows.map(table_json)), (3, small_tables))
 table_text = weighted(
     (4, valid_tables), (1, mutated(valid_tables)), (1, nested), (1, json_values.map(json.dumps)),
     (1, st.text(max_size=20)),
@@ -137,13 +142,21 @@ def opt(name: str, values) -> st.SearchStrategy:
     return weighted((7, values.map(lambda v: [f"--{name}={v}"])), (1, st.just([])))
 
 
-# (p, l) pairs that PrimeContext accepts, 4 | ord(p mod l), with l small enough
-# for build-cm and search-typical to get past their caps and build
-PRIME_PAIRS = [
-    (p, l) for p in range(2, 60) if is_prime(p)
-    for l in range(5, 102) if is_prime(l) and l != p and multiplicative_order(p, l) % 4 == 0
-]
-prime_pair = st.sampled_from(PRIME_PAIRS).map(lambda pl: [f"--p={pl[0]}", f"--l={pl[1]}"])
+def admissible(p: int, l: int) -> bool:
+    """PrimeContext accepts (p, l): l is a prime other than p and 4 | ord(p mod l)."""
+    return is_prime(l) and l != p and multiplicative_order(p, l) % 4 == 0
+
+
+# (p, l) pairs that PrimeContext accepts, with l small enough for build-cm and
+# search-typical to get past their caps and build
+PRIME_PAIRS = [(p, l) for p in range(2, 60) if is_prime(p) for l in range(5, 102)
+               if admissible(p, l)]
+# accepted pairs just above the cost caps: build-cm, construct and certify refuse
+# l >= 173 by DIAMOND_COST_CAP, and search-typical l >= 2833 by WALK_COST_CAP
+CAP_PAIRS = [(p, l) for p in range(2, 20) if is_prime(p) for l in (173, 181, 2833, 2837)
+             if admissible(p, l)]
+prime_pair = weighted((3, st.sampled_from(PRIME_PAIRS)), (1, st.sampled_from(CAP_PAIRS))).map(
+    lambda pl: [f"--p={pl[0]}", f"--l={pl[1]}"])
 
 
 def text_or_file(name: str, texts) -> st.SearchStrategy:
@@ -263,6 +276,8 @@ wrongly_typed = st.builds(
     st.lists(st.tuples(st.sampled_from(INPUT_KEYS), st.sampled_from(WRONG_TYPES)),
              min_size=1, max_size=3),
 )
+# a valid certificate whose recorded l is above DIAMOND_COST_CAP, which certify refuses
+OVER_CAP_CERT = edit_inputs(CERTS[0], [("l", 173)])
 certificate_text = st.one_of(
     st.sampled_from(CERTS),
     wrongly_typed,
@@ -306,6 +321,8 @@ commands = st.one_of(
             opt("bound", int_text), fmt),
     command("hodge product", text_or_file("left", table_text).map(lambda a: [a]),
             text_or_file("right", table_text).map(lambda a: [a]), fmt),
+    command("hodge product", st.tuples(small_tables, small_tables)
+            .map(lambda t: [f"--left={t[0]}", f"--right={t[1]}"]), fmt),
     command("construct", opt("p", prime_text), opt("i", small_text), opt("j", small_text),
             opt("l", prime_text), selector, opt("embellish", embellish),
             st.one_of(st.just([]), st.sampled_from([("path", "--out=", "cert.json"),
@@ -316,6 +333,8 @@ commands = st.one_of(
     command("construct", prime_pair, target, selector, opt("embellish", valid_embellish),
             fmt),
     command("certify", certificate_path.map(lambda a: [a]), fmt),
+    command("certify", st.sampled_from([*CERTS, OVER_CAP_CERT]).map(lambda t: [("file", "", t)]),
+            fmt),
     command("golden", corpus),
 )
 
@@ -412,7 +431,11 @@ def main() -> int:
     fuzz()
     missed = sorted(FLOOR - set(EXITS))
     for (name, code), count in sorted(EXITS.items()):
-        kinds = f" ({len(REFUSALS[name])} refusal kinds)" if code == 2 else ""
+        kinds = ""
+        if code == 2:
+            caps = {m.group() for k in REFUSALS[name] if (m := re.search(r"\w+_CAP\b", k))}
+            cited = ", ".join(sorted(caps)) or "none"
+            kinds = f" ({len(REFUSALS[name])} refusal kinds; caps: {cited})"
         print(f"  {name:<20} exit {code}: {count}{kinds}")
     for name, code in missed:
         print(f"FINDING: {name} never exited {code}")

@@ -154,6 +154,13 @@ MUTANTS = (
     Mutant("DPoly-negation-drops-denominator", "hodgecalc.py",
            "return DPoly(tuple([-c for c in self.nums]), self.den)",
            "return DPoly(tuple([-c for c in self.nums]))", ("test_dpoly_property.py",)),
+    Mutant("display-keeps-sign", "hodgecalc.py",
+           'mag = abs(ratio) if type(ratio) is int else ratio.lstrip("-")', "mag = ratio",
+           ("test_dpoly_property.py",)),
+    Mutant("ratios-unreduced", "hodgecalc.py",
+           "return tuple([_ratio(c, self.den) for c in self.nums])",
+           'return tuple([c if self.den == 1 else f"{c}/{self.den}" for c in self.nums])',
+           ("test_dpoly_property.py",)),
     Mutant("replay-compares-parsed-data", "cli.py",
            "fresh_text == stored_text", "load_json(fresh_text) == stored",
            ("test_cli.py::test_golden_corrupted_and_empty",

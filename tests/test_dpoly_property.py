@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hodge_asym.hodgecalc import DPoly
 from oracles import FractionDPoly
@@ -89,6 +89,20 @@ def test_bytes_and_text_with_negative_and_reducing_coefficients(coeffs):
     assert p.display() == pr.display()
     assert (-p).display() == (-pr).display()
     assert json.dumps((-p).serialize()) == json.dumps((-pr).serialize())
+
+
+@EXAMPLES
+@given(st.lists(numbers, min_size=1, max_size=6), st.booleans())
+def test_cached_ratios_give_the_reference_bytes_and_text(a, display_first):
+    # serialize and display read one cached tuple of signed ratios; display must
+    # strip the sign it prints apart, whichever of the two reads the tuple first
+    p, pr = DPoly.create(a), FractionDPoly.create(a)
+    assume(p.den > 1 and any(c < 0 for c in p.nums))
+    for poly, ref in ((p, pr), (-p, -pr)):
+        if display_first:
+            assert poly.display() == ref.display()
+        assert json.dumps(poly.serialize()) == json.dumps(ref.serialize())
+        assert poly.display() == ref.display()
 
 
 @EXAMPLES
