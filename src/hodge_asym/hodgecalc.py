@@ -428,6 +428,11 @@ class DPoly(Record):
         return DPoly.create([Fraction(str(c)) for c in items])
 
     def display(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        # built once: a certificate prints its exact part in d_policy and delta_result
         if not self:
             return "0"
         ratios = self._ratios

@@ -157,6 +157,9 @@ MUTANTS = (
     Mutant("display-keeps-sign", "hodgecalc.py",
            'mag = abs(ratio) if type(ratio) is int else ratio.lstrip("-")', "mag = ratio",
            ("test_dpoly_property.py",)),
+    Mutant("display-formats-each-call", "hodgecalc.py",
+           "return self._text", "return DPoly._text.func(self)",
+           ("test_symbolic_cache.py::test_each_exact_part_is_reduced_and_formatted_once",)),
     Mutant("ratios-unreduced", "hodgecalc.py",
            "return tuple([_ratio(c, self.den) for c in self.nums])",
            'return tuple([c if self.den == 1 else f"{c}/{self.den}" for c in self.nums])',

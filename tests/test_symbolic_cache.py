@@ -1,9 +1,9 @@
-"""The auxiliary factors are built once per shape, and each exact part reduced once.
+"""The auxiliary factors are built once per shape; each exact part is reduced and formatted once.
 
 pipeline.symbolic_tower and pipeline.symbolic_p1_power keep their results in
 one bounded LRU cache each: a factor depends only on the target's shape, so a
 cached factor must equal a fresh build.  DPoly keeps one tuple of reduced
-ratios that serialize and display both read.
+ratios, which serialize and display both read, and builds its text once.
 """
 
 from collections import Counter
@@ -51,7 +51,7 @@ def test_the_caches_stay_within_their_bound():
     assert info.currsize <= SYMBOLIC_CACHE_SIZE
 
 
-def test_each_exact_coefficient_is_reduced_once(monkeypatch):
+def test_each_exact_part_is_reduced_and_formatted_once(monkeypatch):
     # one construct, whose d_policy displays the exact part, then the certificate's
     # serialization, which serializes and displays it again
     calls = Counter()
@@ -69,4 +69,5 @@ def test_each_exact_coefficient_is_reduced_once(monkeypatch):
     assert expr.exact.degree >= 50
     assert sum(calls.values()) == sum(len(p.nums) for p in polys)
     assert calls == Counter((c, p.den) for p in polys for c in p.nums)
-    assert doc["d_policy"]["exact_d_part"] == expr.exact.display()
+    # and formats it once: d_policy holds the very text that display returns
+    assert doc["d_policy"]["exact_d_part"] is expr.exact.display()
