@@ -117,6 +117,13 @@ class HodgePolynomial(Record):
 def product(h1: HodgePolynomial, h2: HodgePolynomial) -> HodgePolynomial:
     """Coefficient convolution, truncated at the smaller bound of a series factor.
 
+    Each cell (i, j) is keyed by the int i*base + j, with base one more than
+    the largest j of a product cell: 1 + (largest j of h1) + (largest j of
+    h2).  Every product cell then has j < base, so the key of a sum is the
+    sum of the keys, int order is (i, j) order, and divmod(key, base) gives
+    the cell back.  base is only a stride between keys; nothing is sized by
+    it or by a bidegree, so a cell at (10**9, 0) costs what any cell costs.
+
     Each cell of h1 meets only the prefix of h2's cells, sorted by total
     degree, that stays within the bound.  A product of valid tables is valid,
     so it is built without create; only the zero cells that symbolic cells can
@@ -128,17 +135,19 @@ def product(h1: HodgePolynomial, h2: HodgePolynomial) -> HodgePolynomial:
         )
     bounds = [h.bound for h in (h1, h2) if h.bound is not None]
     bound = min(bounds, default=None)
+    base = 1 + sum(max([j for (_, j), _ in h.coeffs], default=0) for h in (h1, h2))
     right = sorted(h2.coeffs, key=lambda cell: cell[0][0] + cell[0][1])
     degrees = [i + j for (i, j), _ in right]
-    out: dict[tuple[int, int], int | DPoly] = {}
+    keyed = [(i * base + j, c) for (i, j), c in right]
+    out: dict[int, int | DPoly] = {}
     get = out.get
     for (i1, j1), c1 in h1.coeffs:
         end = len(right) if bound is None else bisect_right(degrees, bound - i1 - j1)
-        for (i2, j2), c2 in right[:end]:
-            k = (i1 + i2, j1 + j2)
+        k1 = i1 * base + j1
+        for k2, c2 in keyed[:end]:
+            k = k1 + k2
             out[k] = get(k, 0) + c1 * c2
-    # sorted by key alone: comparing whole (key, cell) items costs twice as much
-    cells = sorted(filter(itemgetter(1), out.items()), key=itemgetter(0))
+    cells = [(divmod(k, base), out[k]) for k in sorted(out) if out[k]]
     return HodgePolynomial(tuple(cells), bound)
 
 

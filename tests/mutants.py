@@ -52,6 +52,7 @@ class Mutant(NamedTuple):
 SEARCH = ("test_search_kernel.py",)
 ERRORS = ("test_input_errors.py",)
 RECORDS = ("test_record.py",)
+PRODUCT = ("test_product_property.py", "test_hodge_product_pins.py")
 
 MUTANTS = (
     # the candidate walk's prefixes: (1 + t x^a)^m truncated at t^3
@@ -150,6 +151,18 @@ MUTANTS = (
     Mutant("record-init-ignores-defaults", "record.py",
            "init.__defaults__ = tuple(cls.__dict__[name] for name in fields if name in cls.__dict__)",
            "init.__defaults__ = None", RECORDS),
+    # hodgecalc.product's int cell keys and truncated prefix
+    Mutant("product-stride-without-+1", "hodgecalc.py",
+           "base = 1 + sum(", "base = sum(", PRODUCT),
+    Mutant("product-decodes-(j,i)", "hodgecalc.py",
+           "divmod(k, base)", "divmod(k, base)[::-1]", PRODUCT),
+    Mutant("product-keeps-zero-cells", "hodgecalc.py",
+           "for k in sorted(out) if out[k]]", "for k in sorted(out)]",
+           ("test_product_property.py", "test_hodgecalc.py::test_symbolic_product_in_either_order")),
+    Mutant("product-prefix-one-degree-short", "hodgecalc.py",
+           "bisect_right(degrees, bound - i1 - j1)", "bisect_right(degrees, bound - i1 - j1 - 1)",
+           ("test_product_property.py",
+            "test_hodgecalc.py::test_product_against_naive_convolution_with_bounds")),
     # certificate algebra and bytes
     Mutant("DPoly-negation-drops-denominator", "hodgecalc.py",
            "return DPoly(tuple([-c for c in self.nums]), self.den)",

@@ -38,6 +38,22 @@ def test_find_l(capsys):
     assert code == 0 and out.strip() == "l=13 ord=12"
 
 
+def test_find_l_json_report(capsys):
+    code, out = run(capsys, "find-l", "--p", "11", "--format", "json")
+    assert code == 0
+    rep = json.loads(out)
+    assert out == dumps(rep)  # the report's own key order and layout
+    assert type(rep.pop("timing_ms")) is int
+    assert rep == {
+        "schema": "hodge-asym/report/v1",
+        "command": "find-l",
+        "inputs": {"p": 11, "bound": cmbuild.FIND_L_BOUND},
+        "results": {"l": 13, "ord": 12},
+        "checks": [],
+        "passed": True,
+    }
+
+
 def test_usage_errors(capsys):
     assert main(["find-l"]) == 2  # missing --p
     assert main(["find-l", "--p", "2", "--bound", "1000"]) == 2  # the bound is a constant
@@ -230,6 +246,12 @@ def test_golden_corrupted_and_empty(tmp_path, capsys):
     code, out = run(capsys, "golden", "--corpus", str(corpus))
     assert code == 1
     assert f"MISMATCH {src.name}: first difference at line 2\n" in out
+    # a file that cannot be regenerated is a mismatch, named with the error
+    target.write_text(dumps({"inputs": {"p": 4, "i": 3, "j": 0}}))
+    code, out = run(capsys, "golden", "--corpus", str(corpus))
+    assert code == 1
+    assert out == (f"MISMATCH {src.name}: regeneration error: p=4 is not prime\n"
+                   "golden: 0/1 certificates match\n")
     # a missing corpus is bad input: exit 2, the error on stderr alone
     missing = tmp_path / "missing"
     assert main(["golden", "--corpus", str(missing)]) == 2
@@ -320,6 +342,22 @@ def test_text_outputs(capsys):
     assert code == 0 and "W_omega" in out and not out.startswith("{")
     code, out = run(capsys, "search-typical", "--p", "2")
     assert code == 0 and out.count("r0=") == 4
+
+
+def test_construct_text_names_the_tower(capsys):
+    code, out = run(capsys, "construct", "--p", "2", "--i", "4", "--j", "2", "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:5] == [
+        "target h^{4,2} != h^{2,4}  (p=2, l=5)",
+        "degree-3 slice: (0, 5, 2, 1)   oriented=False",
+        "aux case: tower(n=1, s=1, ambient_dims=[3])",
+        "delta result: d^2 - 3*d + 2 + (2)*delta(3,1) + delta(4,2)",
+        "d policy: nonzero for all but at most 2 integer values of d",
+    ]
+    code, text = run(capsys, "construct", "--p", "2", "--i", "4", "--j", "2")
+    assert code == 0
+    assert lines[5:] == [f"  [PASS] {c['name']}" for c in json.loads(text)["checks"]]
 
 
 def test_malformed_json_shapes_exit_2(tmp_path, capsys):
