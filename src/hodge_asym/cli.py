@@ -362,10 +362,8 @@ def cmd_hodge(args) -> int:
 
 def cmd_construct(args) -> int:
     embellishments = [e for e in (args.embellish or "").split(",") if e]
-    cert = pipeline.construct(
-        args.p, args.i, args.j,
-        embellishments=embellishments,
-        l=args.l, selector=args.selector,
+    cert = pipeline.build_certificate(
+        args.p, args.i, args.j, l=args.l, selector=args.selector, embellishments=embellishments
     )
     payload = pipeline.serialize_certificate(cert)
     text = dumps(payload)
@@ -413,7 +411,7 @@ def regenerate(stored) -> dict:
     _check_certificate_inputs(stored)
     inp = stored["inputs"]
     options = {k: inp[k] for k in ("l", "selector") if k in inp}
-    cert = pipeline.construct(
+    cert = pipeline.build_certificate(
         inp["p"], inp["i"], inp["j"], embellishments=inp.get("embellish", []), **options
     )
     return pipeline.serialize_certificate(cert)

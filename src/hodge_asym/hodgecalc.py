@@ -147,7 +147,7 @@ def product(h1: HodgePolynomial, h2: HodgePolynomial) -> HodgePolynomial:
         for k2, c2 in keyed[:end]:
             k = k1 + k2
             out[k] = get(k, 0) + c1 * c2
-    cells = [(divmod(k, base), out[k]) for k in sorted(out) if out[k]]
+    cells = [(divmod(k, base), c) for k in sorted(out) if (c := out[k])]
     return HodgePolynomial(tuple(cells), bound)
 
 

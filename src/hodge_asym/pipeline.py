@@ -256,10 +256,6 @@ class ConstructionCertificate(Record):
     checks: tuple[tuple[str, bool], ...]
     embellishments: dict
 
-    @property
-    def target(self) -> tuple[int, int]:
-        return (self.inputs["i"], self.inputs["j"])
-
     def __post_init__(self):
         # a certificate exists only with every check passed
         if not self.all_passed():
@@ -307,16 +303,29 @@ def _diamond_checks(
     return checks
 
 
+EMBELLISHMENTS = ("special-fiber", "polarization")
+
+
 def build_certificate(
-    p: int, i: int, j: int, l: int | None = None, selector: str = "default"
+    p: int, i: int, j: int, l: int | None = None, selector: str = "default", embellishments=()
 ) -> ConstructionCertificate:
-    """Certificate for an object with h^{i,j} != h^{j,i}.
+    """Certificate for an object with h^{i,j} != h^{j,i}, with its embellishments.
 
     The auxiliary factor is chosen for the ordered pair; a transposed target
-    takes its sign from the ledger, where delta^{j,i} = -delta^{i,j}.
+    takes its sign from the ledger, where delta^{j,i} = -delta^{i,j}.  The
+    embellishments are attached in EMBELLISHMENTS order, each once; an
+    unknown name, or special-fiber on a target other than (3,0), is refused
+    before any work.
     """
     big, small = max(i, j), min(i, j)
     aux = choose_aux_case(big, small)
+    # unknown names sort last, in the order given
+    names = sorted(set(embellishments), key=(*EMBELLISHMENTS, *embellishments).index)
+    for which in names:
+        if which not in EMBELLISHMENTS:
+            raise ValueError(f"unknown embellishment {which!r}")
+        if which == "special-fiber" and (i, j) != (3, 0):
+            raise ValueError("special-fiber fix applies only to the (3,0) target")
 
     z = cmbuild.build_cm(p, l=l, selector=selector)
     diamond = cmbuild.equivariant_diamond(z)
@@ -367,6 +376,11 @@ def build_certificate(
         *_diamond_checks(diamond, z.dim, z.isoclinic()),
         *closing,
     ]
+    records = {}
+    for which in names:
+        key, record, extra = embellish(which, p, z, diamond, quot)
+        records[key] = record
+        checks += extra
 
     return ConstructionCertificate(
         inputs={
@@ -377,7 +391,7 @@ def build_certificate(
             "selector": selector,
             "max_layers": cmbuild.MAX_LAYERS,
             "bound": cmbuild.FIND_L_BOUND,
-            "embellish": [],
+            "embellish": names,
         },
         cm=z,
         z_diamond=diamond,
@@ -388,25 +402,18 @@ def build_certificate(
         delta_result=expr,
         d_policy=d_policy,
         checks=tuple(checks),
-        embellishments={},
+        embellishments=records,
     )
 
 
-EMBELLISHMENTS = ("special-fiber", "polarization")
-
-
-def embellish(cert: ConstructionCertificate, which: str) -> ConstructionCertificate:
-    """Attach a special-fiber symmetrization or a prime-to-p polarization record."""
-    if which not in EMBELLISHMENTS:
-        raise ValueError(f"unknown embellishment {which!r}")
-    p = cert.inputs["p"]
-    emb = dict(cert.embellishments)
-    checks = list(cert.checks)
+def embellish(
+    which: str, p: int, z: CMData, diamond: HodgePolynomial, quot: QuotientData
+) -> tuple[str, dict, list[tuple[str, bool]]]:
+    """The key, record and checks of a special-fiber symmetrization or a
+    prime-to-p polarization; build_certificate has refused any other name."""
     if which == "special-fiber":
-        if cert.target != (3, 0):
-            raise ValueError("special-fiber fix applies only to the (3,0) target")
-        fix = special_fiber_fix(cert.quotient.delta30, edge=cert.quotient.edge_dict())
-        emb["special_fiber"] = {
+        fix = special_fiber_fix(quot.delta30, edge=quot.edge_dict())
+        record = {
             "l_factor": fix.l_factor,
             "composed_h30": fix.composed_h30,
             "composed_h03": fix.composed_h03,
@@ -415,44 +422,29 @@ def embellish(cert: ConstructionCertificate, which: str) -> ConstructionCertific
             # so the generic-fiber asymmetry is untouched
             "generic_delta30_unchanged": True,
         }
-        checks.append(("special-fiber-series", fix.closed_forms_ok and fix.symmetric))
-    else:
-        h_top, k, dim = 1, 1, 2 * cert.cm.dim
-        n = polarization_degree_search(h_top, k, dim, p)
-        value = polarization_value(h_top, k, dim, n)
-        blown = blow_up(cert.z_diamond, HodgePolynomial.one(), cert.cm.dim - 1)
-        # a point blow-up adds cells (t, t) only: every other cell must stay
-        offdiag_ok = [cell for cell in blown.coeffs if cell[0][0] != cell[0][1]] == [
-            cell for cell in cert.z_diamond.coeffs if cell[0][0] != cell[0][1]
+        return "special_fiber", record, [
+            ("special-fiber-series", fix.closed_forms_ok and fix.symmetric)
         ]
-        emb["polarization"] = {
-            "h_top": h_top,
-            "k": k,
-            "dim": dim,
-            "n": n,
-            "value": value,
-            "value_mod_p": value % p,
-        }
-        checks.append(("polarization-prime-to-p", value % p != 0))
-        checks.append(("polarization-offdiagonal-invariance", offdiag_ok))
-
-    emb_list = list(cert.inputs["embellish"])
-    if which not in emb_list:
-        emb_list.append(which)
-    return cert.replace(
-        inputs={**cert.inputs, "embellish": emb_list},
-        checks=tuple(checks),
-        embellishments=emb,
-    )
-
-
-def construct(p: int, i: int, j: int, embellishments=(), **options) -> ConstructionCertificate:
-    """build_certificate plus requested embellishments, in canonical order."""
-    cert = build_certificate(p, i, j, **options)
-    # unknown names sort last and reach embellish, which refuses them
-    for which in sorted(set(embellishments), key=(*EMBELLISHMENTS, *embellishments).index):
-        cert = embellish(cert, which)
-    return cert
+    h_top, k, dim = 1, 1, 2 * z.dim
+    n = polarization_degree_search(h_top, k, dim, p)
+    value = polarization_value(h_top, k, dim, n)
+    blown = blow_up(diamond, HodgePolynomial.one(), z.dim - 1)
+    # a point blow-up adds cells (t, t) only: every other cell must stay
+    offdiag_ok = [cell for cell in blown.coeffs if cell[0][0] != cell[0][1]] == [
+        cell for cell in diamond.coeffs if cell[0][0] != cell[0][1]
+    ]
+    record = {
+        "h_top": h_top,
+        "k": k,
+        "dim": dim,
+        "n": n,
+        "value": value,
+        "value_mod_p": value % p,
+    }
+    return "polarization", record, [
+        ("polarization-prime-to-p", value % p != 0),
+        ("polarization-offdiagonal-invariance", offdiag_ok),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -70,10 +70,3 @@ class Record:
     def __repr__(self) -> str:
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({body})"
-
-    def replace(self, **changes):
-        """A copy with the named fields changed, built by ``__init__``, so the
-        class's checks run on it again."""
-        values = dict(zip(self._fields, self._values(self)))
-        values.update(changes)
-        return self.__class__(**values)

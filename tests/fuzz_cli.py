@@ -251,7 +251,7 @@ CERT_INPUTS = (
     (2, 3, 0, ()), (2, 4, 2, ("polarization",)), (3, 4, 1, ()), (2, 3, 0, ("special-fiber",)),
 )
 CERTS = [
-    dumps(pipeline.serialize_certificate(pipeline.construct(p, i, j, embellishments=emb)))
+    dumps(pipeline.serialize_certificate(pipeline.build_certificate(p, i, j, embellishments=emb)))
     for p, i, j, emb in CERT_INPUTS
 ]
 INPUT_KEYS = ("p", "i", "j", "l", "selector", "max_layers", "bound", "embellish")

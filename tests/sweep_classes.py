@@ -16,7 +16,8 @@ digest differs from DIGEST: a change that alters any class's search or
 diamond, even one whose checks still pass, shows here.  Last it prints the
 largest companion prime find_l(p) over the primes p <= cyclochar.P_CAP,
 the classes that construct reaches without --l.
-tests/test_pipeline.py runs the classes with l <= 61 in tier-1.
+tests/test_pipeline.py runs the classes with l <= 61 in tier-1, and one
+class per (l, ord(p mod l)) for every l <= 157.
 The file name keeps it out of the pytest collection.
 """
 

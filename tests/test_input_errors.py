@@ -95,7 +95,7 @@ def test_search_typical_names_a_bad_V_item(text, why, capsys):
 
 def test_construct_refuses_unknown_embellishment():
     with pytest.raises(ValueError, match="unknown embellishment 'bogus'"):
-        pipeline.construct(2, 3, 0, embellishments=["bogus"])
+        pipeline.build_certificate(2, 3, 0, embellishments=["bogus"])
 
 
 def test_certify_unknown_embellishment_exits_2(tmp_path, capsys):

@@ -16,8 +16,6 @@ from hodge_asym.pipeline import (
     StructuralViolation,
     assemble_delta,
     choose_aux_case,
-    construct,
-    embellish,
     quotient_bookkeeping,
     serialize_certificate,
     symbolic_hypersurface,
@@ -286,22 +284,22 @@ def test_non_isoclinic_l17():
 
 
 def test_embellish_special_fiber():
-    cert = build_certificate(2, 3, 0)
-    out = embellish(cert, "special-fiber")
+    out = build_certificate(2, 3, 0, embellishments=["special-fiber"])
     sf = out.embellishments["special_fiber"]
     assert sf["l_factor"] == 0  # delta30 = -1
     assert sf["composed_delta30"] == 0
     assert out.all_passed()
     with pytest.raises(ValueError, match=r"applies only to the \(3,0\) target"):
-        embellish(build_certificate(2, 4, 2), "special-fiber")
+        build_certificate(2, 4, 2, embellishments=["special-fiber"])
+    with pytest.raises(ValueError, match=r"applies only to the \(3,0\) target"):
+        build_certificate(2, 0, 3, embellishments=["special-fiber"])
     with pytest.raises(ValueError, match="unknown embellishment 'unknown-embellishment'"):
-        embellish(cert, "unknown-embellishment")
+        build_certificate(2, 3, 0, embellishments=["unknown-embellishment"])
 
 
 def test_embellish_special_fiber_l17():
     # nontrivial elliptic-factor count through the real pipeline
-    cert = build_certificate(2, 3, 0, l=17)
-    out = embellish(cert, "special-fiber")
+    out = build_certificate(2, 3, 0, l=17, embellishments=["special-fiber"])
     sf = out.embellishments["special_fiber"]
     assert sf["l_factor"] == 9  # delta30 = -10
     assert sf["composed_delta30"] == 0
@@ -309,15 +307,13 @@ def test_embellish_special_fiber_l17():
 
 
 def test_embellish_polarization():
-    cert = build_certificate(2, 4, 1)
-    out = embellish(cert, "polarization")
+    out = build_certificate(2, 4, 1, embellishments=["polarization"])
     pol = out.embellishments["polarization"]
     assert pol["value_mod_p"] != 0
     assert out.all_passed()
 
 
 def test_polarization_fails_when_the_blow_up_moves_an_off_diagonal_cell(monkeypatch):
-    cert = build_certificate(2, 4, 1)
     real_blow_up = pipeline.blow_up
 
     def moving_blow_up(*args):
@@ -329,16 +325,46 @@ def test_polarization_fails_when_the_blow_up_moves_an_off_diagonal_cell(monkeypa
 
     monkeypatch.setattr(pipeline, "blow_up", moving_blow_up)
     with pytest.raises(CertificateFailure) as err:
-        embellish(cert, "polarization")
+        build_certificate(2, 4, 1, embellishments=["polarization"])
     failed = [c["name"] for c in err.value.report["checks"] if not c["passed"]]
     assert failed == ["polarization-offdiagonal-invariance"]
 
 
 def test_construct_with_embellishments():
-    cert = construct(2, 3, 0, embellishments=("special-fiber", "polarization"))
-    assert set(cert.embellishments) == {"special_fiber", "polarization"}
+    # canonical order, each name once, whatever order and repeats were asked for
+    cert = build_certificate(
+        2, 3, 0, embellishments=("polarization", "special-fiber", "polarization")
+    )
+    assert list(cert.embellishments) == ["special_fiber", "polarization"]
     assert cert.inputs["embellish"] == ["special-fiber", "polarization"]
+    assert [name for name, _ in cert.checks[-3:]] == [
+        "special-fiber-series", "polarization-prime-to-p", "polarization-offdiagonal-invariance",
+    ]
     assert cert.all_passed()
+    # each embellishment adds its record and checks and changes nothing else
+    plain = serialize_certificate(build_certificate(2, 3, 0))
+    doc = serialize_certificate(cert)
+    assert doc["checks"][: len(plain["checks"])] == plain["checks"]
+    for key in ("inputs", "embellishments", "checks"):
+        del plain[key], doc[key]
+    assert doc == plain
+
+
+def test_embellishments_are_refused_before_any_work(monkeypatch):
+    # a refused name builds no V: the refusal comes right after the target's checks
+    def refuse(*_, **__):
+        raise AssertionError("build_cm reached")
+
+    monkeypatch.setattr(cmbuild, "build_cm", refuse)
+    for names, why in [
+        (["bogus"], "unknown embellishment 'bogus'"),
+        (["special-fiber"], "special-fiber fix applies only to the (3,0) target"),
+        # canonical order: the special-fiber refusal comes before an unknown name's
+        (["bogus", "special-fiber"], "special-fiber fix applies only to the (3,0) target"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            build_certificate(2, 4, 2, embellishments=names)
+        assert str(err.value) == why
 
 
 def test_symbolic_p1_power():
@@ -373,3 +399,19 @@ def test_every_class_up_to_l61_passes_the_diamond_checks():
     assert len(sample) >= 40 and moduli == {5, 13, 17, 29, 37, 41, 53, 61}
     for p, l, selector in sample:
         build_certificate(p, 4, 2, l=l, selector=selector)
+
+
+def test_one_class_per_l_and_ord_up_to_l157_passes_the_diamond_checks():
+    # the diamond depends only on (l, ord(p mod l)): <p> and <p^2> are the only
+    # subgroups of their orders in the cyclic (Z/l)^x, and the search stops at
+    # U = {1, ..., (l-1)/2}; so one class per key reaches every admissible
+    # diamond (DIAMOND_COST_CAP admits l <= 157), each with delta30 < 0
+    keys = set()
+    for ctx, selector in classes(157):
+        if (ctx.l, ctx.ord) in keys:
+            continue
+        keys.add((ctx.l, ctx.ord))
+        delta30, checks, _ = diamond_checks(ctx, selector)
+        assert delta30 < 0, (ctx.p, ctx.l, selector)
+        assert all(ok for _, ok in checks), (ctx.p, ctx.l, selector, checks)
+    assert len(keys) == 62

@@ -11,8 +11,8 @@ from collections import Counter
 from hodge_asym import hodgecalc
 from hodge_asym.pipeline import (
     SYMBOLIC_CACHE_SIZE,
+    build_certificate,
     choose_aux_case,
-    construct,
     serialize_certificate,
     symbolic_p1_power,
     symbolic_tower,
@@ -52,7 +52,7 @@ def test_the_caches_stay_within_their_bound():
 
 
 def test_each_exact_part_is_reduced_and_formatted_once(monkeypatch):
-    # one construct, whose d_policy displays the exact part, then the certificate's
+    # one certificate, whose d_policy displays the exact part, then the certificate's
     # serialization, which serializes and displays it again
     calls = Counter()
     ratio = hodgecalc._ratio
@@ -62,7 +62,7 @@ def test_each_exact_part_is_reduced_and_formatted_once(monkeypatch):
         return ratio(num, den)
 
     monkeypatch.setattr(hodgecalc, "_ratio", counted)
-    cert = construct(2, 60, 3)
+    cert = build_certificate(2, 60, 3)
     doc = serialize_certificate(cert)
     expr = cert.delta_result
     polys = [expr.exact, *(p for _, p in expr.opaque)]
