@@ -267,8 +267,6 @@ def unpack_fields(packed: int, count: int, words: int) -> list[int]:
     data = array("Q", packed.to_bytes(8 * words * count, "little"))
     if _SWAP:
         data.byteswap()
-    if words == 1:
-        return data.tolist()
     fields = data[words - 1::words].tolist()
     for t in range(words - 2, -1, -1):
         fields = list(map(or_, map(lshift, fields, repeat(WORD)), data[t::words]))

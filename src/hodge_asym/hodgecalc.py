@@ -12,7 +12,7 @@ combine 1 with opaque symbols for asymmetries that are not known exactly.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, zip_longest
@@ -47,6 +47,8 @@ class HodgePolynomial(Record):
 
     A cell is a non-negative int, or a DPoly when the table depends on a
     formal degree d; a table with any DPoly cell stores every cell as a DPoly.
+    ``coeffs`` holds the nonzero tracked cells sorted by (i, j), and is the
+    table's only index: coeff bisects it.
     ``bound`` truncates the table at total degree <= bound (a series), and
     ``unknown`` holds cells whose value is not tracked.
     """
@@ -84,19 +86,17 @@ class HodgePolynomial(Record):
     def one() -> "HodgePolynomial":
         return HodgePolynomial.create({(0, 0): 1})
 
-    @cached_property
-    def _lookup(self) -> dict[tuple[int, int], int | DPoly]:
-        # built on the first coeff(); never handed out, so callers cannot mutate it
-        return dict(self.coeffs)
-
     def coeff(self, i: int, j: int) -> int | DPoly:
-        return self._lookup.get((i, j), 0)
+        # ((i, j),) sorts just before the cell ((i, j), c), so bisect never compares cell values
+        k = bisect_left(self.coeffs, ((i, j),))
+        if k < len(self.coeffs) and self.coeffs[k][0] == (i, j):
+            return self.coeffs[k][1]
+        return 0
 
     def is_symmetric(self) -> bool:
         """h^{i,j} = h^{j,i} on every tracked cell, and the untracked cells
         are closed under (i, j) -> (j, i)."""
-        # cells are sorted and nonzero, so a symmetric table is its own transpose
-        # re-sorted; comparing those keeps no lookup dict alive on a cached factor
+        # cells are sorted and nonzero, so a symmetric table is its own transpose re-sorted
         transposed = sorted([((j, i), c) for (i, j), c in self.coeffs], key=itemgetter(0))
         return tuple(transposed) == self.coeffs and all(
             (j, i) in self.unknown for (i, j) in self.unknown

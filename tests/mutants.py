@@ -156,6 +156,13 @@ MUTANTS = (
     Mutant("record-init-ignores-defaults", "record.py",
            "init.__defaults__ = tuple(cls.__dict__[name] for name in fields if name in cls.__dict__)",
            "init.__defaults__ = None", RECORDS),
+    # HodgePolynomial.coeff's bisect on the sorted cells
+    Mutant("coeff-returns-the-next-cell", "hodgecalc.py",
+           " and self.coeffs[k][0] == (i, j):", ":",
+           ("test_hodgecalc.py::test_coeff_is_the_stored_cell_or_zero",)),
+    Mutant("coeff-reads-past-the-end", "hodgecalc.py",
+           "if k < len(self.coeffs) and ", "if ",
+           ("test_hodgecalc.py::test_coeff_is_the_stored_cell_or_zero",)),
     # hodgecalc.product's int cell keys and truncated prefix
     Mutant("product-stride-without-+1", "hodgecalc.py",
            "base = 1 + sum(", "base = sum(", PRODUCT),

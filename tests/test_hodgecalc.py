@@ -2,6 +2,7 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hodge_asym.hodgecalc import (
     DeltaExpr,
@@ -125,6 +126,39 @@ def test_product_refuses_untracked_cells():
     for a, b in ((threefold, projective_space(1)), (projective_space(1), threefold)):
         with pytest.raises(ValueError, match=r"untracked cells \[\(1, 2\), \(2, 1\)\]"):
             product(a, b)
+
+
+FAR = 10**9
+D = DPoly.create([0, 1])
+lookup_degrees = st.one_of(st.integers(0, 6), st.integers(FAR, FAR + 2))
+lookup_cells = st.tuples(lookup_degrees, lookup_degrees)
+
+
+@st.composite
+def lookup_tables(draw):
+    values = draw(st.sampled_from([
+        st.integers(0, 3), st.sampled_from([D, -D, D * D, DPoly.constant(2)])
+    ]))
+    coeffs = draw(st.dictionaries(lookup_cells, values, max_size=8))
+    bound = draw(st.one_of(st.none(), st.integers(0, 12), st.integers(FAR, 2 * FAR + 4)))
+    return H(coeffs, bound, draw(st.frozensets(lookup_cells, max_size=3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lookup_tables(), st.lists(lookup_cells, max_size=4))
+@example(H({}), [])
+@example(H({(0, 1): 2, (FAR, 0): 1, (FAR, 3): D}), [])
+@example(H({(1, 1): 1, (2, 0): 1}, unknown=[(1, 2), (2, 1)]), [])
+def test_coeff_is_the_stored_cell_or_zero(h, probes):
+    # coeff bisects the sorted cells: probe every stored and untracked cell, its
+    # neighbours (between cells), cells before the first and after the last,
+    # and far bidegrees
+    cells = dict(h.coeffs)
+    probes = {*probes, *cells, *h.unknown, (-1, 0), (0, 0), (FAR, 0), (0, FAR), (3 * FAR, 0)}
+    for i, j in list(probes):
+        probes |= {(i - 1, j), (i, j - 1), (i, j + 1), (i + 1, j)}
+    for i, j in probes:
+        assert h.coeff(i, j) == cells.get((i, j), 0), (i, j)
 
 
 def test_projective_space():
@@ -533,7 +567,7 @@ def test_weil_restriction_power():
 
 def test_coeff_unaffected_by_mutating_a_copy_of_the_table():
     h = HodgePolynomial.create({(1, 0): 2, (0, 1): 2})
-    assert h.coeff(1, 0) == 2  # builds the lookup table
+    assert h.coeff(1, 0) == 2  # read before the copy is made
     table = dict(h.coeffs)
     table[(1, 0)] = 7
     table[(3, 3)] = 1

@@ -23,7 +23,14 @@ from hodge_asym.pipeline import (
     symbolic_tower,
     build_certificate,
 )
-from sweep_classes import classes, diamond_checks
+from sweep_classes import (
+    antidiagonal_sums,
+    assembled,
+    classes,
+    complementary,
+    diamond_checks,
+    diamond_sums,
+)
 
 H = HodgePolynomial.create
 
@@ -385,15 +392,17 @@ def test_every_class_up_to_l61_passes_the_diamond_checks():
     # with l given the pipeline reads p only mod l, so one prime per residue with
     # 4 | ord covers every p; each class (l, p mod l, selector) has delta30 < 0 and
     # passes every diamond check (tests/sweep_classes.py runs every l <= 157)
-    sample, moduli = [], set()
+    sample, moduli, first = [], set(), {}
     for k, (ctx, selector) in enumerate(classes(61)):
-        delta30, checks, _ = diamond_checks(ctx, selector)
+        delta30, checks, _, diamond = diamond_checks(ctx, selector)
         assert delta30 < 0, (ctx.p, ctx.l, selector)
         assert all(ok for _, ok in checks), (ctx.p, ctx.l, selector, checks)
+        # every class of one (l, ord) has the same diamond
+        assert first.setdefault((ctx.l, ctx.ord), diamond) == diamond, (ctx.p, ctx.l, selector)
         if k % 7 == 0 or ctx.l not in moduli:
             sample.append((ctx.p, ctx.l, selector))
             moduli.add(ctx.l)
-    assert k + 1 == 280
+    assert k + 1 == 280 and len(first) == 21
     # a real certificate from a sample of the classes, every modulus among them:
     # construction raises unless every check passes
     assert len(sample) >= 40 and moduli == {5, 13, 17, 29, 37, 41, 53, 61}
@@ -406,12 +415,29 @@ def test_one_class_per_l_and_ord_up_to_l157_passes_the_diamond_checks():
     # subgroups of their orders in the cyclic (Z/l)^x, and the search stops at
     # U = {1, ..., (l-1)/2}; so one class per key reaches every admissible
     # diamond (DIAMOND_COST_CAP admits l <= 157), each with delta30 < 0
-    keys = set()
+    keys, ord4 = set(), 0
     for ctx, selector in classes(157):
         if (ctx.l, ctx.ord) in keys:
             continue
         keys.add((ctx.l, ctx.ord))
-        delta30, checks, _ = diamond_checks(ctx, selector)
+        delta30, checks, _, diamond = diamond_checks(ctx, selector)
         assert delta30 < 0, (ctx.p, ctx.l, selector)
         assert all(ok for _, ok in checks), (ctx.p, ctx.l, selector, checks)
-    assert len(keys) == 62
+        # W_omega + W_o is twice every nonzero residue, so each antidiagonal sum
+        # (a Betti number) has a closed form in l alone
+        assert diamond_sums(diamond) == antidiagonal_sums(ctx.l), (ctx.p, ctx.l, selector)
+        if ctx.ord == 4:
+            # computed for the 17 such keys with l <= 157, not proven
+            assert delta30 == -(ctx.l ** 2 - 1) // 24, (ctx.p, ctx.l, selector)
+            ord4 += 1
+    assert len(keys) == 62 and ord4 == 17
+
+
+def test_every_class_up_to_l157_is_complementary():
+    # V and tau(V) = pV, and U and U*, each cover the nonzero residues once, so
+    # W_omega + W_o holds each of them twice; no diamond is built
+    cases = 0
+    for ctx, selector in classes(157):
+        assert complementary(assembled(ctx, selector)), (ctx.p, ctx.l, selector)
+        cases += 1
+    assert cases == 1612

@@ -98,10 +98,10 @@ def test_repr_is_the_dataclass_text():
     assert repr(Pair(1, "x")) == "Pair(a=1, b='x')"
 
 
-def test_cached_lookup_leaves_equality_alone():
+def test_reading_a_cell_leaves_equality_alone():
     h = HodgePolynomial.create({(0, 0): 1, (1, 1): 3})
     twin = HodgePolynomial.create({(1, 1): 3, (0, 0): 1})
-    assert h.coeff(1, 1) == 3  # fills h's cached lookup only
+    assert h.coeff(1, 1) == 3  # read from h only; twin is never read
     assert h == twin and hash(h) == hash(twin)
 
 
