@@ -19,7 +19,10 @@ items:
 
 - ``pipeline.build_certificate(2, 4, 2, l)`` for ``l`` in LADDER;
 - ``cmbuild.search_table(V, ctx, layer_count)`` for the (l, layer_count)
-  shapes in SEARCH_SHAPES, with ``p = 2`` and the default ``V``;
+  shapes in SEARCH_SHAPES, with ``p = 2`` and the default ``V``, and for the
+  largest tables a ``PrimeContext`` reaches, LARGE_SEARCH_SHAPES;
+- ``cmbuild.search_typical_U(V, ctx)`` for ``l`` in TYPICAL_LS, ``p = 2`` and
+  the default ``V``: the first candidate, which every certificate walks to;
 - ``cmbuild.equivariant_diamond(z)`` for ``z = cmbuild.build_cm(2, l=l)``,
   ``l`` in DIAMOND_LS;
 - ``polygons.newton_above_hodge`` on the certificate's degree-3 slice at
@@ -82,6 +85,8 @@ from time import perf_counter
 
 LADDER = (5, 13, 29, 53, 61, 101, 157)
 SEARCH_SHAPES = ((13, 1), (13, 2), (13, 3), (17, 1), (17, 2))
+LARGE_SEARCH_SHAPES = ((5, 315), (13, 5), (17, 3))
+TYPICAL_LS = (5, 61, 157)
 DIAMOND_LS = (61, 101, 157)
 POLYGON_L = 101
 CLI_TARGETS = ((4, 2), (12, 7), (20, 0), (397, 3))
@@ -107,6 +112,8 @@ MIN_LOOP_S = 0.1
 ITEMS = (
     [("build_certificate_ms", f"l{l}") for l in LADDER]
     + [("search_table_ms", f"l{l}_c{count}") for l, count in SEARCH_SHAPES]
+    + [("large_search_table_ms", f"l{l}_c{count}") for l, count in LARGE_SEARCH_SHAPES]
+    + [("search_typical_ms", f"l{l}") for l in TYPICAL_LS]
     + [("equivariant_diamond_ms", f"l{l}") for l in DIAMOND_LS]
     + [("newton_above_hodge_ms", f"l{POLYGON_L}")]
     + [("cli_pair_ms", f"i{i}_j{j}") for i, j in CLI_TARGETS]
@@ -150,10 +157,14 @@ def serve() -> None:
     sys.path.append(str(PERFBENCH))  # for timed_ms: reference.py and run.py
 
     calls = [lambda l=l: pipeline.build_certificate(2, 4, 2, l=l) for l in LADDER]
-    for l, count in SEARCH_SHAPES:
+    for l, count in SEARCH_SHAPES + LARGE_SEARCH_SHAPES:
         ctx = cmbuild.PrimeContext.create(2, l)
         v = cmbuild.build_V(ctx)
         calls.append(lambda v=v, ctx=ctx, count=count: cmbuild.search_table(v, ctx, count))
+    for l in TYPICAL_LS:
+        ctx = cmbuild.PrimeContext.create(2, l)
+        v = cmbuild.build_V(ctx)
+        calls.append(lambda v=v, ctx=ctx: cmbuild.search_typical_U(v, ctx))
     for l in DIAMOND_LS:
         z = cmbuild.build_cm(2, l=l)
         calls.append(lambda z=z: cmbuild.equivariant_diamond(z))

@@ -25,7 +25,6 @@ from .cyclochar import (
     dual,
     exterior_power,
     exterior_table,
-    field_width,
     field_words,
     frobenius_twist,
     invariants_rank,
@@ -271,32 +270,72 @@ def _times_power(w1: int, w2: int, w3: int, m: int, shifts, bits: int, mask: int
     )
 
 
+def _pair_products(triples, pairs, c: int, shifts, bits: int, mask: int, field: int):
+    """Yield (digits, products) for every digit tuple over the inverse pairs
+    {a, l-a}, a in pairs, the last pair changing fastest: each module triple
+    times, per pair, (1 + t x^a)^(c-b) (1 + t x^-a)^b by _times_power.
+    stack[k] holds the products over the first k pairs, so a tuple extends
+    only the pairs after those it shares with the previous tuple."""
+    n = len(pairs)
+    stack = [triples] + [None] * n
+    prev = (-1,) * n
+    for digits in itertools.product(range(c + 1), repeat=n):
+        start = 0
+        while start < n and digits[start] == prev[start]:
+            start += 1
+        prev = digits
+        for k in range(start, n):
+            a, big = pairs[k], digits[k]
+            out = []
+            for t in stack[k]:
+                if big < c:
+                    t = _times_power(*t, c - big, shifts[a], bits, mask, field)
+                if big:
+                    t = _times_power(*t, big, shifts[-a], bits, mask, field)
+                out.append(t)
+            stack[k + 1] = out
+        yield digits, stack[n]
+
+
 def candidate_walk(v: CharRep, ctx: PrimeContext, layer_count: int):
     """Yield (U, r0, r1) for every typical U with layer_count layers, in
     candidate order, where (r0, r1) are the degree3_ranks of module_pair(V, U).
 
     Pairs {a, l-a} are ordered by a, the last pair changing fastest; a
-    candidate's digit b for a pair puts s = c - b at a and b at l - a, so
-    the first candidate takes the smaller member everywhere.  A module and
-    its dual have the same invariant ranks, and (tau(V) + U*)* = tau(V)* + U,
-    so r1 is read off tau(V)* + U, which takes U's factors in the same order
-    as V + U.  One depth-first walk over the pairs but the last: stack[k]
-    holds, for both modules over the first k pairs, the triple (W_1, W_2,
-    W_3[0]) of packed Lambda^1 and Lambda^2 rows and the invariant count of
-    Lambda^3 (Lambda^0 is the constant 1, and no other field of Lambda^3 is
-    ever read), so a prefix extends only the pairs after the one it shares
-    with the previous prefix.  Each module starts empty; its trivial
-    character gives (m0, C(m0,2), C(m0,3)), every other exponent e and each
-    pair e's two factors (1 + t x^e)^s (1 + t x^-e)^b multiply the triple by
-    _times_power, the binomial theorem truncated at t^3, with the bit offsets
-    of e and 2e computed once per walk.  The last pair a = (l-1)/2 is read
-    off its prefix's triple: with W_i[e] the field of exponent e in row i,
+    candidate's digit b for a pair puts c - b at a and b at l - a, so the
+    first candidate takes the smaller member everywhere.  A module and its
+    dual have the same invariant ranks, and (tau(V) + U*)* = tau(V)* + U, so
+    r1 is read off tau(V)* + U, which takes U's factors in the same order as
+    V + U.  A module is carried as the triple (W_1, W_2, W_3[0]) of packed
+    Lambda^1 and Lambda^2 rows and the invariant count of Lambda^3 (Lambda^0
+    is the constant 1, and no other field of Lambda^3 is ever read).  It
+    starts from its trivial character's (m0, C(m0,2), C(m0,3)), and each
+    other factor (1 + t x^e)^m multiplies the triple by _times_power, the
+    binomial theorem truncated at t^3, with the bit offsets of e and 2e
+    computed once per walk.
 
-        r = W_3[0] + s W_2[-a] + b W_2[a]
-            + C(s,2) W_1[-2a] + s b W_1[0] + C(b,2) W_1[2a]
+    U splits into a prefix, its first h - k pairs, h = (l-1)/2, and a block,
+    its last k = max(1, (l-1)//4) pairs.  _pair_products walks V and
+    tau(V)* over the prefixes.  The (c+1)^k block products B, from the empty
+    triple (0, 0, 0), are built as the first prefix reaches them and kept
+    for the others.  Candidate W + B has the Lambda^3 invariant count
 
-    Six values per module and prefix serve its c + 1 candidates.  One field
-    width, for Lambda^2 of rank rank(V) + c(l-1)/2, serves every prefix.
+        r = W_3[0] + B_3[0] + [x^0] (W_2 B_1 + W_1 B_2)
+
+    B_1 lives on the block's exponents E = h-k+1..h+k, and B_2 on E + E,
+    the exponents D = -(2k-1)..2k-1 mod l.  As E = -E and D = -D, [x^0]
+    pairs B_1 with W_2's fields on E only, and B_2 with W_1's on D only.
+    Each row is cut to its window, E or D, lowest exponent in field 0; the
+    window's exponents are distinct, 4k - 1 < l.  Then [x^0] W_2 B_1 is
+    field 2k-1 of the product of the packed ints and [x^0] W_1 B_2 is field
+    4k-2, so W_2's window is raised by 2k-1 fields.  V's products fill fields
+    0..8k-4, so tau(V)*'s windows sit 8k-3 fields above V's: one sum of two
+    products holds V's count in field 4k-2 and tau(V)*'s in field 12k-5.
+
+    A module reaches rank at most R = rank(V) + c h, so a product field
+    holds at most c C(R,2) + C(kc,2) R: W_2's fields sum to at most C(R,2)
+    against B_1 entries at most c, and W_1's to at most R against B_2
+    entries at most C(kc,2).  A row's own fields hold at most C(R,2) + R.
     Refuses l < 5, which no PrimeContext admits and where 3a = 0 would add a
     Lambda^0 term.
     """
@@ -304,57 +343,57 @@ def candidate_walk(v: CharRep, ctx: PrimeContext, layer_count: int):
     if l < 5:
         raise ValueError(f"the candidate walk needs l >= 5, got l={l}")
     half = (l - 1) // 2
-    width = field_width(v.rank + c * half, 2)
+    k = max(1, (l - 1) // 4)
+    r = v.rank + c * half
+    width = max(comb(r + 1, 2), c * comb(r, 2) + comb(k * c, 2) * r).bit_length()
     field = (1 << width) - 1
     bits = l * width
     mask = (1 << bits) - 1
     # the bit offsets of exponents e and 2e
     shifts = [(e * width, 2 * e % l * width) for e in range(l)]
+    near, low = (2 * k - 1) * width, (half - k + 1) * width
+    on_d, on_e = (1 << (4 * k - 1) * width) - 1, (1 << 2 * k * width) - 1
+    up = (8 * k - 3) * width  # tau(V)*'s windows above V's
+    read = (4 * k - 2) * width
+    read_o = up + read
 
-    def from_empty(module: CharRep):
-        m0 = module.mult[0]
+    def around_zero(row: int) -> int:  # D's fields, from -(2k-1) up
+        return ((row << near) | (row >> (bits - near))) & on_d
+
+    def on_block(row: int) -> int:  # E's fields, from h-k+1 up
+        return (row >> low) & on_e
+
+    def from_empty(f: int):
+        # V with every exponent times f: tau(V)* is f = -p
+        m0 = v.mult[0]
         triple = (m0, comb(m0, 2), comb(m0, 3))
         for e in range(1, l):
-            if module.mult[e]:
-                triple = _times_power(*triple, module.mult[e], shifts[e], bits, mask, field)
+            if v.mult[e]:
+                triple = _times_power(*triple, v.mult[e], shifts[f * e % l], bits, mask, field)
         return triple
 
-    a = half
-    # (row, bit offset) of W_2[a], W_2[-a], W_1[2a], W_1[-2a], W_1[0]
-    five = [(i - 1, e % l * width) for i, e in ((2, a), (2, -a), (1, 2 * a), (1, -2 * a), (1, 0))]
-    # (s, C(s,2), s b, C(b,2)) of each leaf digit b
-    leaves = [(c - b, comb(c - b, 2), (c - b) * b, comb(b, 2)) for b in range(c + 1)]
-    stack = [(from_empty(v), from_empty(dual(frobenius_twist(v, ctx.p))))] + [None] * (half - 1)
-    mult = [0] * l
-    prev = (-1,) * (half - 1)
-    for digits in itertools.product(range(c + 1), repeat=half - 1):
-        # extend the pairs after the one this prefix shares with the previous one
-        start = 0
-        while start < half - 1 and digits[start] == prev[start]:
-            start += 1
-        prev = digits
-        for k in range(start, half - 1):
-            e, big = k + 1, digits[k]
-            mult[e] = small = c - big
-            mult[l - e] = big
-            w, o = stack[k]
-            if small:
-                w = _times_power(*w, small, shifts[e], bits, mask, field)
-                o = _times_power(*o, small, shifts[e], bits, mask, field)
-            if big:
-                w = _times_power(*w, big, shifts[l - e], bits, mask, field)
-                o = _times_power(*o, big, shifts[l - e], bits, mask, field)
-            stack[k + 1] = (w, o)
-        w, o = stack[half - 1]
-        w3, o3 = w[2], o[2]
-        w2p, w2m, w1p, w1m, w10 = [(w[i] >> t) & field for i, t in five]
-        o2p, o2m, o1p, o1m, o10 = [(o[i] >> t) & field for i, t in five]
-        for b, (s, s2, sb, b2) in enumerate(leaves):
-            mult[a], mult[l - a] = s, b
+    def first_blocks():
+        for digits, [(b1, b2, b3)] in _pair_products(
+                [(0, 0, 0)], range(half - k + 1, half + 1), c, shifts, bits, mask, field):
+            mid = (*map(sub, repeat(c, k), digits), *digits[::-1])
+            entry = (mid, on_block(b1), around_zero(b2), b3)
+            blocks.append(entry)
+            yield entry
+
+    blocks = []
+    starts = [from_empty(1), from_empty(-ctx.p)]
+    for digits, [(w1, w2, w3), (o1, o2, o3)] in _pair_products(
+            starts, range(1, half - k + 1), c, shifts, bits, mask, field):
+        head = (0, *map(sub, repeat(c, half - k), digits))
+        tail = digits[::-1]
+        p1 = around_zero(w1) | around_zero(o1) << up
+        p2 = (on_block(w2) | on_block(o2) << up) << near
+        for mid, b1, b2, b3 in blocks or first_blocks():
+            x = p2 * b1 + p1 * b2
             yield (
-                CharRep(l, tuple(mult)),
-                w3 + s * w2m + b * w2p + s2 * w1m + sb * w10 + b2 * w1p,
-                o3 + s * o2m + b * o2p + s2 * o1m + sb * o10 + b2 * o1p,
+                CharRep(l, head + mid + tail),
+                w3 + b3 + ((x >> read) & field),
+                o3 + b3 + ((x >> read_o) & field),
             )
 
 

@@ -67,23 +67,32 @@ MUTANTS = (
     Mutant("walk-C(m,2)-wrong-above-m=3", "cmbuild.py",
            "m2 = m * (m - 1) // 2", "m2 = m * (m - 1) // 2 + (m > 3)",
            ("test_search_kernel.py::test_matches_reference_on_large_multiplicities_in_the_prefix",)),
-    Mutant("walk-o-small-factor-at-l-e", "cmbuild.py",
-           "o = _times_power(*o, small, shifts[e], bits, mask, field)",
-           "o = _times_power(*o, small, shifts[l - e], bits, mask, field)", SEARCH),
+    Mutant("walk-small-factor-at-l-e", "cmbuild.py",
+           "t = _times_power(*t, c - big, shifts[a], bits, mask, field)",
+           "t = _times_power(*t, c - big, shifts[-a], bits, mask, field)", SEARCH),
     # the walk's two starting triples, built from the empty module
     Mutant("walk-o-starts-without-dual", "cmbuild.py",
-           "from_empty(dual(frobenius_twist(v, ctx.p)))", "from_empty(frobenius_twist(v, ctx.p))",
-           SEARCH),
+           "from_empty(-ctx.p)", "from_empty(ctx.p)", SEARCH),
     Mutant("walk-start-drops-C(m0,3)", "cmbuild.py",
            "(m0, comb(m0, 2), comb(m0, 3))", "(m0, comb(m0, 2), 0)", SEARCH),
     Mutant("walk-resume-skips-a-pair", "cmbuild.py",
            "start += 1", "start += 2", SEARCH),
+    # the field width: a row's own fields, then a product field
     Mutant("walk-width-from-rank-V", "cmbuild.py",
-           "width = field_width(v.rank + c * half, 2)", "width = field_width(v.rank, 2)",
-           SEARCH),
+           "r = v.rank + c * half", "r = v.rank", SEARCH),
     Mutant("walk-width-one-degree-short", "cmbuild.py",
-           "width = field_width(v.rank + c * half, 2)", "width = field_width(v.rank + c * half, 1)",
-           SEARCH),
+           "max(comb(r + 1, 2), ", "max(r + 1, ", SEARCH),
+    Mutant("walk-width-drops-cC(R,2)", "cmbuild.py",
+           "c * comb(r, 2) + ", "", SEARCH),
+    # the read: each row cut to its window, tau(V)*'s above V's
+    Mutant("walk-B_2-window-not-rotated", "cmbuild.py",
+           "around_zero(b2)", "b2 & on_d", SEARCH),
+    Mutant("walk-W_2-window-not-raised", "cmbuild.py",
+           "on_block(o2) << up) << near", "on_block(o2) << up)", SEARCH),
+    Mutant("walk-o-windows-reach-V's-read", "cmbuild.py",
+           "up = (8 * k - 3) * width", "up = (4 * k - 2) * width", SEARCH),
+    Mutant("walk-block-digits-not-mirrored", "cmbuild.py",
+           "repeat(c, k), digits), *digits[::-1])", "repeat(c, k), digits), *digits)", SEARCH),
     Mutant("U*-given-U's-exponents", "cmbuild.py",
            "_direct_sum(frobenius_twist(v, p), dual(u))",
            "_direct_sum(frobenius_twist(v, p), u)", SEARCH),

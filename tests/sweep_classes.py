@@ -17,9 +17,12 @@ count, the range of delta30 and the (l, ord) -> delta30 table, or exits 1
 naming the first class that fails.  It also hashes every class's (l,
 residue, selector, U, r0, r1, delta30, diamond cells) into one SHA-256, and exits 1 when a full sweep's
 digest differs from DIGEST: a change that alters any class's search or
-diamond, even one whose checks still pass, shows here.  Last it prints the
-largest companion prime find_l(p) over the primes p <= cyclochar.P_CAP,
-the classes that construct reaches without --l.
+diamond, even one whose checks still pass, shows here.  Last, a full
+sweep prints the largest companion prime find_l(p) over the primes
+p <= cyclochar.P_CAP, the classes that construct reaches without --l, and
+exits 1 when it exceeds COMPANION_BOUND, the bound cmbuild.find_l's
+docstring cites.  That scan does not depend on MAX_L, so a partial sweep
+(MAX_L below 157) skips it and says so.
 tests/test_pipeline.py runs the classes with l <= 61 in tier-1, one class
 per (l, ord(p mod l)) for every l <= 157 with both closed forms, and the
 complementarity on every class.
@@ -41,6 +44,7 @@ from hodge_asym.pipeline import _diamond_checks, quotient_bookkeeping
 MAX_L = 157
 # sha256 of the class lines of a full sweep (MAX_L = 157), recorded at 4d1297d
 DIGEST = "ae007d264472130ddf4e70b8f1545cada1c766180baf81fd24ed4077a276f4be"
+COMPANION_BOUND = 97  # find_l(p) <= 97 for every p <= P_CAP
 
 
 def classes(max_l: int):
@@ -145,8 +149,15 @@ def main(max_l: int = MAX_L) -> int:
     if max_l == MAX_L and digest.hexdigest() != DIGEST:
         print(f"FAIL the class digest differs from DIGEST={DIGEST}")
         return 1
+    if max_l < MAX_L:
+        print(f"find_l scan over the primes p <= P_CAP={P_CAP} skipped: "
+              f"it does not depend on MAX_L, and only a full sweep runs it")
+        return 0
     companions = [cmbuild.find_l(p).l for p in filter(is_prime, range(2, P_CAP + 1))]
     print(f"find_l(p) <= {max(companions)} for the {len(companions)} primes p <= P_CAP={P_CAP}")
+    if max(companions) > COMPANION_BOUND:
+        print(f"FAIL a companion prime exceeds COMPANION_BOUND={COMPANION_BOUND}")
+        return 1
     return 0
 
 

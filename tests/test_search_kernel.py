@@ -71,6 +71,30 @@ def test_matches_reference_on_overrides(text, layer_count):
     assert search_table(v, ctx, layer_count) == list(reference(v, ctx, layer_count))
 
 
+@pytest.mark.parametrize("text,layer_count", [
+    # c = 0: the rows' own fields must hold C(R,2) + R, here W_2[0] = 45 > R + 1
+    ("l=5; 0:9,1:3,4:3", 0),
+    # W_2[2] = C(40,2) lies on the block's exponents {2, 3}, so a product field
+    # reaches c C(40,2) = 2340, past the 2047 that C(R+1,2) = 1711 would allow
+    ("l=5; 0:12,1:40", 3),
+])
+def test_matches_reference_at_the_width_bound(text, layer_count):
+    v = CharRep.from_text(text)
+    ctx = PrimeContext.create(2, v.l)
+    assert search_table(v, ctx, layer_count) == list(reference(v, ctx, layer_count))
+
+
+@pytest.mark.parametrize("l", [19, 23])
+def test_matches_reference_on_four_and_five_pair_blocks(l):
+    # the block is the last (l-1)//4 pairs: 4 at l=19 (512 candidates), 5 at
+    # l=23 (2048); no PrimeContext admits either, as 4 does not divide ord(2)
+    ctx = bare_context(2, l)
+    v = CharRep.from_exponents(l, [0, 1, 1, 2, 5, l - 3])
+    rows = search_table(v, ctx, 1)
+    assert len(rows) == 2 ** ((l - 1) // 2)
+    assert rows == list(reference(v, ctx, 1))
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_matches_reference_on_random_modules(data):
@@ -186,7 +210,7 @@ def test_zero_layers_at_large_modulus():
 def test_refuses_negative_layer_count_and_oversized_tables():
     ctx = PrimeContext.create(2, 13)
     v = build_V(ctx)
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="layer count must be non-negative"):
         search_table(v, ctx, -1)
     # 2^14 rows at l=29 fit under the cap; 2^18 at l=37 do not
     assert 2 ** 14 <= SEARCH_TABLE_CAP < 2 ** 18
