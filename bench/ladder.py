@@ -54,11 +54,13 @@ items:
   ``z = cmbuild.build_cm(2, l=CM_PAYLOAD_L)``.
 
 A figure is the minimum over the rounds, in milliseconds at reference
-speed.  Apart from the rounds, ``startup_ms`` gives the wall time of a fresh
-interpreter for each command of STARTUP_COMMANDS, ``python -m hodge_asym``
-with its tree on PYTHONPATH, and of a bare ``python -c pass`` beside them:
-raw milliseconds, the fastest of STARTUP_SPAWNS spawns, the trees taking
-turns spawn by spawn.  The spawns run with PYTHONDONTWRITEBYTECODE=1, as
+speed, kept to 4 significant digits (bench/pairs.py's ``rounded``), so a
+0.02 ms figure moves in steps of 0.05%, not 5%.  Apart from the rounds,
+``startup_ms`` gives the wall time of a fresh interpreter for each command
+of STARTUP_COMMANDS, ``python -m hodge_asym`` with its tree on PYTHONPATH,
+and of a bare ``python -c pass`` beside them: raw milliseconds, to 4
+significant digits too, the fastest of STARTUP_SPAWNS spawns, the trees
+taking turns spawn by spawn.  The spawns run with PYTHONDONTWRITEBYTECODE=1, as
 perfbench's do, so a tree without ``__pycache__`` compiles its source each
 time. The output (to ``--out``, or standard output) gives the environment
 (Python version, ``nproc``, rounds) and one entry per label under ``runs``.
@@ -82,6 +84,8 @@ import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
+
+from pairs import rounded  # bench/, the script's own directory
 
 LADDER = (5, 13, 29, 53, 61, 101, 157)
 SEARCH_SHAPES = ((13, 1), (13, 2), (13, 3), (17, 1), (17, 2))
@@ -280,19 +284,16 @@ def main(argv=None) -> int:
                 worker.stdin.close()
                 worker.wait()
     for runs in best.values():
-        for group in runs.values():
-            for name, ms in group.items():
-                group[name] = round(ms, 3)
-        runs["search_table_ms"]["total"] = round(sum(runs["search_table_ms"].values()), 3)
+        runs["search_table_ms"]["total"] = sum(runs["search_table_ms"].values())
     for label, spawns in startup_ms(trees).items():
-        best[label]["startup_ms"] = {name: round(ms, 1) for name, ms in spawns.items()}
+        best[label]["startup_ms"] = spawns
     result = {
         "environment": {
             "python": platform.python_version(),
             "nproc": len(os.sched_getaffinity(0)),  # what `nproc` prints
             "rounds": ROUNDS,
         },
-        "runs": best,
+        "runs": rounded(best),
     }
     text = json.dumps(result, indent=2) + "\n"
     if args.out is None:

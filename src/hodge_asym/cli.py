@@ -39,8 +39,10 @@ READ_CHUNK = 64 * 1024
 
 
 def dumps(obj: dict) -> str:
-    """``json.dumps(obj, indent=2) + "\\n"``, byte for byte, without the
-    pure-Python encoder that ``indent`` forces on the standard library."""
+    """Exact JSON: str-keyed dicts, lists, str, int, bool and None, written as
+    ``json.dumps(obj, indent=2) + "\\n"`` writes them, byte for byte, without
+    the pure-Python encoder that ``indent`` forces on the standard library.
+    Any other value (a float, a tuple, a non-str key) raises TypeError."""
     out: list[str] = []
     _write(obj, "\n", out)
     out.append("\n")
@@ -56,7 +58,7 @@ def _write(obj, nl: str, out: list[str]) -> None:
         out.append(int.__repr__(obj))
     elif obj is None or kind is bool:
         out.append("null" if obj is None else "true" if obj else "false")
-    elif kind is dict and all(type(key) is str for key in obj):
+    elif kind is dict:
         if not obj:
             out.append("{}")
             return
@@ -67,14 +69,14 @@ def _write(obj, nl: str, out: list[str]) -> None:
             _write(value, inner, out)
             sep = "," + inner
         out.append(nl + "}")
-    elif kind is list or kind is tuple:
+    elif kind is list:
         if not obj:
             out.append("[]")
             return
         inner = nl + "  "
         sep = "," + inner
         kinds = set(map(type, obj))
-        cells = tuple(chain.from_iterable(obj)) if kinds <= {list, tuple} and all(obj) else ()
+        cells = tuple(chain.from_iterable(obj)) if kinds == {list} and all(obj) else ()
         if kinds == {int}:
             out.append("[" + inner + sep.join(map(int.__repr__, obj)) + nl + "]")
         elif cells and set(map(type, cells)) == {int}:
@@ -94,8 +96,8 @@ def _write(obj, nl: str, out: list[str]) -> None:
                 _write(value, inner, out)
                 lead = sep
             out.append(nl + "]")
-    else:  # floats, non-str keys, subclasses: the standard library, re-indented
-        out.append(json.dumps(obj, indent=2).replace("\n", nl))
+    else:
+        raise TypeError(f"{kind.__name__} is not exact JSON")
 
 
 def _print(text: str) -> None:

@@ -67,8 +67,9 @@ def find_l(p: int) -> PrimeContext:
     for l in range(5, FIND_L_BOUND + 1):
         if l == p or not is_prime(l):
             continue
-        if multiplicative_order(p, l) % 4 == 0:
-            return PrimeContext.create(p, l)
+        order = multiplicative_order(p, l)
+        if order % 4 == 0:  # all that PrimeContext.create would check again
+            return PrimeContext(p=p, l=l, ord=order)
     raise AssertionError("unreachable: tests/sweep_classes.py finds l <= 97 for every p <= P_CAP")
 
 

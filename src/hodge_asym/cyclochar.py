@@ -134,7 +134,7 @@ class CharRep(Record):
     mult: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.l < 2 or not is_prime(self.l):
+        if not is_prime(self.l):
             raise ValueError(f"modulus l={self.l} must be prime")
         if len(self.mult) != self.l:
             raise ValueError("multiplicity vector must have length l")
@@ -222,15 +222,6 @@ def frobenius_twist(v: CharRep, p: int) -> CharRep:
     return CharRep(l, tuple(vec))
 
 
-def field_width(rank: int, top: int) -> int:
-    """Bits per exponent field of the packed rows 0..top of a rank-`rank` module.
-
-    One bit wider than C(rank, min(top, rank // 2)), the largest multiplicity
-    those rows can hold, so no field ever carries into its neighbour.
-    """
-    return comb(rank, min(top, rank // 2)).bit_length() + 1
-
-
 WORD = 64  # bits of one array('Q') item; every unpacked field is whole words
 _SWAP = sys.byteorder == "big"  # array('Q') items are native, packed ints little-endian
 
@@ -282,14 +273,15 @@ def exterior_table(v: CharRep, top: int | None = None) -> list[tuple[int, ...]]:
     each instance is one big-integer add per row; rows above the instances
     seen so far are still zero and are skipped.  Equivalent to enumerating
     k-element index subsets (the test oracle).  top defaults to rank; rows
-    above it are zero.  The fields are field_width rounded up to whole 64-bit
-    words, so unpack_fields reads each row at C speed.
+    above it are zero.  Each field is field_words of C(rank, min(top, rank // 2)),
+    the largest multiplicity rows 0..top can hold, so no field carries into
+    its neighbour, and unpack_fields reads each row at C speed.
     """
     l, rank = v.l, v.rank
     top = rank if top is None else top
     if top < 0:
         raise ValueError("exterior degree must be non-negative")
-    words = -(-field_width(rank, top) // WORD)
+    words = field_words(comb(rank, min(top, rank // 2)))
     width = words * WORD
     mask = (1 << (l * width)) - 1
     rows = [1] + [0] * top

@@ -265,7 +265,9 @@ def edit_inputs(text: str, edits: list) -> str:
             data["inputs"].pop(key, None)
         else:
             data["inputs"][key] = value
-    return dumps(data)
+    # the standard library, as cli.dumps writes exact JSON only and an edit may
+    # put a float in; both write a certificate's own values alike
+    return json.dumps(data, indent=2) + "\n"
 
 
 input_value = st.one_of(log_ints, json_values, st.just(_DROP),

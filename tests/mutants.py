@@ -53,6 +53,8 @@ SEARCH = ("test_search_kernel.py",)
 ERRORS = ("test_input_errors.py",)
 RECORDS = ("test_record.py",)
 PRODUCT = ("test_product_property.py", "test_hodge_product_pins.py")
+WORD_BOUNDARIES = ("test_cyclochar.py::test_exterior_table_at_word_boundaries",)
+DUMPS = ("test_dumps_property.py",)
 
 MUTANTS = (
     # the candidate walk's prefixes: (1 + t x^a)^m truncated at t^3
@@ -99,13 +101,13 @@ MUTANTS = (
     Mutant("candidate-index-off-by-one", "cmbuild.py",
            "TypicalSearchResult(u, r0, r1, layer_count, idx)",
            "TypicalSearchResult(u, r0, r1, layer_count, idx + 1)", SEARCH),
-    # exterior_table's DP and field widths
+    # exterior_table's DP and its words per field, sized one and two bits short
     Mutant("field-width-2-bits-short", "cyclochar.py",
-           "min(top, rank // 2)).bit_length() + 1", "min(top, rank // 2)).bit_length() - 1",
-           ("test_cyclochar.py", "test_diamond_kernel.py", *SEARCH)),
+           "field_words(comb(rank, min(top, rank // 2)))",
+           "field_words(comb(rank, min(top, rank // 2)) >> 1)", WORD_BOUNDARIES),
     Mutant("field-width-3-bits-short", "cyclochar.py",
-           "min(top, rank // 2)).bit_length() + 1", "min(top, rank // 2)).bit_length() - 2",
-           ("test_cyclochar.py", "test_diamond_kernel.py", *SEARCH)),
+           "field_words(comb(rank, min(top, rank // 2)))",
+           "field_words(comb(rank, min(top, rank // 2)) >> 2)", WORD_BOUNDARIES),
     Mutant("table-dp-live-not-raised", "cyclochar.py",
            "live += 1", "live += 0", ("test_cyclochar.py", *SEARCH)),
     Mutant("table-dp-rows-upward", "cyclochar.py",
@@ -120,9 +122,16 @@ MUTANTS = (
            "if k % q == 0 and pow(a, k // q, l) == 1:", ("test_cyclochar.py",)),
     Mutant("last-prime-factor-dropped", "cyclochar.py",
            "    if n > 1:\n        out.append(n)", "    pass", ("test_cyclochar.py",)),
+    Mutant("find-l-stores-l-1-as-the-order", "cmbuild.py",
+           "PrimeContext(p=p, l=l, ord=order)", "PrimeContext(p=p, l=l, ord=l - 1)",
+           ("test_cmbuild.py::test_find_l_examples",)),
     # each cap check removed
     Mutant("walk-cap-removed", "cmbuild.py",
            "if l * (l - 1) // 2 > WALK_COST_CAP:", "if False:", ERRORS),
+    Mutant("search-typical-skips-table-size", "cli.py",
+           "count = cmbuild.table_size(ctx.l, args.layer_count)",
+           "count = (args.layer_count + 1) ** ((ctx.l - 1) // 2)",
+           ("test_input_errors.py::test_search_typical_refuses_negative_and_oversized_tables",)),
     Mutant("table-cap-removed", "cmbuild.py",
            "if (c + 1) ** min(half, SEARCH_TABLE_CAP.bit_length()) > SEARCH_TABLE_CAP:",
            "if False:", SEARCH),
@@ -198,6 +207,14 @@ MUTANTS = (
            "return tuple([_ratio(c, self.den) for c in self.nums])",
            'return tuple([c if self.den == 1 else f"{c}/{self.den}" for c in self.nums])',
            ("test_dpoly_property.py",)),
+    # cli._write: exact JSON only, int rows through one template per row length
+    Mutant("dumps-int-row-drops-comma", "cli.py",
+           '("," + cell_nl).join(["%d"] * n)', 'cell_nl.join(["%d"] * n)', DUMPS),
+    Mutant("dumps-list-drops-separator", "cli.py", "lead = sep", "lead = inner", DUMPS),
+    Mutant("dumps-writes-what-is-not-exact-json", "cli.py",
+           'raise TypeError(f"{kind.__name__} is not exact JSON")',
+           'out.append(json.dumps(obj, indent=2).replace("\\n", nl))',
+           ("test_dumps_property.py::test_dumps_refuses_what_is_not_exact_json",)),
     Mutant("replay-compares-parsed-data", "cli.py",
            "fresh_text == stored_text", "load_json(fresh_text) == stored",
            ("test_cli.py::test_golden_corrupted_and_empty",

@@ -58,3 +58,6 @@ def test_measure_alternates_the_checkouts_and_summarises_each_metric(monkeypatch
 
 def test_rounded_keeps_four_significant_digits():
     assert pairs.rounded({"a": [0.0123456, 3], "b": 12345.6}) == {"a": [0.01235, 3], "b": 12350.0}
+    # bench/ladder.py's figures: two timings of a ~0.02 ms item stay apart, where
+    # three decimals of a millisecond read both as 0.02
+    assert pairs.rounded([0.02025, 0.02049]) == [0.02025, 0.02049]

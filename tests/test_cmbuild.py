@@ -62,6 +62,10 @@ def test_find_l_examples():
     # p = 11 skips l=5 (ord 1) and l=7 (ord 3)
     ctx = find_l(11)
     assert (ctx.l, ctx.ord) == (13, 12)
+    # p = 5 stops at l=13 with ord 4, below l - 1: the order is p's, not l's
+    assert (find_l(5).l, find_l(5).ord) == (13, 4)
+    for p in filter(is_prime, range(2, 2000)):
+        assert find_l(p) == PrimeContext.create(p, find_l(p).l), p
     # tests/sweep_classes.py checks every p <= P_CAP; 317459 is the one that needs 97
     assert max(find_l(p).l for p in range(2, 10_000) if is_prime(p)) == 61
     assert [find_l(p).l for p in (115021, 329969, 317459)] == [73, 89, 97]

@@ -1,6 +1,6 @@
 import random
 import time
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -258,6 +258,20 @@ def test_exterior_table_rows_match_subset_oracle():
         assert exterior_table(v) == exterior_table(v, v.rank)
     with pytest.raises(ValueError):
         exterior_table(reps[1], -1)
+
+
+@pytest.mark.parametrize("rank", [67, 68, 131, 132])
+def test_exterior_table_at_word_boundaries(rank):
+    # C(rank, rank // 2) has 64, 65, 128 and 129 bits: the largest field either
+    # just fills its words or needs one word more
+    assert comb(rank, rank // 2).bit_length() in (64, 65, 128, 129)
+    assert exterior_table(rep(2, {0: rank})) == [(comb(rank, k), 0) for k in range(rank + 1)]
+    a, b = rank // 2, rank - rank // 2
+    expected = [
+        tuple(sum(comb(a, k - j) * comb(b, j) for j in range(e, k + 1, 2)) for e in (0, 1))
+        for k in range(rank + 1)
+    ]
+    assert exterior_table(rep(2, {0: a, 1: b})) == expected
 
 
 @pytest.mark.parametrize("words", [1, 2, 3])

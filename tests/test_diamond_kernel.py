@@ -1,13 +1,14 @@
 """equivariant_diamond against pinned digests and the cell-by-cell reference."""
 
 import hashlib
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodge_asym.cmbuild import CMData, build_cm, equivariant_diamond
-from hodge_asym.cyclochar import CharRep, PrimeContext, WORD, exterior_table, field_width
+from hodge_asym.cyclochar import CharRep, PrimeContext, WORD, exterior_table, field_words
 from hodge_asym.hodgecalc import HodgePolynomial
 
 from oracles import dot_product_diamond
@@ -88,9 +89,10 @@ def test_matches_reference_on_extreme_modules(w_omega, w_o):
 
 def test_matches_reference_with_multiword_fields():
     w = CharRep.from_text("l=2; 0:70,1:70")
-    # table fields of 138 bits, three words; residuals of 67 bits, so every
-    # packed column and dot-product field spans words, and so do the multipliers
-    assert field_width(w.rank, w.rank) == 138
+    # table fields of three words, for C(140, 70) of 137 bits; residuals of 67
+    # bits, so every packed column and dot-product field spans words, and so do
+    # the multipliers
+    assert field_words(comb(w.rank, w.rank // 2)) == 3
     largest_residual = max(max(row) - min(row) for row in exterior_table(w))
     assert largest_residual.bit_length() == 67 > WORD
     assert_matches_reference(w, w)
