@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import repeat
-from math import comb
+from itertools import compress, repeat
+from math import comb, isqrt
 from operator import lshift, or_
 
 from .record import Record
@@ -28,12 +28,26 @@ P_CAP = 1_000_000
 # small number theory helpers (kept local: no third-party deps, fast import)
 
 
+def _primes_below(n: int) -> frozenset[int]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for f in range(2, isqrt(n - 1) + 1):
+        if sieve[f]:
+            sieve[f * f::f] = bytes(len(range(f * f, n, f)))
+    return frozenset(compress(range(n), sieve))
+
+
+# every modulus a certificate uses (l <= 157) is looked up, not divided: each
+# CharRep tests its l, and the search builds ~11.7k of them per pass
+_SMALL_PRIMES_BOUND = 1 << 10
+_SMALL_PRIMES = _primes_below(_SMALL_PRIMES_BOUND)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (fine for the sizes here)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
+    """Deterministic primality test: a table below 2^10, trial division above."""
+    if n < _SMALL_PRIMES_BOUND:
+        return n in _SMALL_PRIMES
     if n % 2 == 0:
         return False
     f = 3

@@ -206,17 +206,16 @@ def hypersurface(d: int, n: int) -> HodgePolynomial:
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
     check_table_cost((n + 2) ** 3 * d * d + (n + 1) ** 2, f"hypersurface d={d}, n={n}")
-    coeffs: dict[tuple[int, int], int] = {}
-    for a in range(n + 1):
-        if 2 * a != n:
-            coeffs[(a, a)] = 1
+    # the cells are positive and distinct, so the table needs no create, only (i, j) order
+    cells = [((a, a), 1) for a in range(n + 1) if 2 * a != n]
     for p in range(n + 1):
         prim = middle_row_count(d, n, p)
         if 2 * p == n:
-            coeffs[(p, p)] = prim + 1
+            cells.append(((p, p), prim + 1))
         elif prim:
-            coeffs[(p, n - p)] = prim
-    return HodgePolynomial.create(coeffs)
+            cells.append(((p, n - p), prim))
+    cells.sort()
+    return HodgePolynomial(tuple(cells))
 
 
 def minimal_ambient_dims(n: int, s: int) -> tuple[int, ...]:
@@ -300,20 +299,16 @@ def stack_series(kind: str, bound: int = 12) -> HodgePolynomial:
     if bound < 0:
         raise ValueError("bound must be non-negative")
     check_table_cost((bound + 1) ** 2, f"series bound {bound}")
-    coeffs: dict[tuple[int, int], int] = {}
+    # the cells are generated in (i, j) order and within the bound, so the
+    # table needs no create
     if kind == "mu_p":
-        k = 0
-        while 2 * k <= bound:
-            coeffs[(k, k)] = 1
-            if 2 * k + 1 <= bound:
-                coeffs[(k + 1, k)] = 1
-            k += 1
+        cells = [((k + t, k), 1) for k in range(bound // 2 + 1) for t in (0, 1)
+                 if 2 * k + t <= bound]
     elif kind == "Z_mod_p":
-        for k in range(bound + 1):
-            coeffs[(0, k)] = 1
+        cells = [((0, k), 1) for k in range(bound + 1)]
     else:
         raise ValueError(f"unknown stack kind {kind!r}")
-    return HodgePolynomial.create(coeffs, bound)
+    return HodgePolynomial(tuple(cells), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -526,16 +521,34 @@ class DeltaExpr(Record):
 # special-fiber symmetrization and polarization search
 
 
-def _edge_mul(a: dict, b: dict) -> dict[tuple[int, int], int]:
-    """Multiply coefficient tables modulo the monomials x^i y^j with i,j > 0,
-    i > 3 or j > 3 (only the degree <= 3 edges of the diamond survive)."""
-    out: dict[tuple[int, int], int] = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            i, j = i1 + i2, j1 + j2
-            if (i == 0 or j == 0) and i <= 3 and j <= 3:
-                out[(i, j)] = out.get((i, j), 0) + c1 * c2
-    return out
+def _series_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """a * b modulo t^4, for ascending coefficient 4-tuples."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0,
+        a0 * b1 + a1 * b0,
+        a0 * b2 + a1 * b1 + a2 * b0,
+        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+    )
+
+
+def _edge_mul(a: tuple, b: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Multiply in Z[x,y]/(xy, x^4, y^4), the degree <= 3 edges of a diamond.
+
+    An element is its x-edge (h^{0,0}, h^{1,0}, h^{2,0}, h^{3,0}) and its
+    y-edge (h^{0,0}, h^{0,1}, h^{0,2}, h^{0,3}), which share the constant.
+    Since xy = 0 no product of an x-term and a y-term survives, so a product
+    is the two edges' truncated products.
+    """
+    return _series_mul(a[0], b[0]), _series_mul(a[1], b[1])
+
+
+# (1/(1-y)) * ((1+x)/(1-xy)) in the edge quotient: 1/(1-y) has the edges
+# (1,0,0,0) and (1,1,1,1), and (1+x)/(1-xy) = (1+x)(1+xy+...) has (1,1,0,0)
+# and (1,0,0,0); each edge of the product is the product of the two edges
+_FIBER_AUX = ((1, 1, 0, 0), (1, 1, 1, 1))
+_ELLIPTIC = ((1, 1, 0, 0), (1, 1, 0, 0))  # 1 + x + y + xy, since xy = 0
 
 
 class SpecialFiberFix(Record):
@@ -583,21 +596,21 @@ def special_fiber_fix(delta30: int, edge: dict | None = None) -> SpecialFiberFix
     if e20 != e02:
         raise ValueError("edge data must be symmetric in degree 2")
 
-    # the monomials _edge_mul drops form an ideal, so its factors need no
-    # filtering of their own
-    aux = _edge_mul(dict(stack_series("Z_mod_p", 3).coeffs), dict(stack_series("mu_p", 3).coeffs))
-    power, m = {(0, 0): 1, (1, 0): 1, (0, 1): 1}, l  # (1+x+y+xy) mod the ideal
+    aux, power, m = _FIBER_AUX, _ELLIPTIC, l
     while m:
         if m & 1:
             aux = _edge_mul(aux, power)
         m >>= 1
         if m:
             power = _edge_mul(power, power)
-    transposed = {(j, i): c for (i, j), c in edge.items()}  # dual orientation
-    composed = _edge_mul(transposed, aux)
+    # edge cells off the two edges or above degree 3 lie in the ideal
+    x_edge = tuple([edge.get((i, 0), 0) for i in range(4)])
+    y_edge = tuple([edge.get((0, j), 0) for j in range(4)])
+    # the dual orientation swaps the edges
+    composed = _edge_mul((y_edge, x_edge), aux)
 
-    h30 = composed.get((3, 0), 0)
-    h03 = composed.get((0, 3), 0)
+    h30 = composed[0][3]
+    h03 = composed[1][3]
     forms_ok = (
         h30 == comb(l, 3) + comb(l, 2) + e03 + (l + 1) * e02
         and h03 == comb(l, 3) + comb(l, 2) + l + 1 + e30 + (l + 1) * e20

@@ -55,6 +55,7 @@ RECORDS = ("test_record.py",)
 PRODUCT = ("test_product_property.py", "test_hodge_product_pins.py")
 WORD_BOUNDARIES = ("test_cyclochar.py::test_exterior_table_at_word_boundaries",)
 DUMPS = ("test_dumps_property.py",)
+HODGECALC = ("test_hodgecalc.py",)
 
 MUTANTS = (
     # the candidate walk's prefixes: (1 + t x^a)^m truncated at t^3
@@ -193,6 +194,26 @@ MUTANTS = (
            "bisect_right(degrees, bound - i1 - j1)", "bisect_right(degrees, bound - i1 - j1 - 1)",
            ("test_product_property.py",
             "test_hodgecalc.py::test_product_against_naive_convolution_with_bounds")),
+    # special_fiber_fix's edge quotient as two truncated series
+    Mutant("edge-series-drops-a1*b1", "hodgecalc.py",
+           "a0 * b2 + a1 * b1 + a2 * b0,", "a0 * b2 + a2 * b0,", HODGECALC),
+    Mutant("fiber-edges-untransposed", "hodgecalc.py",
+           "_edge_mul((y_edge, x_edge), aux)", "_edge_mul((x_edge, y_edge), aux)", HODGECALC),
+    Mutant("fiber-aux-y-edge-short", "hodgecalc.py",
+           "_FIBER_AUX = ((1, 1, 0, 0), (1, 1, 1, 1))", "_FIBER_AUX = ((1, 1, 0, 0), (1, 1, 1, 0))",
+           HODGECALC),
+    # series and hypersurface tables built without create
+    Mutant("mu_p-cell-transposed", "hodgecalc.py",
+           "((k + t, k), 1)", "((k, k + t), 1)", HODGECALC),
+    Mutant("hypersurface-cells-unsorted", "hodgecalc.py",
+           "    cells.sort()\n    return HodgePolynomial(tuple(cells))",
+           "    return HodgePolynomial(tuple(cells))", HODGECALC),
+    Mutant("hypersurface-drops-the-class", "hodgecalc.py",
+           "cells.append(((p, p), prim + 1))", "cells.append(((p, p), prim))", HODGECALC),
+    # is_prime's table below 2^10
+    Mutant("prime-sieve-stops-below-sqrt", "cyclochar.py",
+           "range(2, isqrt(n - 1) + 1)", "range(2, isqrt(n - 1))",
+           ("test_cyclochar.py::test_is_prime_matches_trial_division",)),
     # certificate algebra and bytes
     Mutant("DPoly-negation-drops-denominator", "hodgecalc.py",
            "return DPoly(tuple([-c for c in self.nums]), self.den)",

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import takewhile
 from math import comb, gcd
 
 import pytest
@@ -35,6 +36,18 @@ def test_is_prime_and_order():
         multiplicative_order(5, 5)
     with pytest.raises(ValueError):
         multiplicative_order(2, 9)  # not a prime modulus
+
+
+def test_is_prime_matches_trial_division():
+    # a table answers below 2^10 and trial division above; both against the
+    # textbook test, every n < 2*10^5
+    primes: list[int] = []
+    for n in range(-3, 200_000):
+        want = n >= 2 and all(n % q for q in takewhile(lambda q: q * q <= n, primes))
+        if want:
+            primes.append(n)
+        assert is_prime(n) == want, n
+    assert len(primes) == 17_984
 
 
 def test_multiplicative_order_matches_stepwise_definition():

@@ -24,6 +24,7 @@ from hodge_asym.hodgecalc import (
     weil_restriction_delta30,
     weil_restriction_power,
 )
+from hodge_asym.hodgecalc import _ELLIPTIC, _FIBER_AUX
 from hodge_asym.pipeline import QuotientData, assemble_delta, symbolic_hypersurface
 from oracles import (
     edge_product,
@@ -362,6 +363,19 @@ def test_stack_series_examples():
         stack_series("other", 3)
 
 
+def test_series_and_hypersurfaces_are_the_tables_create_builds():
+    # both are built without create, so their cells must already be sorted,
+    # nonzero and within the bound
+    for bound in range(61):
+        for kind in ("mu_p", "Z_mod_p"):
+            series = stack_series(kind, bound)
+            assert series == H(dict(series.coeffs), bound), (kind, bound)
+    for d in range(1, 11):
+        for n in range(1, 7):
+            h = hypersurface(d, n)
+            assert h == H(dict(h.coeffs)), (d, n)
+
+
 def test_stack_series_recurrences():
     mu = stack_series("mu_p", 9)
     for k in range(4):
@@ -526,6 +540,36 @@ def test_special_fiber_fix_matches_stepwise_oracle():
             want = SpecialFiberFix(l, h30, h03, h30 - h03, closed_forms_ok=True)
             assert special_fiber_fix(d30, edge=edge) == want
         assert special_fiber_fix(d30) == special_fiber_fix(d30, edge={(0, 0): 1, (0, 3): -d30})
+
+
+def edge_pair(table: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The x-edge and the y-edge of a table, each through degree 3."""
+    return tuple(table.get((i, 0), 0) for i in range(4)), tuple(table.get((0, j), 0) for j in range(4))
+
+
+def test_fiber_constants_are_the_edges_of_their_series():
+    z_mod_p, mu_p = (dict(stack_series(kind, 3).coeffs) for kind in ("Z_mod_p", "mu_p"))
+    aux = edge_product(z_mod_p, mu_p)
+    assert aux == stepwise_fiber_aux(0)[0]
+    assert edge_pair(aux) == _FIBER_AUX
+    one = {(0, 0): 1}
+    assert edge_pair(edge_product(one, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})) == _ELLIPTIC
+
+
+def test_special_fiber_fix_ignores_edge_cells_in_the_ideal():
+    auxes = stepwise_fiber_aux(11)
+    # cells off the two edges or above degree 3, which edge_product drops
+    ideal = {(1, 1): 5, (4, 0): 7, (0, 4): 2, (2, 1): 3, (1, 3): 1, (0, 7): 4, (9, 9): 6}
+    for d30 in range(-12, 0):
+        l = -d30 - 1
+        for e2 in (0, 2):
+            edge = {(0, 0): 1, (2, 0): e2, (0, 2): e2, (3, 0): 1, (0, 3): 1 - d30}
+            with_ideal = {**edge, **ideal}
+            composed = edge_product({(j, i): c for (i, j), c in with_ideal.items()}, auxes[l])
+            h30, h03 = composed.get((3, 0), 0), composed.get((0, 3), 0)
+            want = SpecialFiberFix(l, h30, h03, h30 - h03, closed_forms_ok=True)
+            assert special_fiber_fix(d30, edge=with_ideal) == want
+            assert special_fiber_fix(d30, edge=edge) == want
 
 
 def test_polarization_examples():
